@@ -7,9 +7,8 @@
 //! EXPERIMENTS.md repeats.
 //!
 //! `engine_step` compares one move-then-transmit step of the adaptive
-//! zero-allocation engine, the forced bucket-join engine (full re-bins,
-//! the PR 2 engine) and the forced incrementally-maintained join against
-//! the seed's rebuild-every-step baseline at n ∈ {1k, 10k, 100k} — plus
+//! zero-allocation engine and the forced incrementally-maintained join
+//! at n ∈ {1k, 10k, 100k} — plus
 //! n = 300k when `FASTFLOOD_BENCH_LARGE` is set (the full measurement
 //! run; the tier-1 smoke skips it to stay fast) — mid-flood in the
 //! sparse regime (the regime the Theorem 3 / Theorem 18 sweeps live
@@ -58,9 +57,8 @@ fn flood_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// Step throughput: the adaptive zero-allocation engine on the fast
-/// [`fastflood_core::SimRng`] versus the seed implementation (fresh
-/// index each step, full agent scans, ChaCha12 `StdRng`).
+/// Step throughput: the adaptive zero-allocation engine versus the
+/// forced incrementally-maintained join.
 ///
 /// Each iteration clones a warmed mid-flood state (~25% informed,
 /// sparse regime) and runs a fixed batch of steps from it, so every
@@ -70,15 +68,12 @@ fn flood_end_to_end(c: &mut Criterion) {
 /// incomplete after every measured batch, so miscalibrated parameters
 /// fail loudly instead of silently benching mobility-only steps. The
 /// per-iteration state clone is included in the measurement (identical
-/// for both engines). Throughput is agent-steps per second (`n × batch`
+/// for every engine). Throughput is agent-steps per second (`n × batch`
 /// elements per iteration).
 fn engine_step(c: &mut Criterion) {
-    fn warm<R: rand::Rng + rand::SeedableRng + Send>(
-        params: &SimParams,
-        engine: EngineMode,
-    ) -> FloodingSim<Mrwp, R> {
+    fn warm(params: &SimParams, engine: EngineMode) -> FloodingSim<Mrwp> {
         let model = Mrwp::new(params.side(), params.speed()).expect("valid");
-        let mut sim = FloodingSim::<_, R>::with_rng(
+        let mut sim = FloodingSim::new(
             model,
             SimConfig::new(params.n(), params.radius())
                 .seed(1)
@@ -94,10 +89,7 @@ fn engine_step(c: &mut Criterion) {
         sim
     }
 
-    fn batch_steps<R: rand::Rng + rand::SeedableRng + Send + Clone>(
-        warm: &FloodingSim<Mrwp, R>,
-        batch: u32,
-    ) -> u32 {
+    fn batch_steps(warm: &FloodingSim<Mrwp>, batch: u32) -> u32 {
         let mut sim = warm.clone();
         let mut newly = 0;
         for _ in 0..batch {
@@ -122,26 +114,12 @@ fn engine_step(c: &mut Criterion) {
         let radius = 0.4 * scale;
         let params = SimParams::standard(n, radius, 0.2 * radius).expect("valid");
         group.throughput(Throughput::Elements(n as u64 * batch as u64));
-        group.bench_with_input(BenchmarkId::new("adaptive", n), &params, |b, p| {
-            let sim = warm::<fastflood_core::SimRng>(p, EngineMode::Adaptive);
-            assert!(!sim.all_informed(), "warm state must be mid-flood");
-            b.iter(|| black_box(batch_steps(&sim, batch)));
-        });
-        group.bench_with_input(BenchmarkId::new("bucket_join", n), &params, |b, p| {
-            let sim = warm::<fastflood_core::SimRng>(p, EngineMode::BucketJoin);
-            assert!(!sim.all_informed(), "warm state must be mid-flood");
-            b.iter(|| black_box(batch_steps(&sim, batch)));
-        });
-        group.bench_with_input(BenchmarkId::new("incremental", n), &params, |b, p| {
-            let sim = warm::<fastflood_core::SimRng>(p, EngineMode::Incremental);
-            assert!(!sim.all_informed(), "warm state must be mid-flood");
-            b.iter(|| black_box(batch_steps(&sim, batch)));
-        });
-        // the seed baseline is ~2× the adaptive engine; skip it at the
-        // largest size to bound the measurement run
-        if n <= 100_000 {
-            group.bench_with_input(BenchmarkId::new("seed_rebuild", n), &params, |b, p| {
-                let sim = warm::<rand::rngs::StdRng>(p, EngineMode::Rebuild);
+        for (label, engine) in [
+            ("adaptive", EngineMode::Adaptive),
+            ("incremental", EngineMode::Incremental),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, n), &params, |b, p| {
+                let sim = warm(p, engine);
                 assert!(!sim.all_informed(), "warm state must be mid-flood");
                 b.iter(|| black_box(batch_steps(&sim, batch)));
             });
@@ -166,10 +144,8 @@ fn bench_large() -> bool {
 /// cheap post-completion steps, so it reflects a whole-run mix rather
 /// than pure frontier work (use `engine_step` for that). `adaptive`
 /// rows exercise the production auto-selection (which engages the
-/// incrementally-maintained join in the dense regime); `bucket_join`
-/// rows force the full-re-bin join of PR 2 on every step (the stability
-/// reference for the incremental rework); `incremental` rows force the
-/// diff-maintained join everywhere. `adaptive_par_tT` rows run the
+/// incrementally-maintained join in the dense regime); `incremental`
+/// rows force the diff-maintained join everywhere. `adaptive_par_tT` rows run the
 /// chunked-parallel engine on a `T`-thread pool (the PR 5 threads
 /// sweep; deterministic per thread count, different trajectories than
 /// the sequential rows — see `docs/BENCHMARKING.md`).
@@ -183,11 +159,6 @@ fn engine_step_sustained(c: &mut Criterion) {
         (
             "adaptive".into(),
             EngineMode::Adaptive,
-            Parallelism::Sequential,
-        ),
-        (
-            "bucket_join".into(),
-            EngineMode::BucketJoin,
             Parallelism::Sequential,
         ),
         (

@@ -11,10 +11,9 @@
 //! preserved) and runs 2 trials — the tier-1 smoke configuration.
 //!
 //! `--parallelism` selects the intra-step engine per trial: `seq`
-//! (default), `chunked`, or `sharded:K` (a K×K shard grid); `chunked`
-//! and `sharded:K` resolve their worker count from `FASTFLOOD_THREADS`
-//! / available parallelism. `--threads` stays trial-level (how many
-//! trials run concurrently).
+//! (default) or `chunked`; `chunked` resolves its worker count from
+//! `FASTFLOOD_THREADS` / available parallelism. `--threads` stays
+//! trial-level (how many trials run concurrently).
 //!
 //! # Checkpointing
 //!
@@ -67,28 +66,11 @@ struct Args {
 }
 
 fn parse_engine(v: &str) -> EngineMode {
-    match v {
-        "adaptive" => EngineMode::Adaptive,
-        "rebuild" => EngineMode::Rebuild,
-        "oracle" => EngineMode::Oracle,
-        "bucket-join" => EngineMode::BucketJoin,
-        "incremental" => EngineMode::Incremental,
-        other => panic!("unknown engine {other:?}"),
-    }
+    v.parse().unwrap_or_else(|e: String| panic!("{e}"))
 }
 
 fn parse_parallelism(v: &str) -> Parallelism {
-    match v {
-        "seq" | "sequential" => Parallelism::Sequential,
-        "chunked" => Parallelism::Chunked { threads: 0 },
-        sharded => match sharded.strip_prefix("sharded:") {
-            Some(k) => Parallelism::Sharded {
-                grid: k.parse().expect("--parallelism sharded:K takes a grid"),
-                threads: 0,
-            },
-            None => panic!("unknown parallelism {v:?} (seq|chunked|sharded:K)"),
-        },
-    }
+    v.parse().unwrap_or_else(|e: String| panic!("{e}"))
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Args {

@@ -548,7 +548,7 @@ mod tests {
     fn resume_with_nothing_valid_starts_fresh() {
         let sc = faulted(70);
         let dir = tmp_dir("fresh");
-        let reference = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 3).unwrap();
+        let reference = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 3).unwrap();
         fs::write(dir.join("bogus-step00000008.ckpt"), b"not a checkpoint").unwrap();
         // a checkpoint from a *different* scenario decodes but must be
         // rejected as incompatible
@@ -557,7 +557,7 @@ mod tests {
         opts.label = "other".to_string();
         run_scenario_checkpointed(
             &other,
-            EngineMode::Rebuild,
+            EngineMode::Oracle,
             Parallelism::Sequential,
             3,
             &opts,
@@ -567,7 +567,7 @@ mod tests {
         let mut opts = CheckpointOpts::new(&dir, 0);
         opts.resume = true;
         let (run, summary) =
-            run_scenario_checkpointed(&sc, EngineMode::Rebuild, Parallelism::Sequential, 3, &opts)
+            run_scenario_checkpointed(&sc, EngineMode::Oracle, Parallelism::Sequential, 3, &opts)
                 .unwrap();
         assert!(summary.resumed_from.is_none());
         assert!(summary.rejected.len() >= 2, "{:?}", summary.rejected);
@@ -735,7 +735,7 @@ mod tests {
                 parallelism: Parallelism::Sequential,
             },
             BisectSide {
-                engine: EngineMode::Rebuild,
+                engine: EngineMode::Oracle,
                 parallelism: Parallelism::Sequential,
             },
             11,

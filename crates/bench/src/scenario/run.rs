@@ -80,16 +80,16 @@ impl Outcome {
     }
 }
 
-/// Engine fallback counters after a run (all zero for non-Incremental /
-/// non-BucketJoin engines).
+/// Engine fallback counters after a run (all zero for the `Oracle`
+/// engine, which runs no join).
 ///
 /// These are observability counters, not simulation state: a run resumed
 /// from a checkpoint re-counts from the resume point, so they are
 /// deliberately **outside** the bitwise resume-identity contract (the
-/// same exclusion the sharded-agreement harness makes).
+/// same exclusion the cross-mode agreement harness makes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FallbackStats {
-    /// Steps the adaptive engine served via the bucket-join path.
+    /// Steps served by the join path.
     pub join_steps: u32,
     /// Incremental-engine full index rebuilds (any cause).
     pub full_rebuilds: u32,
@@ -268,7 +268,7 @@ pub(crate) fn with_model<V: ModelVisitor>(spec: &ModelSpec, v: V) -> Result<V::O
 /// use fastflood_core::{EngineMode, Parallelism};
 ///
 /// let sc = scenario_by_name("uniform-baseline").unwrap().scaled(120);
-/// let run = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 3)?;
+/// let run = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 3)?;
 /// assert_eq!(run.trace.inform_time.len(), 120);
 /// # Ok::<(), fastflood_bench::scenario::ScenarioError>(())
 /// ```
@@ -1083,8 +1083,8 @@ mod tests {
     #[test]
     fn same_seed_same_trace() {
         let sc = base(60);
-        let a = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 9).unwrap();
-        let b = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 9).unwrap();
+        let a = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 9).unwrap();
+        let b = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 9).unwrap();
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.report, b.report);
         assert_eq!(trace_digest(&a.trace), trace_digest(&b.trace));
@@ -1125,7 +1125,7 @@ mod tests {
                 },
             },
         }];
-        let run = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 4).unwrap();
+        let run = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 4).unwrap();
         let silence = run
             .trace
             .faults
@@ -1159,7 +1159,7 @@ mod tests {
         // Static model: placements stay where we put them.
         sc.model = ModelSpec::Static { side: 12.0 };
         sc.steps = 1;
-        let run = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 3).unwrap();
+        let run = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 3).unwrap();
         for &(xb, yb) in &run.trace.position_bits[..20] {
             let (x, y) = (f64::from_bits(xb), f64::from_bits(yb));
             assert!(
@@ -1295,7 +1295,7 @@ mod tests {
         let mut d = Driver::new(
             &sc,
             model.clone(),
-            EngineMode::Rebuild,
+            EngineMode::Oracle,
             Parallelism::Sequential,
             5,
         )
@@ -1312,7 +1312,7 @@ mod tests {
         let mut fresh = Driver::new(
             &other,
             model.clone(),
-            EngineMode::Rebuild,
+            EngineMode::Oracle,
             Parallelism::Sequential,
             5,
         )
@@ -1327,7 +1327,7 @@ mod tests {
         let mut fresh = Driver::new(
             &edited,
             model.clone(),
-            EngineMode::Rebuild,
+            EngineMode::Oracle,
             Parallelism::Sequential,
             5,
         )
@@ -1340,7 +1340,7 @@ mod tests {
 
         // a clean restore still works afterwards
         let mut fresh =
-            Driver::new(&sc, model, EngineMode::Rebuild, Parallelism::Sequential, 5).unwrap();
+            Driver::new(&sc, model, EngineMode::Oracle, Parallelism::Sequential, 5).unwrap();
         fresh.restore(&snap).unwrap();
         assert_eq!(fresh.time(), 6);
     }

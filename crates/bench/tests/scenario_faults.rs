@@ -170,7 +170,7 @@ fn all_crashed_at_step_zero_reports_extinction() {
     .unwrap();
     for engine in [
         EngineMode::Adaptive,
-        EngineMode::Rebuild,
+        EngineMode::Oracle,
         EngineMode::Incremental,
     ] {
         let runs = run_scenario_trials(&sc, engine, Parallelism::Sequential, 2, 3, 99).unwrap();
@@ -191,7 +191,7 @@ fn all_crashed_at_step_zero_reports_extinction() {
 #[test]
 fn heal_reopens_the_worklist() {
     let sc = parse_scenario(DENSE_PARTITION).unwrap();
-    let run = run_scenario(&sc, EngineMode::Rebuild, Parallelism::Sequential, 3).unwrap();
+    let run = run_scenario(&sc, EngineMode::Oracle, Parallelism::Sequential, 3).unwrap();
     let heal = run
         .trace
         .faults

@@ -32,9 +32,8 @@
 //!   bucket resolves its ≤ 3×3 facing transmitter CSR slices once
 //!   (AABB-pruned) and streams dense slice-×-slice distance loops, so
 //!   the worklist is consumed in spatially sorted (probe-order) memory
-//!   order. [`EngineMode::Adaptive`] auto-engages this path whenever
-//!   transmitters aren't scarce; [`EngineMode::BucketJoin`] forces it
-//!   everywhere.
+//!   order. [`EngineMode::Adaptive`] engages the join whenever
+//!   transmitters aren't scarce.
 //! * **Temporally-coherent incremental re-binning.** In the MRWP speed
 //!   regime agents move `v ≪ bucket` per step, so a binning stays
 //!   *valid up to a known staleness bound* for many steps. The join's
@@ -102,7 +101,6 @@ use crate::cancel::CancelToken;
 use crate::checkpoint::{
     CheckpointError, Snapshot, TAG_AGNT, TAG_CRNG, TAG_FLOD, TAG_META, TAG_MRNG, TAG_POSN, TAG_TURN,
 };
-use crate::sharded::ShardedWorld;
 use crate::{CoreError, Zone, ZoneMap};
 use fastflood_geom::Point;
 use fastflood_mobility::{
@@ -110,7 +108,7 @@ use fastflood_mobility::{
     TurnRecorder, MOVE_CHUNK, RNG_BLOCK,
 };
 use fastflood_parallel::{default_threads, shared_pool, WorkerPool};
-use fastflood_spatial::{GridIndex, GridIndexBuffer};
+use fastflood_spatial::GridIndexBuffer;
 use fastflood_stats::seeds::derive_seed;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng, SnapshotRng};
@@ -197,29 +195,11 @@ pub enum EngineMode {
     /// measured cost.
     #[default]
     Adaptive,
-    /// The seed implementation, kept as the benchmark baseline: a fresh
-    /// [`GridIndex`] built from scratch every step over all transmitter
-    /// positions, plus a full scan of all `n` agents. (Gossip, which the
-    /// benches don't exercise, shares the [`EngineMode::Oracle`] path.)
-    Rebuild,
     /// The adaptive algorithm with every spatial query replaced by a
     /// brute-force scan — the correctness oracle. Draws the exact same
     /// random stream as [`EngineMode::Adaptive`], so runs must match
     /// step for step (property-tested across protocols and crashes).
     Oracle,
-    /// Always-on bucket join: every full-flooding/parsimonious transmit
-    /// bins both sides into two shared-geometry [`GridIndexBuffer`]s and
-    /// joins occupied bucket pairs, regardless of side sizes. The
-    /// production [`EngineMode::Adaptive`] engages the same path only
-    /// once transmitters stop being scarce; this mode forces it
-    /// everywhere so tests and isolation benches exercise the join
-    /// unconditionally. Unlike the production path it re-bins both
-    /// sides from scratch every step (the PR 2 engine, kept as the
-    /// incremental path's baseline). (Gossip, whose per-transmitter
-    /// sampling a join cannot express, shares the adaptive gossip
-    /// path.) Identical protocol semantics and random streams to all
-    /// other modes.
-    BucketJoin,
     /// Always-on incrementally-maintained bucket join: every
     /// full-flooding/parsimonious transmit runs the join over the two
     /// slack-layout grids kept in sync by
@@ -230,6 +210,30 @@ pub enum EngineMode {
     /// fallbacks. (Gossip shares the adaptive gossip path.) Identical
     /// protocol semantics and random streams to all other modes.
     Incremental,
+}
+
+impl std::str::FromStr for EngineMode {
+    type Err = String;
+
+    /// Parses the engine names the CLIs and floodd accept:
+    /// `adaptive`, `oracle`, `incremental`.
+    ///
+    /// ```
+    /// use fastflood_core::EngineMode;
+    ///
+    /// assert_eq!("oracle".parse(), Ok(EngineMode::Oracle));
+    /// assert!("rebuild".parse::<EngineMode>().is_err());
+    /// ```
+    fn from_str(s: &str) -> Result<EngineMode, String> {
+        match s {
+            "adaptive" => Ok(EngineMode::Adaptive),
+            "oracle" => Ok(EngineMode::Oracle),
+            "incremental" => Ok(EngineMode::Incremental),
+            other => Err(format!(
+                "unknown engine {other:?} (adaptive|oracle|incremental)"
+            )),
+        }
+    }
 }
 
 /// Intra-step parallelism of a [`FloodingSim`].
@@ -244,7 +248,7 @@ pub enum EngineMode {
 /// phases on a retained [`WorkerPool`]: the move pass in the fixed
 /// [`MOVE_CHUNK`] chunk geometry with **one counter-derived RNG stream
 /// per chunk** (seeded from `(seed, chunk_index)`), and — in the
-/// incremental join regime — the sharded stale join and refresh
+/// incremental join regime — the partitioned stale join and refresh
 /// passes. Chunked trajectories *differ* from Sequential ones (the
 /// move draws come from the chunk streams, not the main stream) but
 /// are the same stochastic process, and they are **deterministic for a
@@ -265,29 +269,28 @@ pub enum Parallelism {
         /// never changes results, only speed.
         threads: usize,
     },
-    /// Domain-partitioned transmit engine: the region splits into a
-    /// `grid × grid` decomposition of shards, each owning its agents'
-    /// transmit-phase state behind process-shaped boundaries (own
-    /// buffers + immutable halo snapshots; migrations and inform merges
-    /// happen in canonical shard order). The move pass stays the same
-    /// block-batched chunked kernel as [`Parallelism::Chunked`] and the
-    /// transmit phases draw no randomness, so the trace is
-    /// **bitwise-identical to `Chunked`** for the same `(seed, n)` —
-    /// for every `grid` and every thread count; `grid: 1` is the
-    /// degenerate single-shard world. See [`ShardedWorld`] and
-    /// `docs/ARCHITECTURE.md` ("Sharded world contract").
+}
+
+impl std::str::FromStr for Parallelism {
+    type Err = String;
+
+    /// Parses the parallelism names the CLIs and floodd accept: `seq`
+    /// (or `sequential`) and `chunked`, the latter with
+    /// `threads: 0` (resolved by [`default_threads`]).
     ///
-    /// [`ShardedWorld`]: crate::ShardedWorld
-    Sharded {
-        /// Shards per axis (`K`); the world holds `K²` shards.
-        /// Rejected when `0`, or when `K ≥ 2` and a shard cell's side
-        /// would be smaller than the transmit radius (the halo band
-        /// must fit inside one neighboring shard).
-        grid: usize,
-        /// Worker threads, resolved exactly as in
-        /// [`Parallelism::Chunked`].
-        threads: usize,
-    },
+    /// ```
+    /// use fastflood_core::Parallelism;
+    ///
+    /// assert_eq!("seq".parse(), Ok(Parallelism::Sequential));
+    /// assert_eq!("chunked".parse(), Ok(Parallelism::Chunked { threads: 0 }));
+    /// ```
+    fn from_str(s: &str) -> Result<Parallelism, String> {
+        match s {
+            "seq" | "sequential" => Ok(Parallelism::Sequential),
+            "chunked" => Ok(Parallelism::Chunked { threads: 0 }),
+            other => Err(format!("unknown parallelism {other:?} (seq|chunked)")),
+        }
+    }
 }
 
 /// Configuration of a [`FloodingSim`].
@@ -387,9 +390,9 @@ impl SimConfig {
     /// Checks every field for validity without building a simulator:
     /// `n ≥ 1`, radius positive and finite (NaN and infinities are
     /// rejected here instead of propagating into the grid geometry),
-    /// protocol parameters in range, a fixed source index in bounds,
-    /// and a nonzero shard grid. [`FloodingSim::with_rng`] calls this
-    /// first, so an invalid config never half-constructs a simulator.
+    /// protocol parameters in range, and a fixed source index in bounds.
+    /// [`FloodingSim::with_rng`] calls this first, so an invalid config
+    /// never half-constructs a simulator.
     ///
     /// # Errors
     ///
@@ -423,9 +426,6 @@ impl SimConfig {
                     "source anchor point must be finite",
                 ));
             }
-        }
-        if let Parallelism::Sharded { grid: 0, .. } = self.parallelism {
-            return Err(CoreError::BadParameter("shard grid must be at least 1"));
         }
         Ok(())
     }
@@ -555,9 +555,8 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// Second retained index: the transmitter side of the bucket join,
     /// rebuilt with the same grid geometry as `grid`.
     tx_grid: GridIndexBuffer,
-    /// Diagnostic: steps whose transmit ran the bucket join (forced by
-    /// [`EngineMode::BucketJoin`] / [`EngineMode::Incremental`] or
-    /// auto-engaged by the adaptive policy).
+    /// Diagnostic: steps whose transmit ran the join path (forced by
+    /// [`EngineMode::Incremental`] or engaged by the adaptive policy).
     join_steps: u32,
     /// Cross-step synchronization state of the incremental re-bin path.
     inc: IncrementalSync,
@@ -582,11 +581,6 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// (counter-derived RNG stream + move scratch) per [`MOVE_CHUNK`]
     /// chunk of the population.
     par: Option<ParState<R>>,
-    /// The domain decomposition of [`Parallelism::Sharded`] (`None`
-    /// otherwise): per-shard rosters, halo snapshots, and migration
-    /// bookkeeping; the flooding/parsimonious transmit routes through
-    /// it instead of the engine-mode join.
-    sharded: Option<ShardedWorld>,
     /// Cooperative cancellation checked by [`FloodingSim::run`] between
     /// steps (`None` = never cancelled). Not part of simulation state:
     /// snapshots ignore it and clones share the same token.
@@ -687,7 +681,6 @@ impl<M: Mobility + Clone, R: Rng + SeedableRng + Send + Clone> Clone for Floodin
             phase_timing: self.phase_timing,
             phases: self.phases,
             par: self.par.clone(),
-            sharded: self.sharded.clone(),
             cancel: self.cancel.clone(),
         }
     }
@@ -761,16 +754,9 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let mut rank = vec![u32::MAX; config.n];
         rank[source] = 0;
 
-        let sharded = match config.parallelism {
-            Parallelism::Sharded { grid, .. } => {
-                Some(ShardedWorld::new(grid, region, config.radius, config.n)?)
-            }
-            _ => None,
-        };
-
         let par = match config.parallelism {
             Parallelism::Sequential => None,
-            Parallelism::Chunked { threads } | Parallelism::Sharded { threads, .. } => {
+            Parallelism::Chunked { threads } => {
                 let threads = if threads == 0 {
                     default_threads()
                 } else {
@@ -858,7 +844,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             phase_timing: false,
             phases: StepPhases::default(),
             par,
-            sharded,
             cancel: None,
         })
     }
@@ -923,9 +908,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         // diff (and shrinks the live population their geometry is sized
         // by): resync with full rebuilds on the next join step
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         if self.informed[agent] {
             // retire from the transmit roster
             let rk = self.rank[agent] as usize;
@@ -978,9 +960,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         // the live population (grid geometry) and roster membership both
         // change: resync the incremental grids from scratch
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         if self.informed[agent] {
             self.rank[agent] = self.transmitters.len() as u32;
             self.transmitters.push(agent as u32);
@@ -1025,9 +1004,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         *self.spread.last_mut().expect("spread is never empty") = self.informed_count as u32;
         // roster surgery outside the join's membership diff: resync
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         self.update_zone_completion();
     }
 
@@ -1060,9 +1036,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.positions[agent] = self.model.position(&st);
         self.model.batch_set_state(&mut self.batch, agent, st);
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         self.update_zone_completion();
         Ok(())
     }
@@ -1127,9 +1100,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             self.transmitters.push(new as u32);
             self.source = new;
             self.inc.ready = false;
-            if let Some(sh) = self.sharded.as_mut() {
-                sh.mark_dirty();
-            }
             self.update_zone_completion();
         }
         Ok(())
@@ -1176,9 +1146,8 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.turns.as_ref()
     }
 
-    /// Diagnostic: how many executed steps ran the bucket-join transmit
-    /// path (forced by [`EngineMode::BucketJoin`] /
-    /// [`EngineMode::Incremental`], or auto-engaged by
+    /// Diagnostic: steps served by the join path (forced by
+    /// [`EngineMode::Incremental`], or engaged by
     /// [`EngineMode::Adaptive`] in the dense regime). Used by tests to
     /// assert the adaptive policy actually engages the join, and handy
     /// when tuning the crossover.
@@ -1291,15 +1260,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     #[inline]
     pub fn parallel_threads(&self) -> usize {
         self.par.as_ref().map_or(0, |p| p.pool.threads())
-    }
-
-    /// The domain decomposition of [`Parallelism::Sharded`], or `None`
-    /// under any other parallelism — read-only access to the shard
-    /// grid's diagnostics (migration and halo counters, ownership
-    /// queries). See [`ShardedWorld`].
-    #[inline]
-    pub fn sharded_world(&self) -> Option<&ShardedWorld> {
-        self.sharded.as_ref()
     }
 
     /// Turns per-phase wall-clock accounting on or off (see
@@ -1503,36 +1463,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             self.inc.stale += max_move;
             return;
         }
-        if self.sharded.is_some() {
-            // Sharded transmit: coins are drawn here, in global roster
-            // order from the main stream — the identical draws as every
-            // other engine mode — and the coin-passing subset is handed
-            // to the world as stamp marks (the shard-local effective
-            // rosters filter by `stamp[t] == time`). The decomposition
-            // pipeline itself is RNG-free, which is what keeps the
-            // trace bitwise-invariant in the shard grid.
-            let parsimonious = forward_probability.is_some();
-            let mut any_tx = !self.transmitters.is_empty();
-            if let Some(p) = forward_probability {
-                any_tx = false;
-                let time = self.time;
-                for i in 0..self.transmitters.len() {
-                    let t = self.transmitters[i] as usize;
-                    if self.rng.gen::<f64>() < p {
-                        self.stamp[t] = time;
-                        any_tx = true;
-                    }
-                }
-            }
-            if any_tx {
-                // an all-tails step skips the pipeline entirely (like
-                // every mode); the roster surgery it also skips is
-                // idempotent against the global flags, so the next
-                // transmit absorbs the extra step's moves
-                self.transmit_sharded(parsimonious);
-            }
-            return;
-        }
         // The transmit roster: all live informed agents, or the
         // coin-passing subset for parsimonious. Coins are drawn in
         // roster order in every engine mode, so the random stream is
@@ -1614,23 +1544,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                     self.phases.refresh_ns += refresh_ns;
                 }
             }
-            EngineMode::Rebuild => {
-                // the seed implementation, kept as the benchmark
-                // baseline: fresh index over gathered transmitter
-                // positions, full scan of all agents
-                let tx_positions: Vec<Point> =
-                    tx.iter().map(|&t| self.positions[t as usize]).collect();
-                let index = GridIndex::for_radius(region, radius, &tx_positions)
-                    .expect("positions finite, radius validated");
-                for i in 0..self.positions.len() {
-                    if self.informed[i] || self.crashed[i] {
-                        continue;
-                    }
-                    if index.any_within(self.positions[i], radius, |_| true) {
-                        self.newly.push(i as u32);
-                    }
-                }
-            }
             EngineMode::Oracle => {
                 // brute force: same visitation semantics, no index
                 for &u in &self.uninformed {
@@ -1642,23 +1555,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                         self.newly.push(u);
                     }
                 }
-            }
-            EngineMode::BucketJoin => {
-                // the join unconditionally, whatever the side sizes,
-                // with both sides re-binned from scratch (the PR 2
-                // engine, kept as the incremental path's baseline)
-                self.inc.ready = false;
-                self.join_steps += 1;
-                join_covered(
-                    &mut self.grid,
-                    &mut self.tx_grid,
-                    region,
-                    radius,
-                    &self.positions,
-                    &self.uninformed,
-                    tx,
-                    &mut self.newly,
-                );
             }
             EngineMode::Incremental => {
                 // the incrementally-maintained join unconditionally,
@@ -1685,29 +1581,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         }
     }
 
-    /// Hands the post-move global snapshot to the [`ShardedWorld`]
-    /// pipeline (surgery → exchange → publish → halo join) and collects
-    /// the per-shard newly-informed lists into `self.newly` (the caller
-    /// sorts the union, as for every mode). RNG-free: parsimonious
-    /// coins were already drawn by [`FloodingSim::transmit_flooding`]
-    /// and arrive as `stamp[t] == time` marks.
-    fn transmit_sharded(&mut self, parsimonious: bool) {
-        let sh = self
-            .sharded
-            .as_mut()
-            .expect("transmit_sharded called with the sharded world active");
-        sh.transmit(
-            &self.positions,
-            &self.informed,
-            &self.crashed,
-            &self.stamp,
-            self.time,
-            parsimonious,
-            &mut self.newly,
-            self.par.as_ref().map(|p| &*p.pool),
-        );
-    }
-
     /// Push gossip: each live informed agent pushes to at most `k`
     /// uniformly chosen live uninformed neighbors.
     ///
@@ -1722,16 +1595,16 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            EngineMode::Adaptive | EngineMode::BucketJoin | EngineMode::Incremental => {
+            EngineMode::Adaptive | EngineMode::Incremental => {
                 // Index the uninformed mass, gather candidates per
                 // transmitter. Unlike flooding there is no
                 // index-the-roster alternative here: bucketing hits per
                 // transmitter needs an O(candidate-pairs) side list,
                 // which is unbounded in dense regimes and would break
                 // the zero-steady-state-allocation budget — so
-                // BucketJoin and Incremental (whose join kernel cannot
-                // express per-transmitter sampling either) share this
-                // path and its random stream.
+                // Incremental (whose join kernel cannot express
+                // per-transmitter sampling either) shares this path and
+                // its random stream.
                 self.inc.ready = false;
                 self.grid
                     .rebuild_subset(region, radius, &self.positions, &self.uninformed)
@@ -1750,7 +1623,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                     self.sample_and_mark(k);
                 }
             }
-            EngineMode::Rebuild | EngineMode::Oracle => {
+            EngineMode::Oracle => {
                 // brute-force oracle: scan the worklist per transmitter
                 for i in 0..self.transmitters.len() {
                     let t = self.transmitters[i];
@@ -1838,42 +1711,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 /// bottoms near 4× (1× ≈ 2.9 ms, 2× ≈ 2.0 ms, 4× ≈ 1.8 ms, 6× ≈
 /// 1.8 ms) — the AABB/cell-rect prunes keep wide neighborhoods cheap,
 /// so the curve is flat past the knee and the exact value is shallow.
-pub(crate) const JOIN_BUCKET_FACTOR: f64 = 4.0;
-
-/// The bucket-join transmit kernel shared by [`EngineMode::BucketJoin`]
-/// and the adaptive dense regime: bins the uninformed worklist and the
-/// transmit roster into two retained buffers with one shared grid
-/// geometry, then marks every uninformed agent covered by a transmitter
-/// via the occupied-bucket-pair join.
-///
-/// A free function over split borrows so callers can keep `tx` borrowed
-/// from the sim while the two grids are rebuilt. Appends each covered
-/// agent to `newly` exactly once (a point lives in one bucket), so no
-/// stamp dedup is needed.
-#[allow(clippy::too_many_arguments)]
-fn join_covered(
-    grid: &mut GridIndexBuffer,
-    tx_grid: &mut GridIndexBuffer,
-    region: fastflood_geom::Rect,
-    radius: f64,
-    positions: &[Point],
-    uninformed: &[u32],
-    tx: &[u32],
-    newly: &mut Vec<u32>,
-) {
-    // one geometry for both sides, sized by the live population so the
-    // bucket resolution doesn't degrade as either side shrinks; coarse
-    // buckets (see JOIN_BUCKET_FACTOR) trade scan width for table
-    // locality and occupancy
-    let geometry_points = uninformed.len() + tx.len();
-    let bucket = JOIN_BUCKET_FACTOR * radius;
-    grid.rebuild_subset_shared(region, bucket, positions, uninformed, geometry_points)
-        .expect("positions finite, radius validated");
-    tx_grid
-        .rebuild_subset_shared(region, bucket, positions, tx, geometry_points)
-        .expect("positions finite, radius validated");
-    grid.join_covered_by(tx_grid, radius, |u| newly.push(u as u32));
-}
+const JOIN_BUCKET_FACTOR: f64 = 4.0;
 
 // ---- checkpoint / restore ----------------------------------------------
 
@@ -1881,13 +1719,12 @@ fn join_covered(
 /// provenance only; restore does not enforce it — the divergence
 /// bisector deliberately restores one engine's checkpoints into runs of
 /// another engine, which is sound because every mode draws the same
-/// random stream.
+/// random stream. Codes 1 and 3 belonged to two retired engine modes
+/// that shared this state and stream, so restore still accepts them.
 fn engine_code(e: EngineMode) -> u8 {
     match e {
         EngineMode::Adaptive => 0,
-        EngineMode::Rebuild => 1,
         EngineMode::Oracle => 2,
-        EngineMode::BucketJoin => 3,
         EngineMode::Incremental => 4,
     }
 }
@@ -1955,8 +1792,7 @@ where
     /// curve, zone completion times, and turn-recorder timestamps.
     ///
     /// Derived caches are deliberately *not* serialized: the spatial
-    /// grids, the incremental-sync ledger, the sharded world, and all
-    /// per-step scratch are re-derived or invalidated by
+    /// grids, the incremental-sync ledger, and all per-step scratch are re-derived or invalidated by
     /// [`FloodingSim::restore`], and every transmit path rebuilds them
     /// from a cold cache without consuming random draws. See
     /// `docs/ARCHITECTURE.md` ("Checkpoint & recovery contract") for
@@ -1988,9 +1824,8 @@ where
             }
         }
         meta.put_u8(engine_code(self.engine));
-        // parallelism *class*, not exact mode: Chunked and Sharded draw
-        // from the same chunk streams and produce the same trace, so a
-        // snapshot moves freely between them
+        // parallelism *class*, not exact mode: the thread count never
+        // changes the trace, so a snapshot moves freely between pools
         meta.put_u8(self.par.is_some() as u8);
         meta.put_u32(self.par.as_ref().map_or(0, |p| p.chunks.len()) as u32);
         // model fingerprint: per-agent layout tag + region + speed
@@ -2077,8 +1912,8 @@ where
     /// Derived state is reconciled rather than read: `rank` is rebuilt
     /// from the transmitter roster, the spatial grids and the
     /// incremental-sync ledger reset to cold (the next transmit
-    /// rebuilds them without consuming draws), the sharded world is
-    /// marked dirty, and scratch buffers clear.
+    /// rebuilds them without consuming draws), and scratch buffers
+    /// clear.
     ///
     /// # Errors
     ///
@@ -2376,9 +2211,6 @@ where
         self.tx_scratch.clear();
         self.cand.clear();
         self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
-        if let Some(sh) = &mut self.sharded {
-            sh.mark_dirty();
-        }
         Ok(())
     }
 }
@@ -2388,7 +2220,7 @@ fn class_name(class: u8) -> &'static str {
     if class == 0 {
         "sequential"
     } else {
-        "chunked/sharded"
+        "chunked"
     }
 }
 
@@ -2486,7 +2318,7 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 /// that actually happened rather than the worst-case model speed.
 ///
 /// With `pool` set (the chunked-parallel engine), the two `O(live)`
-/// phases run sharded on it: the periodic refresh relocates by bucket
+/// phases run partitioned on it: the periodic refresh relocates by bucket
 /// row ([`GridIndexBuffer::update_moved_par`]) and the join partitions
 /// its occupied buckets with per-worker output merged in canonical
 /// shard order ([`GridIndexBuffer::join_covered_by_stale_par`]) — the
@@ -2562,7 +2394,7 @@ fn join_covered_incremental(
             inc.deferred_steps += 1;
         } else {
             // staleness budget exhausted: refresh and relocate (row-
-            // sharded on the pool when the parallel engine runs)
+            // partitioned on the pool when the parallel engine runs)
             match pool {
                 Some(pl) => {
                     grid.update_moved_par(positions, diff, &[], pl)
@@ -2656,6 +2488,30 @@ mod tests {
             SimConfig::new(5, 1.0).source(SourcePlacement::Agent(5))
         )
         .is_err());
+    }
+
+    #[test]
+    fn name_tables_round_trip_and_reject_retired_names() {
+        for (name, mode) in [
+            ("adaptive", EngineMode::Adaptive),
+            ("oracle", EngineMode::Oracle),
+            ("incremental", EngineMode::Incremental),
+        ] {
+            assert_eq!(name.parse::<EngineMode>(), Ok(mode));
+        }
+        for name in ["rebuild", "bucket-join"] {
+            assert_eq!(
+                name.parse::<EngineMode>(),
+                Err(format!(
+                    "unknown engine {name:?} (adaptive|oracle|incremental)"
+                ))
+            );
+        }
+        assert_eq!("sequential".parse(), Ok(Parallelism::Sequential));
+        assert_eq!(
+            "sharded:2".parse::<Parallelism>(),
+            Err("unknown parallelism \"sharded:2\" (seq|chunked)".to_string())
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod checkpoint;
 mod density;
 mod flooding;
 mod params;
-mod sharded;
 mod trials;
 mod zones;
 
@@ -54,7 +53,6 @@ pub use flooding::{
     SourcePlacement, StepPhases,
 };
 pub use params::SimParams;
-pub use sharded::ShardedWorld;
 pub use trials::run_trials;
 pub use zones::{Zone, ZoneMap};
 

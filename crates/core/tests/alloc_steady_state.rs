@@ -102,30 +102,6 @@ fn full_flooding_steps_do_not_allocate() {
 }
 
 #[test]
-fn bucket_join_steps_do_not_allocate() {
-    let _window = MEASURE.lock().unwrap();
-    // the join rebuilds two shared-geometry grids per step; both must
-    // run entirely out of retained storage once warm
-    for protocol in [Protocol::Flooding, Protocol::Parsimonious { p: 0.5 }] {
-        let mut sim = warm_sparse_sim_with_engine(protocol, EngineMode::BucketJoin);
-        let before = allocations();
-        for _ in 0..200 {
-            sim.step();
-        }
-        let after = allocations();
-        assert!(
-            sim.bucket_join_steps() > 0,
-            "BucketJoin mode must run the join path"
-        );
-        assert_eq!(
-            after - before,
-            0,
-            "{protocol:?} bucket-join steady state must not allocate"
-        );
-    }
-}
-
-#[test]
 fn incremental_steps_do_not_allocate_even_through_relayouts() {
     let _window = MEASURE.lock().unwrap();
     // the incremental engine maintains two slack-layout grids by diff;
@@ -263,12 +239,13 @@ fn parallel_chunked_steps_do_not_allocate() {
     let _window = MEASURE.lock().unwrap();
     // the chunked-parallel engine: pool dispatches, per-chunk event
     // scratch, block-RNG refill buffers (fixed inline arrays inside
-    // each chunk context — refills must never touch the heap), sharded
-    // stale joins (per-shard output regions), and sharded refresh
-    // passes (relocation/fixup regions) must all run out of retained
-    // storage once the pool and scratch are warm — on the forced
-    // incremental engine and the adaptive policy alike, with phase
-    // timing (and thus the kernel/boundary split counters) live
+    // each chunk context — refills must never touch the heap),
+    // partitioned stale joins (per-shard output regions), and
+    // partitioned refresh passes (relocation/fixup regions) must all
+    // run out of retained storage once the pool and scratch are warm —
+    // on the forced incremental engine and the adaptive policy alike,
+    // with phase timing (and thus the kernel/boundary split counters)
+    // live
     for engine in [EngineMode::Incremental, EngineMode::Adaptive] {
         let model = Mrwp::new(100.0, 0.2).unwrap();
         let mut sim = FloodingSim::new(
@@ -317,110 +294,19 @@ fn parallel_chunked_steps_do_not_allocate() {
 }
 
 #[test]
-fn sharded_steps_do_not_allocate_even_across_a_churn_rebuild() {
+fn allocation_counter_sees_engine_allocations() {
     let _window = MEASURE.lock().unwrap();
-    // the sharded world: roster surgery write-index compaction,
-    // migration outboxes (grow-and-retain), per-shard grid rebuilds,
-    // halo band reads, and per-shard newly lists must all run out of
-    // retained storage once warm — for both protocols, and across a
-    // churn-spike full roster re-file (a mid-window crash/revive burst
-    // marks the world dirty, forcing the sequential O(n) re-file path
-    // through the same retained vectors)
-    for protocol in [Protocol::Flooding, Protocol::Parsimonious { p: 0.5 }] {
-        let model = Mrwp::new(100.0, 0.2).unwrap();
-        let mut sim = FloodingSim::new(
-            model,
-            SimConfig::new(800, 1.5)
-                .seed(7)
-                .source(SourcePlacement::Center)
-                .protocol(protocol)
-                .parallelism(Parallelism::Sharded {
-                    grid: 2,
-                    threads: 2,
-                }),
-        )
-        .unwrap();
-        sim.reserve_steps(4_096);
-        // warm with one fault burst so the revive path's roster pushes
-        // have seen their high-water mark before the window
-        for t in 0..300 {
-            if t == 150 {
-                for a in (1..800).step_by(31) {
-                    sim.crash_agent(a);
-                }
-            }
-            if t == 200 {
-                for a in (1..800).step_by(31) {
-                    if sim.is_crashed(a) {
-                        sim.revive_agent(a);
-                    }
-                }
-            }
-            sim.step();
-        }
-        assert!(
-            !sim.all_informed() && sim.informed_count() > 1,
-            "test needs a mid-flood state: {} informed",
-            sim.informed_count()
-        );
-        let rebuilds_before = sim.sharded_world().unwrap().full_rebuilds();
-        let before = allocations();
-        for t in 0..200 {
-            if t == 100 {
-                // churn spike inside the measured window: crash a band
-                // and revive it, forcing a full roster re-file
-                for a in (1..800).step_by(31) {
-                    sim.crash_agent(a);
-                }
-                for a in (1..800).step_by(62) {
-                    sim.revive_agent(a);
-                }
-            }
-            sim.step();
-        }
-        let after = allocations();
-        assert!(!sim.all_informed(), "flood completed mid-measurement");
-        let world = sim.sharded_world().unwrap();
-        assert!(
-            world.full_rebuilds() > rebuilds_before,
-            "the measured window must contain a churn-spike re-file"
-        );
-        assert!(
-            world.migrations() > 0,
-            "the window's steps must migrate agents across shards"
-        );
-        assert_eq!(
-            after - before,
-            0,
-            "{protocol:?} sharded steady state must not allocate"
-        );
-    }
-}
-
-#[test]
-fn seed_rebuild_engine_allocates_every_step() {
-    let _window = MEASURE.lock().unwrap();
-    // sanity check that the counter actually measures the engine: the
-    // baseline rebuild engine allocates its index every step
-    let model = Mrwp::new(100.0, 0.2).unwrap();
-    let mut sim = FloodingSim::new(
-        model,
-        SimConfig::new(800, 1.5)
-            .seed(7)
-            .source(SourcePlacement::Center)
-            .engine(EngineMode::Rebuild),
-    )
-    .unwrap();
-    sim.reserve_steps(256);
-    for _ in 0..50 {
-        sim.step();
-    }
+    // positive control for every zero assertion above: the counter must
+    // see heap traffic made inside the engine crate. `report()` clones
+    // the spread curve, so each call allocates at least once.
+    let mut sim = warm_sparse_sim(Protocol::Flooding);
     let before = allocations();
     for _ in 0..50 {
         sim.step();
+        std::hint::black_box(sim.report());
     }
     assert!(
         allocations() - before >= 50,
-        "rebuild baseline should allocate at least once per step"
+        "one report per step should allocate at least once per step"
     );
 }

@@ -5,7 +5,7 @@
 //! class, every thread count, with and without mid-flight fault
 //! schedules (crashes, revivals, extra sources).
 
-use fastflood_core::checkpoint::{self, Snapshot, TAG_FLOD, TAG_MRNG};
+use fastflood_core::checkpoint::{self, Snapshot, TAG_FLOD, TAG_META, TAG_MRNG};
 use fastflood_core::{
     CheckpointError, EngineMode, FloodingSim, Parallelism, Protocol, SimConfig, SourcePlacement,
 };
@@ -108,26 +108,16 @@ fn assert_resume_identical(cfg: SimConfig, k: u32, m: u32, faults: bool) {
     assert_eq!(resumed.report(), reference.report(), "{label}");
 }
 
-const ENGINES: [EngineMode; 5] = [
+const ENGINES: [EngineMode; 3] = [
     EngineMode::Adaptive,
-    EngineMode::Rebuild,
     EngineMode::Oracle,
-    EngineMode::BucketJoin,
     EngineMode::Incremental,
 ];
 
-const PAR_MODES: [Parallelism; 5] = [
+const PAR_MODES: [Parallelism; 3] = [
     Parallelism::Sequential,
     Parallelism::Chunked { threads: 1 },
     Parallelism::Chunked { threads: 2 },
-    Parallelism::Sharded {
-        grid: 2,
-        threads: 1,
-    },
-    Parallelism::Sharded {
-        grid: 2,
-        threads: 2,
-    },
 ];
 
 const PROTOCOLS: [Protocol; 3] = [
@@ -139,9 +129,11 @@ const PROTOCOLS: [Protocol; 3] = [
 #[test]
 fn resume_is_bitwise_identical_across_modes() {
     let mut idx = 0u64;
-    for engine in ENGINES {
-        for par in PAR_MODES {
-            let protocol = PROTOCOLS[idx as usize % PROTOCOLS.len()];
+    for (e, engine) in ENGINES.into_iter().enumerate() {
+        for (p, par) in PAR_MODES.into_iter().enumerate() {
+            // a Latin square: every engine and every parallelism mode
+            // meets every protocol
+            let protocol = PROTOCOLS[(e + p) % PROTOCOLS.len()];
             // snapshot step varies per combination, straddling the
             // fault times (before, between, and after them)
             let k = 3 + (idx * 7 + 3) % 17;
@@ -201,9 +193,9 @@ fn resume_preserves_turn_recorder() {
     );
 }
 
-/// Chunked and Sharded share one determinism class: a snapshot taken
-/// under Chunked restores into a Sharded simulator (and vice versa) and
-/// the continuation still matches the chunked reference bitwise.
+/// Thread counts share one determinism class: a snapshot taken on a
+/// two-thread pool restores into a one-thread simulator and the
+/// continuation still matches the two-thread reference bitwise.
 #[test]
 fn snapshot_moves_within_the_chunked_class() {
     let chunked = config(
@@ -212,12 +204,9 @@ fn snapshot_moves_within_the_chunked_class() {
         Protocol::Flooding,
         42,
     );
-    let sharded = config(
+    let single = config(
         EngineMode::Adaptive,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 2,
-        },
+        Parallelism::Chunked { threads: 1 },
         Protocol::Flooding,
         42,
     );
@@ -228,7 +217,7 @@ fn snapshot_moves_within_the_chunked_class() {
         reference.step();
         donor.step();
     }
-    let mut resumed = FloodingSim::new(model(), sharded).expect("valid config");
+    let mut resumed = FloodingSim::new(model(), single).expect("valid config");
     resumed.restore(&donor.snapshot()).expect("same class");
     for step in 0..12 {
         reference.step();
@@ -243,7 +232,7 @@ fn snapshot_moves_within_the_chunked_class() {
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
             .collect();
-        assert_eq!(got, want, "chunked->sharded diverged at +{step}");
+        assert_eq!(got, want, "two threads -> one diverged at +{step}");
     }
     assert_eq!(resumed.report(), reference.report());
 }
@@ -421,6 +410,73 @@ fn with_section(snap: &Snapshot, tag: [u8; 4], payload: Vec<u8>) -> Snapshot {
         }
     }
     out
+}
+
+/// Engine codes 1 and 3 name two retired engine modes. The engine byte
+/// is provenance only and every mode shared the same state and random
+/// stream, so snapshots carrying either code still resume bitwise.
+#[test]
+fn retired_engine_codes_still_restore() {
+    // META opens with n, seed, radius (8 bytes each), time (4), source
+    // and informed count (8 each), join steps (4), protocol tag (1) and
+    // parameter (8); the engine byte follows
+    const ENGINE_BYTE: usize = 57;
+    let cfg = config(
+        EngineMode::Adaptive,
+        Parallelism::Sequential,
+        Protocol::Flooding,
+        21,
+    );
+    let mut reference = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+    let mut interrupted = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+    for _ in 0..6 {
+        reference.step();
+        interrupted.step();
+    }
+    let snap = interrupted.snapshot();
+    let meta = snap.section(TAG_META).expect("present").to_vec();
+    assert_eq!(meta[ENGINE_BYTE], 0, "Adaptive's code sits at the offset");
+
+    let patch = |code: u8| {
+        let mut patched = meta.clone();
+        patched[ENGINE_BYTE] = code;
+        with_section(&snap, TAG_META, patched)
+    };
+    let mut resumed: Vec<_> = [1u8, 3]
+        .into_iter()
+        .map(|code| {
+            let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+            sim.restore(&patch(code))
+                .unwrap_or_else(|e| panic!("engine code {code} must restore: {e}"));
+            sim
+        })
+        .collect();
+    let mut fresh = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+    assert!(matches!(
+        fresh.restore(&patch(5)),
+        Err(CheckpointError::Corrupt { .. })
+    ));
+
+    for step in 0..15 {
+        reference.step();
+        let want: Vec<_> = reference
+            .positions()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect();
+        for sim in &mut resumed {
+            sim.step();
+            let got: Vec<_> = sim
+                .positions()
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect();
+            assert_eq!(got, want, "patched resume diverged at +{step}");
+        }
+    }
+    for sim in &resumed {
+        assert_eq!(sim.report(), reference.report());
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
-//! The production transmit engines (adaptive and bucket-join) must
-//! inform *exactly* the same agent set per step as the brute-force
-//! oracle, for every protocol, with and without crashes — and (for full
-//! flooding, which draws no protocol randomness) as the seed's
-//! rebuild-every-step engine too.
+//! The production transmit engines (adaptive and the forced
+//! incremental join) must inform *exactly* the same agent set per step
+//! as the brute-force oracle, for every protocol, with and without
+//! crashes.
 //!
 //! Engine modes are constructed so they consume identical random
 //! streams; any divergence in informed sets, inform times, or spread
@@ -110,13 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn flooding_matches_seed_rebuild_engine(seed in 0u64..1000, n in 40usize..160) {
-        // full flooding draws no protocol randomness, so even the
-        // seed-faithful rebuild engine must match step for step
-        lockstep_compare(n, seed, Protocol::Flooding, EngineMode::Rebuild, 0, 400);
-    }
-
-    #[test]
     fn parsimonious_matches_oracle(seed in 0u64..1000, n in 40usize..140, p in 0.05f64..0.95) {
         lockstep_compare(n, seed, Protocol::Parsimonious { p }, EngineMode::Oracle, 0, 400);
     }
@@ -137,57 +129,10 @@ proptest! {
     }
 
     #[test]
-    fn bucket_join_flooding_matches_oracle(seed in 0u64..1000, n in 40usize..160, stride in 0usize..6) {
-        // stride 1 crashes every non-source agent — a completion edge case
-        lockstep_compare_engines(
-            n, seed, Protocol::Flooding, EngineMode::BucketJoin, EngineMode::Oracle, stride, 400,
-        );
-    }
-
-    #[test]
-    fn bucket_join_flooding_matches_seed_rebuild(seed in 0u64..1000, n in 40usize..160) {
-        lockstep_compare_engines(
-            n, seed, Protocol::Flooding, EngineMode::BucketJoin, EngineMode::Rebuild, 0, 400,
-        );
-    }
-
-    #[test]
-    fn bucket_join_parsimonious_matches_oracle(seed in 0u64..1000, n in 40usize..140, p in 0.05f64..0.95) {
-        lockstep_compare_engines(
-            n, seed, Protocol::Parsimonious { p }, EngineMode::BucketJoin, EngineMode::Oracle, 0, 400,
-        );
-    }
-
-    #[test]
-    fn bucket_join_parsimonious_with_crashes_matches_oracle(seed in 0u64..500, n in 40usize..120) {
-        lockstep_compare_engines(
-            n, seed, Protocol::Parsimonious { p: 0.4 }, EngineMode::BucketJoin, EngineMode::Oracle, 4, 400,
-        );
-    }
-
-    #[test]
-    fn bucket_join_gossip_matches_oracle(seed in 0u64..500, n in 40usize..140, k in 1usize..6) {
-        // gossip rides the shared adaptive path in BucketJoin mode; the
-        // random stream must still be identical
-        lockstep_compare_engines(
-            n, seed, Protocol::Gossip { k }, EngineMode::BucketJoin, EngineMode::Oracle, 3, 400,
-        );
-    }
-
-    #[test]
     fn incremental_flooding_matches_oracle(seed in 0u64..1000, n in 40usize..160, stride in 0usize..6) {
         // stride 1 crashes every non-source agent — a completion edge case
         lockstep_compare_engines(
             n, seed, Protocol::Flooding, EngineMode::Incremental, EngineMode::Oracle, stride, 400,
-        );
-    }
-
-    #[test]
-    fn incremental_flooding_matches_bucket_join(seed in 0u64..1000, n in 40usize..160) {
-        // the diff-maintained grids and the per-step tight rebuilds must
-        // inform identical sets with identical random streams
-        lockstep_compare_engines(
-            n, seed, Protocol::Flooding, EngineMode::Incremental, EngineMode::BucketJoin, 0, 400,
         );
     }
 
@@ -263,21 +208,15 @@ fn fixed_scenarios_match_oracle() {
         3,
         600,
     );
-    for mode in [
-        EngineMode::BucketJoin,
-        EngineMode::Rebuild,
+    lockstep_compare_engines(
+        100,
+        42,
+        Protocol::Flooding,
         EngineMode::Incremental,
-    ] {
-        lockstep_compare_engines(
-            100,
-            42,
-            Protocol::Flooding,
-            mode,
-            EngineMode::Oracle,
-            3,
-            600,
-        );
-    }
+        EngineMode::Oracle,
+        3,
+        600,
+    );
 }
 
 /// Crashing agents *mid-run* — after the incremental grids are warm and

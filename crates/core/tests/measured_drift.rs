@@ -148,7 +148,7 @@ fn parallel_accumulated_staleness_bounds_true_displacement() {
 }
 
 /// Long pause-heavy deferrals under the chunked-parallel engine: the
-/// sharded stale join must stay lockstep-identical to a brute-force
+/// partitioned stale join must stay lockstep-identical to a brute-force
 /// oracle sharing the same chunk streams.
 #[test]
 fn parallel_stale_join_lockstep_with_oracle_under_pauses() {

@@ -7,7 +7,7 @@
 //!   default (`threads: 0`), so `FASTFLOOD_THREADS` can only change
 //!   wall-clock, never results;
 //! * **engine lockstep under parallelism** — the parallel Incremental
-//!   and auto-engaged Adaptive paths (sharded stale join, sharded
+//!   and auto-engaged Adaptive paths (partitioned stale join, partitioned
 //!   refresh) inform exactly the oracle's sets, for every protocol,
 //!   including mid-run crashes;
 //! * **sequential default** — `SimConfig` still defaults to the
@@ -265,7 +265,7 @@ proptest! {
 
     /// Parallel Incremental == parallel Oracle: both sims share chunk
     /// streams (identical moves), so any divergence is a bug in the
-    /// sharded join/refresh, not noise.
+    /// partitioned join/refresh, not noise.
     #[test]
     fn parallel_incremental_flooding_matches_oracle(
         seed in 0u64..1000,
@@ -295,7 +295,7 @@ proptest! {
         p in 0.05f64..0.95,
     ) {
         // the coin subset rides the main stream; only the uninformed
-        // grid is maintained (and refreshed sharded)
+        // grid is maintained (and refreshed partitioned)
         lockstep_parallel(
             n, seed, Protocol::Parsimonious { p }, EngineMode::Incremental,
             Parallelism::Chunked { threads: 2 }, 0, 400,
@@ -314,9 +314,9 @@ proptest! {
 }
 
 /// Dense regime at real size: the adaptive policy auto-engages the
-/// incrementally maintained join with the sharded parallel kernels, and
+/// incrementally maintained join with the partitioned parallel kernels, and
 /// stays lockstep-identical to the brute-force oracle — including
-/// refresh steps (sharded `update_moved`) and deferred stale joins.
+/// refresh steps (partitioned `update_moved`) and deferred stale joins.
 #[test]
 fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
     let n = 4_096;
@@ -359,7 +359,7 @@ fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
     );
     assert!(
         adaptive.incremental_diff_steps() > adaptive.incremental_deferred_steps(),
-        "some diff steps must be sharded refresh passes"
+        "some diff steps must be partitioned refresh passes"
     );
     assert_eq!(adaptive.report(), oracle.report());
 }

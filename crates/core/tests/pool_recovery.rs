@@ -1,14 +1,14 @@
 //! Panic-recovery coverage for the shared `WorkerPool` under
-//! `Parallelism::Sharded` — the supervisor's survival story at the
+//! `Parallelism::Chunked` — the supervisor's survival story at the
 //! engine layer:
 //!
-//! * a task panic on the pool a sharded sim is about to use (or is in
+//! * a task panic on the pool a chunked sim is about to use (or is in
 //!   the middle of using) leaves the pool fully reusable, and
-//! * the sim's trajectory stays **bitwise identical** to the
-//!   `Chunked` reference — `Sharded { grid: K }` ≡ `Chunked` is the
-//!   sharded engine's acceptance invariant, so any scheduling fallout
-//!   from the panic (dead workers, inline fallbacks at the wrong
-//!   moment) would show up as a fingerprint mismatch here.
+//! * the sim's trajectory stays **bitwise identical** to a one-thread
+//!   `Chunked` reference — the thread count never changes results, so
+//!   any scheduling fallout from the panic (dead workers, inline
+//!   fallbacks at the wrong moment) would show up as a fingerprint
+//!   mismatch here.
 //!
 //! The pool under test is obtained through `shared_pool(threads)` —
 //! the same registry `FloodingSim` construction resolves through — so
@@ -48,10 +48,10 @@ fn fingerprint(sim: &FloodingSim<Mrwp>) -> (Vec<(u64, u64)>, Vec<Option<u32>>, V
 }
 
 /// A panicking dispatch before and another mid-run must leave the
-/// shared pool serving the sharded sim with unchanged results.
+/// shared pool serving the chunked sim with unchanged results.
 #[test]
-fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
-    // the reference runs on its own (sequentially-chunked) universe
+fn chunked_run_is_bitwise_correct_after_pool_task_panics() {
+    // the reference runs the same chunk streams on one thread
     let reference = {
         let mut s = sim(700, 77, Parallelism::Chunked { threads: 1 });
         let report = s.run(5_000);
@@ -59,7 +59,7 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
         fingerprint(&s)
     };
 
-    // hold the shared pool the sharded sim will resolve to, and prove
+    // hold the shared pool the chunked sim will resolve to, and prove
     // the sim actually shares it (construction bumps the Arc count)
     let pool = shared_pool(2);
     let before = Arc::strong_count(&pool);
@@ -74,21 +74,14 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
     }));
     assert!(hurt.is_err(), "the panic must reach the dispatcher");
 
-    let mut s = sim(
-        700,
-        77,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 2,
-        },
-    );
+    let mut s = sim(700, 77, Parallelism::Chunked { threads: 2 });
     assert!(
         Arc::strong_count(&pool) > before,
-        "the sharded sim must share the registry pool, not build its own"
+        "the chunked sim must share the registry pool, not build its own"
     );
 
     // run half the flood, panic another dispatch on the *same* pool
-    // (mid-sharded-transmit from the sim's point of view: its next
+    // (mid-transmit from the sim's point of view: its next
     // step dispatches on a pool that just unwound), then finish
     for _ in 0..40 {
         if s.all_informed() {
@@ -106,7 +99,7 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
     assert!(hurt.is_err(), "the mid-run panic must reach the dispatcher");
 
     let report = s.run(5_000);
-    assert!(report.completed, "sharded flood must complete");
+    assert!(report.completed, "chunked flood must complete");
     assert_eq!(
         fingerprint(&s),
         reference,
@@ -118,7 +111,7 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
 /// another thread (the sim's dispatches fall back to inline execution
 /// whenever the pool is busy) must not perturb the trajectory either.
 #[test]
-fn sharded_run_survives_concurrent_panicking_dispatches() {
+fn chunked_run_survives_concurrent_panicking_dispatches() {
     let reference = {
         let mut s = sim(500, 910, Parallelism::Chunked { threads: 1 });
         let report = s.run(5_000);
@@ -152,19 +145,12 @@ fn sharded_run_survives_concurrent_panicking_dispatches() {
         })
     };
 
-    let mut s = sim(
-        500,
-        910,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 3,
-        },
-    );
+    let mut s = sim(500, 910, Parallelism::Chunked { threads: 3 });
     let report = s.run(5_000);
     stop.store(true, Ordering::Relaxed);
     let panics = chaos.join().expect("chaos thread must not die");
     assert!(panics > 0, "the chaos loop must actually have panicked");
-    assert!(report.completed, "sharded flood must complete");
+    assert!(report.completed, "chunked flood must complete");
     assert_eq!(
         fingerprint(&s),
         reference,

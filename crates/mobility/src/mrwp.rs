@@ -163,9 +163,8 @@ impl SnapshotState for MrwpState {
 
 /// Axis-aligned unit step directions of an L-path leg, indexed by the
 /// hot `dir` lane of [`MrwpBatch`]; entry 4 is the degenerate
-/// zero-length leg. The default advance kernel and the scalar state
-/// views decode through this table; the `simd` kernel variant
-/// reconstitutes the same values branch-free from the code.
+/// zero-length leg. The advance kernel and the scalar state views
+/// decode through this table.
 const DIR_STEPS: [(f64, f64); 5] = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)];
 
 /// Encodes a leg-cache step vector (each component `±speed` or `0.0`)
@@ -593,14 +592,12 @@ impl Mobility for Mrwp {
 /// streaming pass over the lanes — and the index compaction means the
 /// boundary pass that follows never re-scans the population.
 ///
-/// Default build: one well-predicted branch per agent (in the MRWP
-/// speed regime ≥97% of agents take it the same way) with the
-/// [`DIR_STEPS`] table decode — on a baseline scalar target this beats
-/// every branch-free formulation we measured, because the predictor
-/// makes the common case free while selects/masks pay their full
-/// latency on every lane. The explicit-wide masked variant lives
-/// behind the `simd` feature for builds with real vector ISAs.
-#[cfg(not(feature = "simd"))]
+/// One well-predicted branch per agent (in the MRWP speed regime ≥97%
+/// of agents take it the same way) with the [`DIR_STEPS`] table decode
+/// — this beats every branch-free formulation we measured, including
+/// an explicit-wide masked block form at every size, because the
+/// predictor makes the common case free while selects/masks pay their
+/// full latency on every lane.
 fn advance_kernel(
     speed: f64,
     s: &mut [f64],
@@ -626,80 +623,6 @@ fn advance_kernel(
             flagged[boundary] = i as u32;
             boundary += 1;
         }
-    }
-    boundary
-}
-
-/// Explicit-wide variant of the advance kernel (`simd` feature): fixed
-/// 4-lane blocks in branch-free masked-multiply form with a scalar
-/// tail, a shape the SLP vectorizer packs into vector registers on
-/// stable Rust (the portable `core::simd` API is still nightly-only).
-///
-/// Per lane, with `m ∈ {0.0, 1.0}` the in-leg mask: `s += speed·m` and
-/// `pos += (sx·speed·m, sy·speed·m)`, where `sx = (dir==0) − (dir==1)`
-/// and `sy = (dir==2) − (dir==3)` reconstitute exactly the
-/// [`DIR_STEPS`] components. Bitwise identity with the branchy kernel:
-/// on in-leg lanes (`m = 1.0`) the products are the same `±speed`/
-/// `0.0·speed` values the table decode yields; on flagged lanes
-/// (`m = 0.0`) the masked adds contribute `±0.0`, which is
-/// bit-preserving for every value these lanes can hold (`s` and both
-/// coordinates are built exclusively from non-negative arithmetic, so
-/// `-0.0` never occurs) — and the boundary pass then overwrites the
-/// flagged lanes entirely anyway. Flagged indices are compacted with a
-/// branch-free unconditional store (`flagged[count] = i; count += f`),
-/// so the block body stays free of unpredictable control flow. The
-/// lockstep suite re-runs under this feature in CI to enforce the
-/// identity.
-#[cfg(feature = "simd")]
-fn advance_kernel(
-    speed: f64,
-    s: &mut [f64],
-    leg_end: &[f64],
-    dir: &[u32],
-    flagged: &mut [u32],
-    positions: &mut [Point],
-) -> usize {
-    const W: usize = 4;
-    let n = s.len();
-    assert!(
-        leg_end.len() == n && dir.len() == n && flagged.len() == n && positions.len() == n,
-        "hot lanes must agree on length"
-    );
-    let blocks = n / W * W;
-    let mut boundary = 0usize;
-    let mut i = 0;
-    while i < blocks {
-        let mut m = [0.0f64; W];
-        for k in 0..W {
-            m[k] = ((s[i + k] + speed) < leg_end[i + k]) as u32 as f64;
-        }
-        for k in 0..W {
-            let sm = speed * m[k];
-            let d = dir[i + k];
-            let sx = (d == 0) as u32 as f64 - (d == 1) as u32 as f64;
-            let sy = (d == 2) as u32 as f64 - (d == 3) as u32 as f64;
-            s[i + k] += sm;
-            positions[i + k].x += sx * sm;
-            positions[i + k].y += sy * sm;
-        }
-        for (k, &mk) in m.iter().enumerate() {
-            flagged[boundary] = (i + k) as u32;
-            boundary += (mk == 0.0) as usize;
-        }
-        i += W;
-    }
-    while i < n {
-        let s_new = s[i] + speed;
-        if s_new < leg_end[i] {
-            s[i] = s_new;
-            let (ux, uy) = DIR_STEPS[dir[i] as usize];
-            positions[i].x += ux * speed;
-            positions[i].y += uy * speed;
-        } else {
-            flagged[boundary] = i as u32;
-            boundary += 1;
-        }
-        i += 1;
     }
     boundary
 }

@@ -559,8 +559,8 @@ proptest! {
 /// The split advance-kernel/boundary-pass `step_batch` at sizes around
 /// the chunk geometry: below one chunk, exactly one chunk, and a
 /// ragged multi-chunk tail. The sequential pass is chunk-agnostic, but
-/// these sizes exercise the kernel's block/tail split (4-lane blocks
-/// under the `simd` feature) at every alignment that matters.
+/// these sizes exercise the kernel at every chunk alignment that
+/// matters.
 #[test]
 fn mrwp_batch_lockstep_at_chunk_tail_sizes() {
     for (i, n) in [MOVE_CHUNK - 1, MOVE_CHUNK, MOVE_CHUNK + 613]

@@ -24,7 +24,7 @@ use crate::supervisor::{Chaos, JobSpec, JobStatus, Submission, Supervisor};
 use fastflood_bench::scenario::{parse_scenario, scenario_by_name, Scenario};
 use fastflood_core::{EngineMode, Parallelism};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,18 +45,28 @@ pub fn serve(
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<Vec<JobStatus>> {
     listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // each connection thread with a clone of its stream, kept so the
+    // drain can unblock threads parked in a read on an idle client
+    let mut conns: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _addr)) => {
+                let peer = match stream.try_clone() {
+                    Ok(peer) => peer,
+                    Err(e) => {
+                        eprintln!("floodd: connection error: {e}");
+                        continue;
+                    }
+                };
                 let sup = Arc::clone(&supervisor);
                 let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || {
+                let handle = std::thread::spawn(move || {
                     if let Err(e) = handle_connection(stream, &sup, &stop) {
                         eprintln!("floodd: connection error: {e}");
                     }
-                }));
-                conns.retain(|h| !h.is_finished());
+                });
+                conns.push((handle, peer));
+                conns.retain(|(h, _)| !h.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -68,8 +78,12 @@ pub fn serve(
         }
     }
     let drained = supervisor.drain();
-    // join connection threads so in-flight responses flush before exit
-    for h in conns {
+    // end every connection's read side, so a thread blocked on an idle
+    // client sees EOF, then join them so in-flight responses flush
+    for (_, peer) in &conns {
+        let _ = peer.shutdown(Shutdown::Read);
+    }
+    for (h, _) in conns {
         let _ = h.join();
     }
     Ok(drained)
@@ -240,20 +254,12 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         sc.steps = steps as u32;
     }
     let engine = match req.get("engine").and_then(Json::as_str) {
-        None | Some("adaptive") => EngineMode::Adaptive,
-        Some("rebuild") => EngineMode::Rebuild,
-        Some("oracle") => EngineMode::Oracle,
-        Some("bucket-join") => EngineMode::BucketJoin,
-        Some("incremental") => EngineMode::Incremental,
-        Some(other) => return Err(format!("unknown engine {other:?}")),
+        None => EngineMode::Adaptive,
+        Some(name) => name.parse()?,
     };
     let parallelism = match req.get("parallelism").and_then(Json::as_str) {
-        None | Some("seq") | Some("sequential") => Parallelism::Sequential,
-        Some("chunked") => Parallelism::Chunked { threads: 0 },
-        Some(s) => match s.strip_prefix("sharded:").and_then(|k| k.parse().ok()) {
-            Some(grid) => Parallelism::Sharded { grid, threads: 0 },
-            None => return Err(format!("unknown parallelism {s:?} (seq|chunked|sharded:K)")),
-        },
+        None => Parallelism::Sequential,
+        Some(name) => name.parse()?,
     };
     let chaos = match req.get("chaos_panic_at").and_then(Json::as_u64) {
         None => Chaos::None,

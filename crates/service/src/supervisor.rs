@@ -31,7 +31,7 @@
 //!
 //! Concurrency note: all jobs' sims resolve their worker pools through
 //! `fastflood_parallel::shared_pool`, so a supervisor running many
-//! chunked/sharded jobs shares **one** pool per thread count instead of
+//! chunked jobs shares **one** pool per thread count instead of
 //! spawning pools per job; pool contention degrades to inline
 //! execution, never to different results.
 
@@ -707,11 +707,10 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-fn par_label(p: Parallelism) -> String {
+fn par_label(p: Parallelism) -> &'static str {
     match p {
-        Parallelism::Sequential => "seq".to_string(),
-        Parallelism::Chunked { .. } => "chunked".to_string(),
-        Parallelism::Sharded { grid, .. } => format!("sharded{grid}"),
+        Parallelism::Sequential => "seq",
+        Parallelism::Chunked { .. } => "chunked",
     }
 }
 

@@ -331,3 +331,41 @@ fn sigterm_drains_gracefully_and_reports_resumable_state() {
     );
     assert!(daemon.child.wait().expect("floodd exits").success());
 }
+
+#[test]
+fn sigterm_exits_promptly_with_an_idle_client_connected() {
+    let root = tmp_root("idle");
+    let mut daemon = Daemon::spawn(&root, &[]);
+
+    // one round trip proves the connection was accepted and its thread
+    // is now parked reading the next line, which never comes
+    let mut idle = TcpStream::connect(&daemon.addr).expect("connect");
+    writeln!(idle, "{}", Json::obj(vec![("op", Json::str("ping"))])).expect("send ping");
+    let mut line = String::new();
+    BufReader::new(idle.try_clone().expect("clone stream"))
+        .read_line(&mut line)
+        .expect("read pong");
+    assert!(line.contains("\"pong\""), "{line}");
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(killed.success());
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().expect("poll floodd") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "floodd still running 5 s after SIGTERM with an idle client"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success());
+    let report = daemon.read_drain_report();
+    assert!(matches!(report.get("drained"), Some(Json::Arr(_))));
+    drop(idle);
+}

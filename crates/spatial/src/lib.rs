@@ -2340,70 +2340,6 @@ impl GridIndexBuffer {
     pub fn any_within(&self, p: Point, r: f64) -> bool {
         !self.visit_within(p, r, |_| false)
     }
-
-    /// Calls `f(id, position)` for every indexed point inside the
-    /// axis-aligned rectangle `[x0, x1] × [y0, y1]` (bounds
-    /// **inclusive**) — the halo read of a sharded world: a neighbor
-    /// shard snapshots the band of this buffer's entries within the
-    /// transmit radius of its own boundary.
-    ///
-    /// The query rectangle may extend arbitrarily far outside this
-    /// buffer's region: the bucket sweep clamps into the table (edge
-    /// buckets absorb clamped out-of-region entries), and every
-    /// candidate is filtered against its **exact stored coordinates**,
-    /// so clamping never adds a point outside the rectangle and
-    /// out-of-region entries parked in edge buckets are still found
-    /// when they do lie inside it. Entries are visited in bucket order
-    /// (row-major; order within a bucket unspecified) — callers needing
-    /// a canonical sequence sort the ids they collect.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fastflood_geom::{Point, Rect};
-    /// use fastflood_spatial::GridIndexBuffer;
-    ///
-    /// let region = Rect::square(10.0)?;
-    /// let pts = vec![Point::new(1.0, 1.0), Point::new(9.0, 9.0)];
-    /// let mut buf = GridIndexBuffer::new();
-    /// buf.rebuild(region, 2.0, &pts)?;
-    /// let mut hits = Vec::new();
-    /// // band reaching past the region's left edge: still exact
-    /// buf.for_each_in_rect(-5.0, 2.0, 0.0, 10.0, |id, _| hits.push(id));
-    /// assert_eq!(hits, vec![0]);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn for_each_in_rect<F: FnMut(usize, Point)>(
-        &self,
-        x0: f64,
-        x1: f64,
-        y0: f64,
-        y1: f64,
-        mut f: F,
-    ) {
-        debug_assert!(x0 <= x1 && y0 <= y1, "rect bounds must be ordered");
-        if self.len == 0 {
-            return;
-        }
-        let min = self.region.min();
-        let inv_x = 1.0 / self.bucket_len_x;
-        let inv_y = 1.0 / self.bucket_len_y;
-        let (cx0, cx1) = self.bucket_axis_range(x0, x1, min.x, inv_x);
-        let (cy0, cy1) = self.bucket_axis_range(y0, y1, min.y, inv_y);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let b = cy * self.m + cx;
-                let lo = self.starts[b] as usize;
-                let hi = self.ends[b] as usize;
-                for e in lo..hi {
-                    let (x, y) = self.pts[e];
-                    if x >= x0 && x <= x1 && y >= y0 && y <= y1 {
-                        f(self.ids[e] as usize, Point::new(x, y));
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Slot capacity of a slack-layout row currently holding `count` live

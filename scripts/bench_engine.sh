@@ -6,8 +6,7 @@
 # Two measurement shapes from the flood_end_to_end bench:
 #   engine_step            fixed step batches from a cloned ~25%-informed
 #                          state (pure mid-flood frontier work); adaptive
-#                          and forced bucket-join engines vs the seed
-#                          rebuild baseline in-tree;
+#                          vs the forced incremental engine;
 #   engine_step_sustained  time-sized step() loop from ~50% informed —
 #                          the seed's own measurement protocol, directly
 #                          comparable with the baseline blocks below.
@@ -39,20 +38,11 @@ FASTFLOOD_BENCH_LARGE=1 \
 # scalar AoS reference loop, with no engine around it
 cargo run --release -p fastflood-bench --bin move_kernel > "$movek"
 
-# sharded-world sweep: sustained per-step cost across shard grids
-# K in {1,2,4} vs the chunked engine at n = 100k (bitwise the same
-# flood, so deltas are pure engine overhead), plus the gated 1M-agent
-# uniform-baseline-density row with peak RSS
-sharded="$(mktemp)"
-trap 'rm -f "$tmp" "$phases" "$phases_par" "$movek" "$sharded"' EXIT
-FASTFLOOD_BENCH_LARGE=1 \
-  cargo run --release -p fastflood-bench --bin sharded_scale > "$sharded"
-
 # checkpoint cost: snapshot/encode/write and read/restore latency plus
 # on-disk size for a warm 100k-agent sim — the durability tax a
 # long-lived run pays per checkpoint stride
 ckpt="$(mktemp)"
-trap 'rm -f "$tmp" "$phases" "$phases_par" "$movek" "$sharded" "$ckpt"' EXIT
+trap 'rm -f "$tmp" "$phases" "$phases_par" "$movek" "$ckpt"' EXIT
 cargo run --release -p fastflood-bench --bin checkpoint_probe > "$ckpt"
 
 machine="$(uname -srm); $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^ //' || true)"
@@ -63,14 +53,13 @@ machine="$(uname -srm); $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut 
   echo '  "units": "ns_per_iter; engine_step iterates a whole step batch (see throughput_per_iter for agent-steps), engine_step_sustained iterates one step",'
   echo "  \"recorded_at\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"machine\": \"${machine}\","
-  echo '  "notes": "Two protocols measure different things. engine_step isolates the transmit ALGORITHM: fixed mid-flood step batches (completion asserted not to occur); adaptive (production policy), forced bucket_join (full re-bins every step, the PR 2 engine) and forced incremental (diff-maintained slack grids) vs seed_rebuild, all riding the same optimized mobility layer. engine_step_sustained reproduces the whole-run protocol of the PR-start baselines (warm to 50%, time-sized loop through completion): comparing its adaptive rows against baseline_pr4_adaptive_at_pr5_start measures the PR-5 hot-entry shrink (sequential adaptive row) and the chunked-parallel engine (adaptive_par_t1/t2/t4 rows, the threads sweep; deterministic per thread count but a different trajectory sample than the sequential rows — see docs/BENCHMARKING.md). CAVEAT: this recording machine exposes 1 CPU, so t2/t4 cannot run concurrently and the sweep here measures dispatch overhead and determinism coverage, not scaling; the PR-5 multi-thread acceptance figure requires a multi-core machine. phase_breakdown splits the sustained step into move/transmit/refresh (and, since PR 6, the boundary-pass share of move) so move-pass regressions are visible in the share, not just the total; phase_breakdown_parallel is the same shape on the 4-thread chunked engine. move_kernel is the move-only A/B of the PR-6 split advance-kernel/boundary-pass move pass against the scalar AoS reference loop; comparing the sustained adaptive rows against baseline_pr5_adaptive_at_pr6_start measures the PR-6 move-pass rework end to end. sharded_scale is the PR-8 shard-grid sweep: chunked vs sharded_k{1,2,4} sustained rows at n = 100k (the sharded trace is bitwise identical to chunked, so every row times the same flood and deltas are pure engine overhead) plus the FASTFLOOD_BENCH_LARGE-gated large_1m cold-start row (n = 1M, uniform-baseline density, 4x4 grid) with peak RSS. checkpoint is the PR-9 durability probe: snapshot (in-memory serialize), write (encode + atomic rename to disk), read, and restore latency plus the encoded size for a warm 100k-agent adaptive sim — what one checkpoint stride costs a long-lived run. Older baselines measure the full history: baseline_pr3_adaptive_at_pr4_start the PR-4 batched-SoA-move-pass + measured-drift rework, baseline_pr2_adaptive_at_pr3_start the PR-3 incremental re-binning rework, baseline_pr1_adaptive_at_pr2_start the PR-2 join rework, baseline_seed_at_pr_start the whole engine rework since the seed.",'
+  echo '  "notes": "Two protocols measure different things. engine_step isolates the transmit ALGORITHM: fixed mid-flood step batches (completion asserted not to occur); adaptive (production policy) vs forced incremental (diff-maintained slack grids), both riding the same optimized mobility layer; the retired bucket_join and seed_rebuild engines survive only in the baseline blocks. engine_step_sustained reproduces the whole-run protocol of the baseline blocks (warm to 50%, time-sized loop through completion): comparing its adaptive rows against baseline_pr4_adaptive_at_pr5_start measures the hot-entry shrink (sequential adaptive row) and the chunked-parallel engine (adaptive_par_t1/t2/t4 rows, the threads sweep; deterministic per thread count but a different trajectory sample than the sequential rows — see docs/BENCHMARKING.md). CAVEAT: this recording machine exposes 1 CPU, so t2/t4 cannot run concurrently and the sweep here measures dispatch overhead and determinism coverage, not scaling; the multi-thread acceptance figure requires a multi-core machine. phase_breakdown splits the sustained step into move/transmit/refresh (and the boundary-pass share of move) so move-pass regressions are visible in the share, not just the total; phase_breakdown_parallel is the same shape on the 4-thread chunked engine. move_kernel is the move-only A/B of the split advance-kernel/boundary-pass move pass against the scalar AoS reference loop; comparing the sustained adaptive rows against baseline_pr5_adaptive_at_pr6_start measures the move-pass rework end to end. checkpoint is the durability probe: snapshot (in-memory serialize), write (encode + atomic rename to disk), read, and restore latency plus the encoded size for a warm 100k-agent adaptive sim — what one checkpoint stride costs a long-lived run. Older baselines measure the full history: baseline_pr3_adaptive_at_pr4_start the batched-SoA-move-pass + measured-drift rework, baseline_pr2_adaptive_at_pr3_start the incremental re-binning rework, baseline_pr1_adaptive_at_pr2_start the join rework, baseline_seed_at_pr_start the whole engine rework since the seed.",'
   # The seed implementation (per-step GridIndex rebuild + full agent
   # scans + uncached L-path mobility + ChaCha12 StdRng), measured with
   # the sustained protocol at the start of the engine rework, before any
   # optimization. Only the engine_step_sustained/adaptive rows measured
   # on the SAME machine as this baseline are a like-for-like comparison;
-  # on any other machine use the in-tree adaptive-vs-seed_rebuild
-  # engine_step rows instead.
+  # the seed engine itself is no longer in the tree.
   echo '  "baseline_seed_at_pr_start": {'
   echo '    "protocol": "engine_step_sustained (time-sized step loop from ~50% informed, radius 0.4*scale, v 0.2*radius)",'
   echo '    "machine": "Linux 6.18.5-fc-v18 x86_64 (original PR machine; cross-machine comparison with \"results\" below is invalid unless \"machine\" matches)",'
@@ -87,9 +76,8 @@ machine="$(uname -srm); $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut 
   echo '  },'
   # The PR 2 adaptive engine (bucket join with full re-bins of both
   # sides every step), measured with the sustained protocol at the
-  # start of the PR 3 incremental re-binning work — the reference the
-  # PR 3 speedup figures are measured against. The in-tree bucket_join
-  # rows re-record this engine every run as the stability check.
+  # start of the incremental re-binning work — the reference its
+  # speedup figures are measured against.
   echo '  "baseline_pr2_adaptive_at_pr3_start": {'
   echo '    "protocol": "engine_step_sustained (time-sized step loop from ~50% informed, radius 0.4*scale, v 0.2*radius)",'
   echo '    "machine": "Linux 6.18.5-fc-v18 x86_64 (PR 3 machine; cross-machine comparison with \"results\" below is invalid unless \"machine\" matches)",'
@@ -137,9 +125,6 @@ machine="$(uname -srm); $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut 
   echo '  },'
   echo '  "move_kernel":'
   sed 's/^/  /' "$movek"
-  echo '  ,'
-  echo '  "sharded_scale":'
-  sed 's/^/  /' "$sharded"
   echo '  ,'
   echo '  "checkpoint":'
   sed 's/^/  /' "$ckpt"

@@ -75,13 +75,9 @@ doc_expect fastflood_bench/scenario/fn.run_scenario.html index.html
 doc_expect fastflood_bench/scenario/struct.Trace.html bitwise
 doc_expect fastflood_bench/scenario/fn.parse_scenario.html "unknown"
 
-# ---- sharded world ----
-doc_expect fastflood_core/struct.ShardedWorld.html "halo"
-doc_expect fastflood_core/struct.ShardedWorld.html migrations
-doc_expect fastflood_core/struct.ShardedWorld.html full_rebuilds
-doc_expect fastflood_core/enum.Parallelism.html Sharded
-doc_expect fastflood_core/struct.FloodingSim.html sharded_world
-doc_expect fastflood_spatial/struct.GridIndexBuffer.html for_each_in_rect
+# ---- engine/parallelism name tables + scenario metrics ----
+doc_expect fastflood_core/enum.EngineMode.html FromStr
+doc_expect fastflood_core/enum.Parallelism.html FromStr
 doc_expect fastflood_bench/scenario/enum.MetricSpec.html "evacuation-notice"
 
 # ---- checkpoint/restore subsystem ----

@@ -15,36 +15,18 @@ cargo test -q --workspace
 # never change results — the determinism contract)
 FASTFLOOD_THREADS=2 cargo test -q -p fastflood-core \
   --test parallel_engine --test measured_drift --test engine_oracle
-# the mobility suites again with the explicit-wide `simd` kernel
-# variant: trajectories, events, and RNG draws must stay
-# bitwise-identical to the default branchy advance kernel
-cargo test -q -p fastflood-mobility --features simd
-# and a native-ISA smoke of the same identity — the masked kernel
-# compiled for the host CPU (AVX on typical x86-64) must still match;
-# a separate target dir so the flag change cannot thrash the main cache
-RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-  cargo test -q -p fastflood-mobility --features simd --test properties
 # scenario smoke: every in-tree scenario (crash storms, partition
 # windows, churn bursts, street evacuation, …) must run end-to-end at
-# the tiny density-preserving --quick scale — once on the default
-# sequential engine, once on a 2x2 sharded world so the shard exchange
-# and halo machinery is exercised end-to-end every tier-1 run
+# the tiny density-preserving --quick scale
 cargo run --release -p fastflood-bench --bin scenarios -- --quick > /dev/null
-cargo run --release -p fastflood-bench --bin scenarios -- --quick \
-  --parallelism sharded:2 > /dev/null
 # the cross-mode agreement harness again under real 2-thread dispatch:
 # every scenario, every engine mode, bitwise trace agreement within
 # each determinism class regardless of thread count
 FASTFLOOD_THREADS=2 cargo test -q -p fastflood-bench --test scenario_agreement
-# the shard-invariance suites again under real 2-thread dispatch: the
-# sharded world must stay bitwise identical to the chunked engine for
-# every shard grid when its phases actually run on worker threads
-FASTFLOOD_THREADS=2 cargo test -q -p fastflood-core --test sharded_world
-FASTFLOOD_THREADS=2 cargo test -q -p fastflood-bench --test scenario_sharded
 # the checkpoint-resume property suite again under real 2-thread
 # dispatch: restore + step must stay bitwise-identical to the
 # uninterrupted run for every engine mode and parallelism flavor even
-# when the chunked/sharded kernels really run on worker threads
+# when the chunked kernels really run on worker threads
 FASTFLOOD_THREADS=2 cargo test -q -p fastflood-core --test checkpoint_resume
 # kill-resume smoke: SIGKILL a checkpointing scenario run mid-flood,
 # resume from its snapshot directory, require the uninterrupted digest
