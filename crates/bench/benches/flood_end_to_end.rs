@@ -6,9 +6,8 @@
 //! sparse (suburb-bound) regimes — the unit of work every table in
 //! EXPERIMENTS.md repeats.
 //!
-//! `engine_step` compares one move-then-transmit step of the adaptive
-//! zero-allocation engine and the forced incrementally-maintained join
-//! at n ∈ {1k, 10k, 100k} — plus
+//! `engine_step` times one move-then-transmit step of the adaptive
+//! zero-allocation engine at n ∈ {1k, 10k, 100k} — plus
 //! n = 300k when `FASTFLOOD_BENCH_LARGE` is set (the full measurement
 //! run; the tier-1 smoke skips it to stay fast) — mid-flood in the
 //! sparse regime (the regime the Theorem 3 / Theorem 18 sweeps live
@@ -57,8 +56,7 @@ fn flood_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// Step throughput: the adaptive zero-allocation engine versus the
-/// forced incrementally-maintained join.
+/// Step throughput of the adaptive zero-allocation engine.
 ///
 /// Each iteration clones a warmed mid-flood state (~25% informed,
 /// sparse regime) and runs a fixed batch of steps from it, so every
@@ -71,14 +69,14 @@ fn flood_end_to_end(c: &mut Criterion) {
 /// for every engine). Throughput is agent-steps per second (`n × batch`
 /// elements per iteration).
 fn engine_step(c: &mut Criterion) {
-    fn warm(params: &SimParams, engine: EngineMode) -> FloodingSim<Mrwp> {
+    fn warm(params: &SimParams) -> FloodingSim<Mrwp> {
         let model = Mrwp::new(params.side(), params.speed()).expect("valid");
         let mut sim = FloodingSim::new(
             model,
             SimConfig::new(params.n(), params.radius())
                 .seed(1)
                 .source(SourcePlacement::Center)
-                .engine(engine),
+                .engine(EngineMode::Adaptive),
         )
         .expect("valid config");
         sim.reserve_steps(1 << 16);
@@ -114,16 +112,11 @@ fn engine_step(c: &mut Criterion) {
         let radius = 0.4 * scale;
         let params = SimParams::standard(n, radius, 0.2 * radius).expect("valid");
         group.throughput(Throughput::Elements(n as u64 * batch as u64));
-        for (label, engine) in [
-            ("adaptive", EngineMode::Adaptive),
-            ("incremental", EngineMode::Incremental),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &params, |b, p| {
-                let sim = warm(p, engine);
-                assert!(!sim.all_informed(), "warm state must be mid-flood");
-                b.iter(|| black_box(batch_steps(&sim, batch)));
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("adaptive", n), &params, |b, p| {
+            let sim = warm(p);
+            assert!(!sim.all_informed(), "warm state must be mid-flood");
+            b.iter(|| black_box(batch_steps(&sim, batch)));
+        });
     }
     group.finish();
 }
@@ -143,10 +136,8 @@ fn bench_large() -> bool {
 /// start of the engine rework. The loop runs through completion into
 /// cheap post-completion steps, so it reflects a whole-run mix rather
 /// than pure frontier work (use `engine_step` for that). `adaptive`
-/// rows exercise the production auto-selection (which engages the
-/// incrementally-maintained join in the dense regime); `incremental`
-/// rows force the diff-maintained join everywhere. `adaptive_par_tT` rows run the
-/// chunked-parallel engine on a `T`-thread pool (the PR 5 threads
+/// rows run the sequential production engine; `adaptive_par_tT` rows
+/// run the chunked-parallel engine on a `T`-thread pool (the PR 5 threads
 /// sweep; deterministic per thread count, different trajectories than
 /// the sequential rows — see `docs/BENCHMARKING.md`).
 fn engine_step_sustained(c: &mut Criterion) {
@@ -155,18 +146,11 @@ fn engine_step_sustained(c: &mut Criterion) {
     if bench_large() {
         sizes.push(300_000);
     }
-    let mut variants: Vec<(String, EngineMode, Parallelism)> = vec![
-        (
-            "adaptive".into(),
-            EngineMode::Adaptive,
-            Parallelism::Sequential,
-        ),
-        (
-            "incremental".into(),
-            EngineMode::Incremental,
-            Parallelism::Sequential,
-        ),
-    ];
+    let mut variants: Vec<(String, EngineMode, Parallelism)> = vec![(
+        "adaptive".into(),
+        EngineMode::Adaptive,
+        Parallelism::Sequential,
+    )];
     for threads in [1usize, 2, 4] {
         variants.push((
             format!("adaptive_par_t{threads}"),

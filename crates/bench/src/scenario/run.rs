@@ -91,7 +91,7 @@ impl Outcome {
 pub struct FallbackStats {
     /// Steps served by the join path.
     pub join_steps: u32,
-    /// Incremental-engine full index rebuilds (any cause).
+    /// Full rebuilds of the incremental join's index (any cause).
     pub full_rebuilds: u32,
     /// Full rebuilds forced by a churn spike while the incremental index
     /// was otherwise ready — the DEFER → REFRESH → FULL fallback being

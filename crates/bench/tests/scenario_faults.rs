@@ -1,8 +1,8 @@
 //! Fault-schedule stress tests: adversarial scenarios must drive the
-//! Incremental engine through its whole DEFER → REFRESH → FULL fallback
-//! ladder (and actually *take* each rung, per the exposed counters), and
-//! pathological schedules must produce well-defined outcomes instead of
-//! vacuous successes.
+//! adaptive engine's incremental join through its whole DEFER →
+//! REFRESH → FULL fallback ladder (and actually *take* each rung, per
+//! the exposed counters), and pathological schedules must produce
+//! well-defined outcomes instead of vacuous successes.
 
 use fastflood_bench::scenario::{
     parse_scenario, run_scenario, run_scenario_trials, scenario_by_name, Outcome,
@@ -49,7 +49,7 @@ region = [0.25, 0.0, 1.0, 1.0]
 
 fn run_ladder(seed: u64) -> fastflood_bench::scenario::ScenarioRun {
     let sc = parse_scenario(DENSE_PARTITION).unwrap();
-    let run = run_scenario(&sc, EngineMode::Incremental, Parallelism::Sequential, seed).unwrap();
+    let run = run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, seed).unwrap();
     let fb = run.fallback;
     // the rungs every seed reaches: quiet post-rebuild steps DEFER, the
     // heal forces a cold FULL resync, and the healed crowd re-ignites
@@ -111,9 +111,9 @@ proptest! {
             q.faults.clear();
             q
         };
-        let faulted = run_scenario(&sc, EngineMode::Incremental, Parallelism::Sequential, seed)
+        let faulted = run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, seed)
             .unwrap();
-        let baseline = run_scenario(&quiet, EngineMode::Incremental, Parallelism::Sequential, seed)
+        let baseline = run_scenario(&quiet, EngineMode::Adaptive, Parallelism::Sequential, seed)
             .unwrap();
         prop_assert!(
             faulted.fallback.full_rebuilds >= baseline.fallback.full_rebuilds + 3
@@ -128,7 +128,7 @@ proptest! {
 #[test]
 fn crash_storm_resyncs_but_still_floods() {
     let sc = scenario_by_name("crash-storm").unwrap().scaled(240);
-    let run = run_scenario(&sc, EngineMode::Incremental, Parallelism::Sequential, 5).unwrap();
+    let run = run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, 5).unwrap();
     assert!(run.fallback.full_rebuilds >= 2, "{:?}", run.fallback);
     assert!(matches!(run.outcome, Outcome::Flooded { .. }));
     let crashed = run
@@ -168,11 +168,7 @@ fn all_crashed_at_step_zero_reports_extinction() {
         "#,
     )
     .unwrap();
-    for engine in [
-        EngineMode::Adaptive,
-        EngineMode::Oracle,
-        EngineMode::Incremental,
-    ] {
+    for engine in [EngineMode::Adaptive, EngineMode::Oracle] {
         let runs = run_scenario_trials(&sc, engine, Parallelism::Sequential, 2, 3, 99).unwrap();
         assert_eq!(runs.len(), 3);
         for run in &runs {

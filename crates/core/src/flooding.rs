@@ -11,29 +11,17 @@
 //!   `Vec<u32>` (ordered compaction on removal), so the transmit phase
 //!   touches only agents that can still change state, iterates them in
 //!   memory order, and completion is an `O(1)` emptiness check.
-//! * **Adaptive side selection.** Full flooding needs "which uninformed
-//!   agents are within `R` of a transmitter?". The answer side is
-//!   chosen by measured cost: with few transmitters the engine bins the
-//!   uninformed mass into a reusable [`GridIndexBuffer`] (two cheap
-//!   linear passes, fine buckets) and *marks* from each transmitter;
-//!   once transmitters stop being scarce it switches to the bucket
-//!   join. (The per-agent *probe* path this replaced — bin the
-//!   transmitters, disk-query from each uninformed agent — measured
-//!   strictly no better than the join in every regime at every `n`:
-//!   the join's extra `O(U)` re-bin shrinks with the worklist while
-//!   its coarse transmitter table is cheaper to rebuild than a
-//!   probe-grade fine one.)
-//! * **Bucket join.** In the dense large-`n` regime (the mid-flood
-//!   state the paper's analysis lives in) per-agent probing is bound by
-//!   scattered bucket lookups. The join instead bins *both* sides into
-//!   two [`GridIndexBuffer`]s sharing one coarse grid geometry and
-//!   joins them bucket-against-bucket
-//!   ([`GridIndexBuffer::join_covered_by`]): each occupied uninformed
-//!   bucket resolves its ≤ 3×3 facing transmitter CSR slices once
-//!   (AABB-pruned) and streams dense slice-×-slice distance loops, so
-//!   the worklist is consumed in spatially sorted (probe-order) memory
-//!   order. [`EngineMode::Adaptive`] engages the join whenever
-//!   transmitters aren't scarce.
+//! * **One transmit path: the bucket join.** Full flooding needs
+//!   "which uninformed agents are within `R` of a transmitter?".
+//!   Per-agent probing is bound by scattered bucket lookups, so the
+//!   engine instead bins *both* sides into two [`GridIndexBuffer`]s
+//!   sharing one coarse grid geometry and joins them
+//!   bucket-against-bucket ([`GridIndexBuffer::join_covered_by`]): each
+//!   occupied uninformed bucket resolves its ≤ 3×3 facing transmitter
+//!   CSR slices once (AABB-pruned) and streams dense slice-×-slice
+//!   distance loops, so the worklist is consumed in spatially sorted
+//!   memory order. The join runs on every flooding and parsimonious
+//!   step, from the first transmitter to the last uninformed agent.
 //! * **Temporally-coherent incremental re-binning.** In the MRWP speed
 //!   regime agents move `v ≪ bucket` per step, so a binning stays
 //!   *valid up to a known staleness bound* for many steps. The join's
@@ -53,8 +41,6 @@
 //!   slack rebuilds remain as fallbacks: membership-churn spikes (an
 //!   informed-set jump above 1/8 of the live population) and crashes
 //!   (roster surgery invalidates the diff bookkeeping).
-//!   [`EngineMode::Adaptive`] runs this path by default in the join
-//!   regime; [`EngineMode::Incremental`] forces it everywhere.
 //! * **Batched SoA move pass with measured drift.** The move phase is
 //!   one [`Mobility::step_batch`] call over the model's batched state
 //!   layout — for MRWP a hot/cold split (`MrwpBatch`) whose 32-byte hot
@@ -86,14 +72,11 @@
 //! Complexity per step, with `T` live transmitters and `U` live
 //! uninformed agents: moving is `O(n)` (every agent moves, one fused
 //! increment each via [`Mobility::step_batch`]); full-flooding transmit
-//! is `O(U + T·d̄)` early in the flood (one linear re-bin of the
-//! uninformed mass plus a disk query per transmitter, `d̄` the
-//! per-query bucket work) and `O(churn + pairs)` amortized afterwards
-//! (membership surgery plus the occupied-bucket-pair join, whose scan
-//! work is the number of close bucket pairs; every
-//! `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)` refresh pass), versus
-//! the seed implementation's fresh heap index build plus two full
-//! `O(n)` agent scans every step.
+//! is `O(churn + pairs)` amortized (membership surgery plus the
+//! occupied-bucket-pair join, whose scan work is the number of close
+//! bucket pairs; every `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)`
+//! refresh pass), versus the seed implementation's fresh heap index
+//! build plus two full `O(n)` agent scans every step.
 //! See `BENCH_engine.json` for measured step throughput and
 //! `docs/BENCHMARKING.md` for the protocol behind it.
 
@@ -185,14 +168,13 @@ pub enum Protocol {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineMode {
-    /// The production engine: with scarce transmitters, a reusable
-    /// [`GridIndexBuffer`] over the uninformed mass queried from each
-    /// transmitter; otherwise the shared-geometry bucket join of both
-    /// sides, whose grids are **incrementally maintained** across steps
-    /// (diff re-bins exploiting temporal coherence, full slack rebuilds
-    /// on churn spikes and crashes). Shrinking sorted worklist, zero
-    /// steady-state allocations; the regime boundary is chosen by
-    /// measured cost.
+    /// The production engine: the shared-geometry bucket join of the
+    /// transmitter and uninformed sides, whose grids are
+    /// **incrementally maintained** across steps (deferred and diff
+    /// re-bins exploiting temporal coherence, full slack rebuilds on
+    /// churn spikes and crashes). Gossip instead gathers per-transmitter
+    /// candidates from a fine grid over the uninformed mass. Shrinking
+    /// sorted worklist, zero steady-state allocations.
     #[default]
     Adaptive,
     /// The adaptive algorithm with every spatial query replaced by a
@@ -200,23 +182,13 @@ pub enum EngineMode {
     /// random stream as [`EngineMode::Adaptive`], so runs must match
     /// step for step (property-tested across protocols and crashes).
     Oracle,
-    /// Always-on incrementally-maintained bucket join: every
-    /// full-flooding/parsimonious transmit runs the join over the two
-    /// slack-layout grids kept in sync by
-    /// [`GridIndexBuffer::update_moved`], regardless of side sizes —
-    /// even where [`EngineMode::Adaptive`] would still mark from scarce
-    /// transmitters. Exists so tests and benches exercise the
-    /// incremental machinery unconditionally, including its full-rebuild
-    /// fallbacks. (Gossip shares the adaptive gossip path.) Identical
-    /// protocol semantics and random streams to all other modes.
-    Incremental,
 }
 
 impl std::str::FromStr for EngineMode {
     type Err = String;
 
     /// Parses the engine names the CLIs and floodd accept:
-    /// `adaptive`, `oracle`, `incremental`.
+    /// `adaptive`, `oracle`.
     ///
     /// ```
     /// use fastflood_core::EngineMode;
@@ -228,10 +200,7 @@ impl std::str::FromStr for EngineMode {
         match s {
             "adaptive" => Ok(EngineMode::Adaptive),
             "oracle" => Ok(EngineMode::Oracle),
-            "incremental" => Ok(EngineMode::Incremental),
-            other => Err(format!(
-                "unknown engine {other:?} (adaptive|oracle|incremental)"
-            )),
+            other => Err(format!("unknown engine {other:?} (adaptive|oracle)")),
         }
     }
 }
@@ -247,13 +216,15 @@ impl std::str::FromStr for EngineMode {
 /// [`Parallelism::Chunked`] runs the step's embarrassingly parallel
 /// phases on a retained [`WorkerPool`]: the move pass in the fixed
 /// [`MOVE_CHUNK`] chunk geometry with **one counter-derived RNG stream
-/// per chunk** (seeded from `(seed, chunk_index)`), and — in the
-/// incremental join regime — the partitioned stale join and refresh
-/// passes. Chunked trajectories *differ* from Sequential ones (the
-/// move draws come from the chunk streams, not the main stream) but
-/// are the same stochastic process, and they are **deterministic for a
-/// fixed `(seed, n, chunk layout)` whatever the thread count or
-/// scheduling** — `threads` affects wall-clock only. See
+/// per chunk** (seeded from `(seed, chunk_index)`), and the flooding
+/// join partitioned by occupied bucket
+/// ([`GridIndexBuffer::join_covered_by_stale_par`]); grid
+/// synchronization stays sequential. Chunked trajectories *differ*
+/// from Sequential ones (the move draws come from the chunk streams,
+/// not the main stream) but are the same stochastic process, and they
+/// are **deterministic for a fixed `(seed, n, chunk layout)` whatever
+/// the thread count or scheduling** — `threads` affects wall-clock
+/// only. See
 /// `docs/ARCHITECTURE.md` ("Determinism & parallelism contract").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -549,14 +520,13 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// `rank[a]` = position of agent `a` in `transmitters`, `u32::MAX`
     /// otherwise.
     rank: Vec<u32>,
-    /// Reusable spatial index over whichever side is smaller (adaptive
-    /// mark/probe paths); the uninformed side of the bucket join.
+    /// The uninformed side of the bucket join; gossip re-bins it with
+    /// fine buckets every step instead.
     grid: GridIndexBuffer,
     /// Second retained index: the transmitter side of the bucket join,
     /// rebuilt with the same grid geometry as `grid`.
     tx_grid: GridIndexBuffer,
-    /// Diagnostic: steps whose transmit ran the join path (forced by
-    /// [`EngineMode::Incremental`] or engaged by the adaptive policy).
+    /// Diagnostic: steps whose transmit ran the bucket join.
     join_steps: u32,
     /// Cross-step synchronization state of the incremental re-bin path.
     inc: IncrementalSync,
@@ -1146,11 +1116,10 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.turns.as_ref()
     }
 
-    /// Diagnostic: steps served by the join path (forced by
-    /// [`EngineMode::Incremental`], or engaged by
-    /// [`EngineMode::Adaptive`] in the dense regime). Used by tests to
-    /// assert the adaptive policy actually engages the join, and handy
-    /// when tuning the crossover.
+    /// Diagnostic: steps whose transmit ran the bucket join — every
+    /// [`EngineMode::Adaptive`] flooding or parsimonious step with at
+    /// least one transmitter and one live uninformed agent. Used by
+    /// tests and the benchmark's per-layer counters.
     #[inline]
     pub fn bucket_join_steps(&self) -> u32 {
         self.join_steps
@@ -1171,10 +1140,10 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// // sparse regime: the flood advances a few agents per step, so
     /// // the membership diff stays far below the churn-spike threshold
     /// let model = Mrwp::new(40.0, 0.4)?;
-    /// let config = SimConfig::new(400, 1.8).seed(9).engine(EngineMode::Incremental);
+    /// let config = SimConfig::new(400, 1.8).seed(9).engine(EngineMode::Adaptive);
     /// let mut sim = FloodingSim::new(model, config)?;
     /// sim.run(5_000);
-    /// // the forced incremental engine re-bins by diff nearly every step
+    /// // the incremental join re-bins by diff nearly every step
     /// assert!(sim.incremental_diff_steps() > sim.incremental_full_rebuilds());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -1185,7 +1154,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 
     /// Diagnostic: join steps that resynchronized the incremental grids
     /// with **full** slack rebuilds — the cold start plus every
-    /// churn-spike/crash/mark-path fallback since.
+    /// churn-spike/crash fallback since.
     #[inline]
     pub fn incremental_full_rebuilds(&self) -> u32 {
         self.inc.full_rebuilds
@@ -1447,9 +1416,9 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 
     /// Full flooding (or parsimonious when `forward_probability` is set).
     ///
-    /// Adaptive path: draw the transmit roster, re-bin whichever of
-    /// (roster, uninformed) is smaller into the retained grid, query
-    /// from the other side. Appends to `self.newly` (unsorted).
+    /// Draws the transmit roster, then runs the incrementally
+    /// maintained bucket join (the brute-force scan under
+    /// [`EngineMode::Oracle`]). Appends to `self.newly` (unsorted).
     ///
     /// `max_move` is this step's **measured** displacement bound from
     /// the batched move pass, the incremental path's staleness
@@ -1489,76 +1458,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let region = self.model.region();
         match self.engine {
             EngineMode::Adaptive => {
-                // Side policy, tuned by measurement (see the engine_step
-                // benches): with very few transmitters, bin the
-                // uninformed mass (two cheap linear passes, fine
-                // buckets) and mark from each transmitter; otherwise
-                // run the bucket join — both sides binned coarse,
-                // occupied bucket pairs resolved in spatial order. The
-                // join's only cost over the per-agent probing it
-                // replaced is the O(U) uninformed-side re-bin, which is
-                // exactly the cost that vanishes as the worklist
-                // shrinks, while its coarse transmitter table stays
-                // cheaper to rebuild than a probe-grade fine one — so
-                // the join wins (or ties) from the dense mid-flood
-                // regime all the way down the tail.
-                if tx.len() * 8 <= self.uninformed.len() {
-                    // few transmitters: index the uninformed mass, mark
-                    // everyone in range of a transmitter. This clobbers
-                    // `grid` with a fine-bucket layout, so the
-                    // incremental join state (if any) dies with it.
-                    self.inc.ready = false;
-                    self.grid
-                        .rebuild_subset(region, radius, &self.positions, &self.uninformed)
-                        .expect("positions finite, radius validated");
-                    let stamp = &mut self.stamp;
-                    let newly = &mut self.newly;
-                    let time = self.time;
-                    for &t in tx {
-                        self.grid
-                            .for_each_within(self.positions[t as usize], radius, |u| {
-                                if stamp[u] != time {
-                                    stamp[u] = time;
-                                    newly.push(u as u32);
-                                }
-                            });
-                    }
-                } else {
-                    self.join_steps += 1;
-                    let refresh_ns = join_covered_incremental(
-                        &mut self.grid,
-                        &mut self.tx_grid,
-                        &mut self.inc,
-                        region,
-                        radius,
-                        max_move,
-                        &self.positions,
-                        &self.uninformed,
-                        &self.transmitters,
-                        tx,
-                        forward_probability.is_none(),
-                        &mut self.newly,
-                        self.phase_timing,
-                        self.par.as_ref().map(|p| &*p.pool),
-                    );
-                    self.phases.refresh_ns += refresh_ns;
-                }
-            }
-            EngineMode::Oracle => {
-                // brute force: same visitation semantics, no index
-                for &u in &self.uninformed {
-                    let p = self.positions[u as usize];
-                    if tx
-                        .iter()
-                        .any(|&t| self.positions[t as usize].euclid_sq(p) <= r2)
-                    {
-                        self.newly.push(u);
-                    }
-                }
-            }
-            EngineMode::Incremental => {
-                // the incrementally-maintained join unconditionally,
-                // whatever the side sizes
                 self.join_steps += 1;
                 let refresh_ns = join_covered_incremental(
                     &mut self.grid,
@@ -1578,6 +1477,18 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                 );
                 self.phases.refresh_ns += refresh_ns;
             }
+            EngineMode::Oracle => {
+                // brute force: same visitation semantics, no index
+                for &u in &self.uninformed {
+                    let p = self.positions[u as usize];
+                    if tx
+                        .iter()
+                        .any(|&t| self.positions[t as usize].euclid_sq(p) <= r2)
+                    {
+                        self.newly.push(u);
+                    }
+                }
+            }
         }
     }
 
@@ -1595,16 +1506,13 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            EngineMode::Adaptive | EngineMode::Incremental => {
+            EngineMode::Adaptive => {
                 // Index the uninformed mass, gather candidates per
-                // transmitter. Unlike flooding there is no
-                // index-the-roster alternative here: bucketing hits per
-                // transmitter needs an O(candidate-pairs) side list,
-                // which is unbounded in dense regimes and would break
-                // the zero-steady-state-allocation budget — so
-                // Incremental (whose join kernel cannot express
-                // per-transmitter sampling either) shares this path and
-                // its random stream.
+                // transmitter. The bucket join cannot serve gossip:
+                // bucketing hits per transmitter needs an
+                // O(candidate-pairs) side list, which is unbounded in
+                // dense regimes and would break the
+                // zero-steady-state-allocation budget.
                 self.inc.ready = false;
                 self.grid
                     .rebuild_subset(region, radius, &self.positions, &self.uninformed)
@@ -1719,13 +1627,13 @@ const JOIN_BUCKET_FACTOR: f64 = 4.0;
 /// provenance only; restore does not enforce it — the divergence
 /// bisector deliberately restores one engine's checkpoints into runs of
 /// another engine, which is sound because every mode draws the same
-/// random stream. Codes 1 and 3 belonged to two retired engine modes
-/// that shared this state and stream, so restore still accepts them.
+/// random stream. Codes 1, 3 and 4 belonged to three retired engine
+/// modes that shared this state and stream, so restore still accepts
+/// them.
 fn engine_code(e: EngineMode) -> u8 {
     match e {
         EngineMode::Adaptive => 0,
         EngineMode::Oracle => 2,
-        EngineMode::Incremental => 4,
     }
 }
 
@@ -2234,8 +2142,8 @@ struct IncrementalSync {
     /// The grids hold valid slack layouts for the current geometry and
     /// the membership-diff bookkeeping is intact. Cleared at
     /// construction and by every event that breaks the chain: crashes
-    /// (roster surgery + live-population change), the adaptive mark
-    /// path and gossip (both clobber `grid` with a fine-bucket layout).
+    /// (roster surgery + live-population change) and gossip (which
+    /// clobbers `grid` with a fine-bucket layout).
     ready: bool,
     /// Prefix of `transmitters` the grids are synced to. The suffix —
     /// agents informed since the last sync — is the next step's
@@ -2249,7 +2157,7 @@ struct IncrementalSync {
     /// this fits the staleness budget carved out of the bucket margin.
     stale: f64,
     /// Join steps resynced with full slack rebuilds (cold start, and
-    /// every churn-spike/crash/mark fallback since).
+    /// every churn-spike/crash fallback since).
     full_rebuilds: u32,
     /// Join steps resynced via a diff (deferred membership-only or a
     /// refresh/relocate pass) rather than full rebuilds.
@@ -2274,8 +2182,8 @@ struct IncrementalSync {
 /// mid-flood steps sit orders of magnitude below the threshold.
 const CHURN_SPIKE_DIVISOR: usize = 8;
 
-/// The incrementally-maintained bucket-join transmit kernel shared by
-/// [`EngineMode::Incremental`] and the adaptive dense regime.
+/// The incrementally-maintained bucket-join transmit kernel of
+/// [`EngineMode::Adaptive`] flooding and parsimonious flooding.
 ///
 /// Exploits temporal coherence three ways, falling back a level
 /// whenever a budget runs out or the chain breaks:
@@ -2317,15 +2225,13 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 /// accrued into `inc.stale`, so the deferral budget is spent on drift
 /// that actually happened rather than the worst-case model speed.
 ///
-/// With `pool` set (the chunked-parallel engine), the two `O(live)`
-/// phases run partitioned on it: the periodic refresh relocates by bucket
-/// row ([`GridIndexBuffer::update_moved_par`]) and the join partitions
+/// With `pool` set (the chunked-parallel engine), the join partitions
 /// its occupied buckets with per-worker output merged in canonical
 /// shard order ([`GridIndexBuffer::join_covered_by_stale_par`]) — the
-/// reported sequence is identical to the sequential kernels whatever
-/// the thread count, so `newly` (sorted by the caller anyway) cannot
-/// depend on scheduling. The `O(churn)` surgery and the rare full
-/// rebuilds stay sequential.
+/// reported sequence is identical to the sequential kernel whatever the
+/// thread count, so `newly` (sorted by the caller anyway) cannot depend
+/// on scheduling. Grid synchronization (surgery, refresh, rebuilds)
+/// stays sequential: a row-sharded refresh measured slower on 2 cores.
 ///
 /// Returns the wall-clock nanoseconds of the grid-synchronization
 /// section (the `refresh` phase of [`StepPhases`]) when `timing` is on,
@@ -2393,27 +2299,13 @@ fn join_covered_incremental(
             inc.stale = stale_after_move;
             inc.deferred_steps += 1;
         } else {
-            // staleness budget exhausted: refresh and relocate (row-
-            // partitioned on the pool when the parallel engine runs)
-            match pool {
-                Some(pl) => {
-                    grid.update_moved_par(positions, diff, &[], pl)
-                        .expect("positions finite, diff names indexed agents");
-                    if tx_is_roster {
-                        tx_grid
-                            .update_moved_par(positions, &[], diff, pl)
-                            .expect("positions finite, diff names new agents");
-                    }
-                }
-                None => {
-                    grid.update_moved(positions, diff, &[])
-                        .expect("positions finite, diff names indexed agents");
-                    if tx_is_roster {
-                        tx_grid
-                            .update_moved(positions, &[], diff)
-                            .expect("positions finite, diff names new agents");
-                    }
-                }
+            // staleness budget exhausted: refresh and relocate
+            grid.update_moved(positions, diff, &[])
+                .expect("positions finite, diff names indexed agents");
+            if tx_is_roster {
+                tx_grid
+                    .update_moved(positions, &[], diff)
+                    .expect("positions finite, diff names new agents");
             }
             inc.stale = 0.0;
         }
@@ -2495,16 +2387,13 @@ mod tests {
         for (name, mode) in [
             ("adaptive", EngineMode::Adaptive),
             ("oracle", EngineMode::Oracle),
-            ("incremental", EngineMode::Incremental),
         ] {
             assert_eq!(name.parse::<EngineMode>(), Ok(mode));
         }
-        for name in ["rebuild", "bucket-join"] {
+        for name in ["rebuild", "bucket-join", "incremental"] {
             assert_eq!(
                 name.parse::<EngineMode>(),
-                Err(format!(
-                    "unknown engine {name:?} (adaptive|oracle|incremental)"
-                ))
+                Err(format!("unknown engine {name:?} (adaptive|oracle)"))
             );
         }
         assert_eq!("sequential".parse(), Ok(Parallelism::Sequential));

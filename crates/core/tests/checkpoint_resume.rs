@@ -108,12 +108,6 @@ fn assert_resume_identical(cfg: SimConfig, k: u32, m: u32, faults: bool) {
     assert_eq!(resumed.report(), reference.report(), "{label}");
 }
 
-const ENGINES: [EngineMode; 3] = [
-    EngineMode::Adaptive,
-    EngineMode::Oracle,
-    EngineMode::Incremental,
-];
-
 const PAR_MODES: [Parallelism; 3] = [
     Parallelism::Sequential,
     Parallelism::Chunked { threads: 1 },
@@ -129,21 +123,26 @@ const PROTOCOLS: [Protocol; 3] = [
 #[test]
 fn resume_is_bitwise_identical_across_modes() {
     let mut idx = 0u64;
-    for (e, engine) in ENGINES.into_iter().enumerate() {
-        for (p, par) in PAR_MODES.into_iter().enumerate() {
-            // a Latin square: every engine and every parallelism mode
-            // meets every protocol
-            let protocol = PROTOCOLS[(e + p) % PROTOCOLS.len()];
-            // snapshot step varies per combination, straddling the
-            // fault times (before, between, and after them)
-            let k = 3 + (idx * 7 + 3) % 17;
-            assert_resume_identical(
-                config(engine, par, protocol, 1000 + idx),
-                k as u32,
-                18,
-                true,
-            );
-            idx += 1;
+    for (p, par) in PAR_MODES.into_iter().enumerate() {
+        for (q, protocol) in PROTOCOLS.into_iter().enumerate() {
+            // the production engine meets every parallelism mode and
+            // protocol pair; the oracle, a Latin square of them
+            let oracle = q == (p + 1) % PROTOCOLS.len();
+            for engine in [EngineMode::Adaptive, EngineMode::Oracle] {
+                if engine == EngineMode::Oracle && !oracle {
+                    continue;
+                }
+                // snapshot step varies per combination, straddling the
+                // fault times (before, between, and after them)
+                let k = 3 + (idx * 7 + 3) % 17;
+                assert_resume_identical(
+                    config(engine, par, protocol, 1000 + idx),
+                    k as u32,
+                    18,
+                    true,
+                );
+                idx += 1;
+            }
         }
     }
 }
@@ -317,7 +316,7 @@ fn mixture_snapshots_carry_speed_classes() {
 #[test]
 fn snapshot_restore_snapshot_is_identity() {
     let cfg = config(
-        EngineMode::Incremental,
+        EngineMode::Adaptive,
         Parallelism::Chunked { threads: 2 },
         Protocol::Parsimonious { p: 0.5 },
         13,
@@ -412,9 +411,10 @@ fn with_section(snap: &Snapshot, tag: [u8; 4], payload: Vec<u8>) -> Snapshot {
     out
 }
 
-/// Engine codes 1 and 3 name two retired engine modes. The engine byte
-/// is provenance only and every mode shared the same state and random
-/// stream, so snapshots carrying either code still resume bitwise.
+/// Engine codes 1, 3 and 4 name three retired engine modes. The engine
+/// byte is provenance only and every mode shared the same state and
+/// random stream, so snapshots carrying any of these codes still resume
+/// bitwise.
 #[test]
 fn retired_engine_codes_still_restore() {
     // META opens with n, seed, radius (8 bytes each), time (4), source
@@ -442,7 +442,7 @@ fn retired_engine_codes_still_restore() {
         patched[ENGINE_BYTE] = code;
         with_section(&snap, TAG_META, patched)
     };
-    let mut resumed: Vec<_> = [1u8, 3]
+    let mut resumed: Vec<_> = [1u8, 3, 4]
         .into_iter()
         .map(|code| {
             let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");

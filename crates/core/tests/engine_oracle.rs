@@ -1,7 +1,7 @@
-//! The production transmit engines (adaptive and the forced
-//! incremental join) must inform *exactly* the same agent set per step
-//! as the brute-force oracle, for every protocol, with and without
-//! crashes.
+//! The production transmit engine (adaptive: the incrementally
+//! maintained bucket join, and the fine-grid gossip gather) must inform
+//! *exactly* the same agent set per step as the brute-force oracle, for
+//! every protocol, with and without crashes.
 //!
 //! Engine modes are constructed so they consume identical random
 //! streams; any divergence in informed sets, inform times, or spread
@@ -37,40 +37,32 @@ fn sim(
     sim
 }
 
-fn lockstep_compare_engines(
-    n: usize,
-    seed: u64,
-    protocol: Protocol,
-    under_test: EngineMode,
-    reference: EngineMode,
-    crash_stride: usize,
-    steps: u32,
-) {
-    let mut tested = sim(n, seed, protocol, under_test, crash_stride);
-    let mut oracle = sim(n, seed, protocol, reference, crash_stride);
+/// Steps the adaptive engine and the oracle in lockstep, comparing the
+/// newly informed counts and informed sets after every step.
+fn lockstep_compare(n: usize, seed: u64, protocol: Protocol, crash_stride: usize, steps: u32) {
+    let mut tested = sim(n, seed, protocol, EngineMode::Adaptive, crash_stride);
+    let mut oracle = sim(n, seed, protocol, EngineMode::Oracle, crash_stride);
     for t in 1..=steps {
         let a = tested.step();
         let b = oracle.step();
         prop_assert_eq!(
             a,
             b,
-            "step {} newly-informed counts diverged (n={}, seed={}, {:?}, {:?}, stride {})",
+            "step {} newly-informed counts diverged (n={}, seed={}, {:?}, stride {})",
             t,
             n,
             seed,
             protocol,
-            under_test,
             crash_stride
         );
         prop_assert_eq!(
             tested.informed(),
             oracle.informed(),
-            "step {} informed sets diverged (n={}, seed={}, {:?}, {:?}, stride {})",
+            "step {} informed sets diverged (n={}, seed={}, {:?}, stride {})",
             t,
             n,
             seed,
             protocol,
-            under_test,
             crash_stride
         );
         if tested.all_informed() {
@@ -80,84 +72,38 @@ fn lockstep_compare_engines(
     prop_assert_eq!(tested.report(), oracle.report());
 }
 
-fn lockstep_compare(
-    n: usize,
-    seed: u64,
-    protocol: Protocol,
-    reference: EngineMode,
-    crash_stride: usize,
-    steps: u32,
-) {
-    lockstep_compare_engines(
-        n,
-        seed,
-        protocol,
-        EngineMode::Adaptive,
-        reference,
-        crash_stride,
-        steps,
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn flooding_matches_oracle(seed in 0u64..1000, n in 40usize..160, stride in 0usize..6) {
         // stride 1 crashes every non-source agent — a completion edge case
-        lockstep_compare(n, seed, Protocol::Flooding, EngineMode::Oracle, stride, 400);
+        lockstep_compare(n, seed, Protocol::Flooding, stride, 400);
     }
 
     #[test]
     fn parsimonious_matches_oracle(seed in 0u64..1000, n in 40usize..140, p in 0.05f64..0.95) {
-        lockstep_compare(n, seed, Protocol::Parsimonious { p }, EngineMode::Oracle, 0, 400);
+        lockstep_compare(n, seed, Protocol::Parsimonious { p }, 0, 400);
     }
 
     #[test]
     fn parsimonious_with_crashes_matches_oracle(seed in 0u64..500, n in 40usize..120) {
-        lockstep_compare(n, seed, Protocol::Parsimonious { p: 0.4 }, EngineMode::Oracle, 4, 400);
+        lockstep_compare(n, seed, Protocol::Parsimonious { p: 0.4 }, 4, 400);
     }
 
     #[test]
     fn gossip_matches_oracle(seed in 0u64..1000, n in 40usize..140, k in 1usize..6) {
-        lockstep_compare(n, seed, Protocol::Gossip { k }, EngineMode::Oracle, 0, 400);
+        lockstep_compare(n, seed, Protocol::Gossip { k }, 0, 400);
     }
 
     #[test]
     fn gossip_with_crashes_matches_oracle(seed in 0u64..500, n in 40usize..120, k in 1usize..4) {
-        lockstep_compare(n, seed, Protocol::Gossip { k }, EngineMode::Oracle, 5, 400);
+        lockstep_compare(n, seed, Protocol::Gossip { k }, 5, 400);
     }
 
     #[test]
-    fn incremental_flooding_matches_oracle(seed in 0u64..1000, n in 40usize..160, stride in 0usize..6) {
-        // stride 1 crashes every non-source agent — a completion edge case
-        lockstep_compare_engines(
-            n, seed, Protocol::Flooding, EngineMode::Incremental, EngineMode::Oracle, stride, 400,
-        );
-    }
-
-    #[test]
-    fn incremental_parsimonious_matches_oracle(seed in 0u64..1000, n in 40usize..140, p in 0.05f64..0.95) {
-        // only the uninformed side is maintained incrementally here (the
-        // coin subset is rebuilt each step); streams must still match
-        lockstep_compare_engines(
-            n, seed, Protocol::Parsimonious { p }, EngineMode::Incremental, EngineMode::Oracle, 0, 400,
-        );
-    }
-
-    #[test]
-    fn incremental_parsimonious_with_crashes_matches_oracle(seed in 0u64..500, n in 40usize..120) {
-        lockstep_compare_engines(
-            n, seed, Protocol::Parsimonious { p: 0.4 }, EngineMode::Incremental, EngineMode::Oracle, 4, 400,
-        );
-    }
-
-    #[test]
-    fn incremental_gossip_matches_oracle(seed in 0u64..500, n in 40usize..140, k in 1usize..6) {
-        // gossip rides the shared adaptive path in Incremental mode too
-        lockstep_compare_engines(
-            n, seed, Protocol::Gossip { k }, EngineMode::Incremental, EngineMode::Oracle, 3, 400,
-        );
+    fn gossip_with_dense_crashes_matches_oracle(seed in 0u64..500, n in 40usize..140, k in 1usize..6) {
+        lockstep_compare(n, seed, Protocol::Gossip { k }, 3, 400);
     }
 }
 
@@ -191,32 +137,9 @@ fn gossip_with_k_at_least_n_matches_flooding_step_for_step() {
 /// plain tests so a failure names the exact scenario.
 #[test]
 fn fixed_scenarios_match_oracle() {
-    lockstep_compare(100, 42, Protocol::Flooding, EngineMode::Oracle, 3, 600);
-    lockstep_compare(
-        100,
-        42,
-        Protocol::Gossip { k: 2 },
-        EngineMode::Oracle,
-        3,
-        600,
-    );
-    lockstep_compare(
-        100,
-        42,
-        Protocol::Parsimonious { p: 0.3 },
-        EngineMode::Oracle,
-        3,
-        600,
-    );
-    lockstep_compare_engines(
-        100,
-        42,
-        Protocol::Flooding,
-        EngineMode::Incremental,
-        EngineMode::Oracle,
-        3,
-        600,
-    );
+    lockstep_compare(100, 42, Protocol::Flooding, 3, 600);
+    lockstep_compare(100, 42, Protocol::Gossip { k: 2 }, 3, 600);
+    lockstep_compare(100, 42, Protocol::Parsimonious { p: 0.3 }, 3, 600);
 }
 
 /// Crashing agents *mid-run* — after the incremental grids are warm and
@@ -234,7 +157,7 @@ fn incremental_survives_mid_run_crashes_and_resyncs() {
             .source(SourcePlacement::Agent(0))
             .engine(engine)
     };
-    let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Incremental)).unwrap();
+    let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Adaptive)).unwrap();
     let mut oracle = FloodingSim::new(model, config(EngineMode::Oracle)).unwrap();
     for t in 1..=3000u32 {
         if t % 40 == 0 {
@@ -272,11 +195,9 @@ fn incremental_survives_mid_run_crashes_and_resyncs() {
     );
 }
 
-/// The adaptive engine must actually *engage* the bucket join in the
-/// dense large-`n` regime (both sides big), and the auto-engaged runs
-/// must stay lockstep-identical to the brute-force oracle. Small-`n`
-/// proptests never cross the crossover threshold, so this is the only
-/// test driving the production auto-selection through the join.
+/// The adaptive engine runs the bucket join on every flooding step of
+/// a dense large-`n` flood — there is no other indexed transmit path —
+/// and stays lockstep-identical to the brute-force oracle.
 #[test]
 fn adaptive_engages_bucket_join_in_dense_regime_and_matches_oracle() {
     let n = 4_096;
@@ -302,13 +223,14 @@ fn adaptive_engages_bucket_join_in_dense_regime_and_matches_oracle() {
         }
     }
     assert!(adaptive.all_informed(), "dense flood must complete");
-    assert!(
-        adaptive.bucket_join_steps() > 0,
-        "the dense regime must have auto-engaged the bucket join"
+    assert_eq!(
+        adaptive.bucket_join_steps(),
+        adaptive.time(),
+        "every step must run the bucket join"
     );
     assert!(
         adaptive.incremental_diff_steps() > 0,
-        "the auto-engaged join must re-bin incrementally, not from scratch"
+        "the join must re-bin incrementally, not from scratch"
     );
     assert!(
         adaptive.incremental_deferred_steps() > 0,

@@ -39,7 +39,7 @@ proptest! {
             SimConfig::new(n, 2.0)
                 .seed(seed)
                 .source(SourcePlacement::Agent(0))
-                .engine(EngineMode::Incremental),
+                .engine(EngineMode::Adaptive),
         )
         .unwrap();
         // positions the grids were last synchronized at (every sync
@@ -85,7 +85,7 @@ proptest! {
                 .engine(engine)
         };
         let model = Mrwp::new(20.0, 0.25).unwrap().with_pause(pause);
-        let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Incremental)).unwrap();
+        let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Adaptive)).unwrap();
         let mut oracle = FloodingSim::new(model, config(EngineMode::Oracle)).unwrap();
         for t in 1..=800u32 {
             let a = inc.step();
@@ -120,7 +120,7 @@ fn parallel_accumulated_staleness_bounds_true_displacement() {
             SimConfig::new(60, 2.0)
                 .seed(11 + pause as u64)
                 .source(SourcePlacement::Agent(0))
-                .engine(EngineMode::Incremental)
+                .engine(EngineMode::Adaptive)
                 .parallelism(Parallelism::Chunked { threads: 0 }),
         )
         .unwrap();
@@ -161,7 +161,7 @@ fn parallel_stale_join_lockstep_with_oracle_under_pauses() {
             .parallelism(parallelism)
     };
     let model = Mrwp::new(20.0, 0.25).unwrap().with_pause(3);
-    let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Incremental)).unwrap();
+    let mut inc = FloodingSim::new(model.clone(), config(EngineMode::Adaptive)).unwrap();
     let mut oracle = FloodingSim::new(model, config(EngineMode::Oracle)).unwrap();
     for t in 1..=800u32 {
         let a = inc.step();
@@ -194,7 +194,7 @@ fn paused_population_stretches_the_defer_window() {
         SimConfig::new(4, 2.0)
             .seed(9)
             .source(SourcePlacement::Agent(0))
-            .engine(EngineMode::Incremental),
+            .engine(EngineMode::Adaptive),
     )
     .unwrap();
     let mut zero_drift_steps = 0u32;

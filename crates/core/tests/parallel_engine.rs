@@ -6,10 +6,10 @@
 //!   identical across pool sizes {1, 2, 8} *and* the environment
 //!   default (`threads: 0`), so `FASTFLOOD_THREADS` can only change
 //!   wall-clock, never results;
-//! * **engine lockstep under parallelism** — the parallel Incremental
-//!   and auto-engaged Adaptive paths (partitioned stale join, partitioned
-//!   refresh) inform exactly the oracle's sets, for every protocol,
-//!   including mid-run crashes;
+//! * **engine lockstep under parallelism** — the adaptive engine's
+//!   parallel paths (partitioned stale join, sequential grid sync)
+//!   inform exactly the oracle's sets, for every protocol, including
+//!   mid-run crashes;
 //! * **sequential default** — `SimConfig` still defaults to the
 //!   single-stream engine, whose path reads none of the chunk
 //!   machinery (the mobility-level lockstep suites pin it bitwise to
@@ -67,8 +67,8 @@ fn fingerprint(sim: &FloodingSim<Mrwp>) -> (Vec<(u64, u64)>, Vec<Option<u32>>, V
 }
 
 /// The headline determinism property: a multi-chunk flood (several
-/// `MOVE_CHUNK` chunks, adaptive engine auto-engaging the parallel
-/// incremental join with refreshes and deferrals) is bitwise identical
+/// `MOVE_CHUNK` chunks, the adaptive engine's parallel incremental
+/// join with refreshes and deferrals) is bitwise identical
 /// across thread counts and the environment default.
 #[test]
 fn chunked_trajectories_bitwise_identical_across_thread_counts() {
@@ -121,7 +121,7 @@ fn chunked_invariance_survives_mid_run_crashes() {
             0.4,
             77,
             Protocol::Flooding,
-            EngineMode::Incremental,
+            EngineMode::Adaptive,
             Parallelism::Chunked { threads },
             0,
         );
@@ -210,7 +210,6 @@ fn lockstep_parallel(
     n: usize,
     seed: u64,
     protocol: Protocol,
-    under_test: EngineMode,
     parallelism: Parallelism,
     crash_stride: usize,
     steps: u32,
@@ -228,7 +227,7 @@ fn lockstep_parallel(
             crash_stride,
         )
     };
-    let mut tested = build(under_test);
+    let mut tested = build(EngineMode::Adaptive);
     let mut oracle = build(EngineMode::Oracle);
     for t in 1..=steps {
         let a = tested.step();
@@ -236,22 +235,20 @@ fn lockstep_parallel(
         prop_assert_eq!(
             a,
             b,
-            "step {} newly-informed counts diverged (n={}, seed={}, {:?}, {:?})",
+            "step {} newly-informed counts diverged (n={}, seed={}, {:?})",
             t,
             n,
             seed,
-            protocol,
-            under_test
+            protocol
         );
         prop_assert_eq!(
             tested.informed(),
             oracle.informed(),
-            "step {} informed sets diverged (n={}, seed={}, {:?}, {:?})",
+            "step {} informed sets diverged (n={}, seed={}, {:?})",
             t,
             n,
             seed,
-            protocol,
-            under_test
+            protocol
         );
         if tested.all_informed() {
             break;
@@ -263,17 +260,17 @@ fn lockstep_parallel(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Parallel Incremental == parallel Oracle: both sims share chunk
+    /// Parallel Adaptive == parallel Oracle: both sims share chunk
     /// streams (identical moves), so any divergence is a bug in the
-    /// partitioned join/refresh, not noise.
+    /// partitioned join, not noise.
     #[test]
-    fn parallel_incremental_flooding_matches_oracle(
+    fn parallel_flooding_matches_oracle(
         seed in 0u64..1000,
         n in 40usize..160,
         stride in 0usize..6,
     ) {
         lockstep_parallel(
-            n, seed, Protocol::Flooding, EngineMode::Incremental,
+            n, seed, Protocol::Flooding,
             Parallelism::Chunked { threads: 2 }, stride, 400,
         );
     }
@@ -281,42 +278,42 @@ proptest! {
     /// The environment-default pool (tier-1 re-runs this suite under
     /// FASTFLOOD_THREADS=2) through the same lockstep.
     #[test]
-    fn parallel_incremental_env_default_matches_oracle(seed in 0u64..500, n in 40usize..120) {
+    fn parallel_env_default_matches_oracle(seed in 0u64..500, n in 40usize..120) {
         lockstep_parallel(
-            n, seed, Protocol::Flooding, EngineMode::Incremental,
+            n, seed, Protocol::Flooding,
             Parallelism::Chunked { threads: 0 }, 3, 400,
         );
     }
 
     #[test]
-    fn parallel_incremental_parsimonious_matches_oracle(
+    fn parallel_parsimonious_matches_oracle(
         seed in 0u64..1000,
         n in 40usize..140,
         p in 0.05f64..0.95,
     ) {
         // the coin subset rides the main stream; only the uninformed
-        // grid is maintained (and refreshed partitioned)
+        // grid is maintained incrementally
         lockstep_parallel(
-            n, seed, Protocol::Parsimonious { p }, EngineMode::Incremental,
+            n, seed, Protocol::Parsimonious { p },
             Parallelism::Chunked { threads: 2 }, 0, 400,
         );
     }
 
     #[test]
     fn parallel_gossip_matches_oracle(seed in 0u64..500, n in 40usize..140, k in 1usize..6) {
-        // gossip transmit stays sequential (shared adaptive path); the
+        // gossip transmit stays sequential (the fine-grid gather); the
         // parallel move pass must leave its sampling stream untouched
         lockstep_parallel(
-            n, seed, Protocol::Gossip { k }, EngineMode::Adaptive,
+            n, seed, Protocol::Gossip { k },
             Parallelism::Chunked { threads: 2 }, 3, 400,
         );
     }
 }
 
-/// Dense regime at real size: the adaptive policy auto-engages the
-/// incrementally maintained join with the partitioned parallel kernels, and
-/// stays lockstep-identical to the brute-force oracle — including
-/// refresh steps (partitioned `update_moved`) and deferred stale joins.
+/// Dense regime at real size: the incrementally maintained join with
+/// the partitioned parallel kernel runs on every step and stays
+/// lockstep-identical to the brute-force oracle — including refresh
+/// steps and deferred stale joins.
 #[test]
 fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
     let n = 4_096;
@@ -342,16 +339,17 @@ fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
         assert_eq!(
             adaptive.informed(),
             oracle.informed(),
-            "parallel auto-engaged join diverged from the oracle"
+            "parallel join diverged from the oracle"
         );
         if adaptive.all_informed() {
             break;
         }
     }
     assert!(adaptive.all_informed(), "dense flood must complete");
-    assert!(
-        adaptive.bucket_join_steps() > 0,
-        "the dense regime must have auto-engaged the bucket join"
+    assert_eq!(
+        adaptive.bucket_join_steps(),
+        adaptive.time(),
+        "every step must run the bucket join"
     );
     assert!(
         adaptive.incremental_deferred_steps() > 0,
@@ -359,7 +357,7 @@ fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
     );
     assert!(
         adaptive.incremental_diff_steps() > adaptive.incremental_deferred_steps(),
-        "some diff steps must be partitioned refresh passes"
+        "some diff steps must be refresh passes"
     );
     assert_eq!(adaptive.report(), oracle.report());
 }
@@ -383,7 +381,7 @@ fn parallel_incremental_survives_mid_run_crashes_and_resyncs() {
         )
         .unwrap()
     };
-    let mut inc = build(EngineMode::Incremental);
+    let mut inc = build(EngineMode::Adaptive);
     let mut oracle = build(EngineMode::Oracle);
     for t in 1..=3000u32 {
         if t % 40 == 0 {
@@ -397,7 +395,7 @@ fn parallel_incremental_survives_mid_run_crashes_and_resyncs() {
         assert_eq!(
             inc.informed(),
             oracle.informed(),
-            "step {t}: parallel incremental diverged after mid-run crashes"
+            "step {t}: parallel join diverged after mid-run crashes"
         );
         if inc.all_informed() {
             break;
@@ -425,7 +423,7 @@ fn cloned_parallel_sims_replay_identically() {
         0.2,
         9,
         Protocol::Flooding,
-        EngineMode::Incremental,
+        EngineMode::Adaptive,
         Parallelism::Chunked { threads: 2 },
         0,
     );

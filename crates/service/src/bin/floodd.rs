@@ -25,7 +25,8 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Raised by the SIGTERM handler; the accept loop polls it.
+/// Raised by the SIGTERM handler; a bridge thread copies it into the
+/// server's stop flag.
 static TERM: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_sigterm(_sig: i32) {

@@ -23,60 +23,90 @@ use crate::json::Json;
 use crate::supervisor::{Chaos, JobSpec, JobStatus, Submission, Supervisor};
 use fastflood_bench::scenario::{parse_scenario, scenario_by_name, Scenario};
 use fastflood_core::{EngineMode, Parallelism};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Longest request line the daemon buffers, in bytes, newline
+/// excluded. A longer line gets one error reply and the connection is
+/// closed, so one client cannot grow a connection's buffer without
+/// bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How often the stop watcher in [`serve`] checks the stop flag.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
 /// Runs the accept loop until `stop` is raised (by the `shutdown` op or
 /// by the caller's signal handler), then drains the supervisor and
-/// returns the final state of every job — the resumable set. The
-/// listener is switched to non-blocking so the stop flag is observed
-/// within ~20 ms even with no traffic.
+/// returns the final state of every job — the resumable set. The loop
+/// blocks in `accept`; a watcher thread turns a raised `stop` into one
+/// loopback connect to the listener, which wakes the loop within
+/// ~20 ms even with no traffic.
 ///
 /// # Errors
 ///
-/// `std::io::Error` when the listener cannot be configured; per-
-/// connection errors are logged to stderr and never fatal.
+/// `std::io::Error` when the listener's address cannot be read;
+/// per-connection errors are logged to stderr and never fatal.
 pub fn serve(
     listener: TcpListener,
     supervisor: Arc<Supervisor>,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<Vec<JobStatus>> {
-    listener.set_nonblocking(true)?;
+    let mut wake_addr = listener.local_addr()?;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match wake_addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let waker = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(STOP_POLL);
+            }
+            let _ = TcpStream::connect(wake_addr);
+        })
+    };
     // each connection thread with a clone of its stream, kept so the
     // drain can unblock threads parked in a read on an idle client
     let mut conns: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let peer = match stream.try_clone() {
-                    Ok(peer) => peer,
-                    Err(e) => {
-                        eprintln!("floodd: connection error: {e}");
-                        continue;
-                    }
-                };
-                let sup = Arc::clone(&supervisor);
-                let stop = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || {
-                    if let Err(e) = handle_connection(stream, &sup, &stop) {
-                        eprintln!("floodd: connection error: {e}");
-                    }
-                });
-                conns.push((handle, peer));
-                conns.retain(|(h, _)| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = match accepted {
+            Ok((stream, _addr)) => stream,
             Err(e) => {
                 eprintln!("floodd: accept error: {e}");
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(STOP_POLL);
+                continue;
             }
-        }
+        };
+        // replies are single writes, so with Nagle's algorithm off no
+        // reply waits for the client's delayed ACK
+        let peer = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
+            Ok(peer) => peer,
+            Err(e) => {
+                eprintln!("floodd: connection error: {e}");
+                continue;
+            }
+        };
+        let sup = Arc::clone(&supervisor);
+        let stop = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            if let Err(e) = handle_connection(stream, &sup, &stop) {
+                eprintln!("floodd: connection error: {e}");
+            }
+        });
+        conns.push((handle, peer));
+        conns.retain(|(h, _)| !h.is_finished());
     }
+    drop(listener);
+    let _ = waker.join();
     let drained = supervisor.drain();
     // end every connection's read side, so a thread blocked on an idle
     // client sees EOF, then join them so in-flight responses flush
@@ -95,24 +125,82 @@ fn handle_connection(
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                send(&mut writer, &fail(e.to_string()))?;
+                // FIN right behind the reply, so the client reads it
+                // before the close resets the unread request bytes
+                writer.shutdown(Shutdown::Write)?;
+                break;
+            }
             // a dying peer is normal connection teardown
             Err(_) => break,
+        }
+        // a non-UTF-8 line ends the connection, as a dying peer does
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
         };
-        if line.trim().is_empty() {
+        if text.trim().is_empty() {
             continue;
         }
-        let response = handle_request(&line, sup, stop);
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
+        send(&mut writer, &handle_request(text, sup, stop))?;
         if stop.load(Ordering::SeqCst) {
             break;
         }
     }
     Ok(())
+}
+
+/// Writes `response` and its newline in one `write_all`.
+fn send(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
+    let mut out = response.to_string();
+    out.push('\n');
+    writer.write_all(out.as_bytes())
+}
+
+/// Reads one `\n`-terminated line into `buf` without the terminator
+/// (or a `\r` before it). Returns `Ok(false)` at end of stream with
+/// nothing read; a final unterminated line counts as a line. A line
+/// longer than `cap` bytes is an [`ErrorKind::InvalidData`] error, with
+/// at most `cap` bytes buffered.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<bool> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(!buf.is_empty());
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if buf.len() + take > cap {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!("request line exceeds {cap} bytes"),
+            ));
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        if newline.is_some() {
+            reader.consume(take + 1);
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(true);
+        }
+        reader.consume(take);
+    }
 }
 
 fn ok(mut pairs: Vec<(&str, Json)>) -> Json {

@@ -369,3 +369,69 @@ fn sigterm_exits_promptly_with_an_idle_client_connected() {
     assert!(matches!(report.get("drained"), Some(Json::Arr(_))));
     drop(idle);
 }
+
+#[test]
+fn fifty_sequential_pings_on_one_connection_finish_within_a_second() {
+    let root = tmp_root("pings");
+    let daemon = Daemon::spawn(&root, &[]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connect");
+    stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let ping = format!("{}\n", Json::obj(vec![("op", Json::str("ping"))]));
+    let mut line = String::new();
+    let started = Instant::now();
+    for i in 0..50 {
+        writer.write_all(ping.as_bytes()).expect("send ping");
+        line.clear();
+        reader.read_line(&mut line).expect("read pong");
+        assert!(line.contains("\"pong\""), "ping {i}: {line}");
+    }
+    // each reply is one write on a TCP_NODELAY socket, so no round trip
+    // waits for the client's delayed ACK (~40 ms each otherwise)
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 pings took {elapsed:?}"
+    );
+}
+
+#[test]
+fn over_long_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    let root = tmp_root("longline");
+    let daemon = Daemon::spawn(&root, &[]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connect");
+    stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+    // 2 MiB with no newline; the daemon stops reading at its 1 MiB cap,
+    // so the tail is sent from a thread, where it may block until the
+    // daemon closes the connection and then fail
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("read the error reply");
+    let reply = Json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    assert!(
+        reply
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{reply}"
+    );
+    sender.join().expect("sender thread");
+
+    let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        pong.get("pong").and_then(Json::as_bool),
+        Some(true),
+        "{pong}"
+    );
+}

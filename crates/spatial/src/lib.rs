@@ -10,12 +10,11 @@
 //! * [`GridIndexBuffer`] — the same grid in **reusable, allocation-free**
 //!   form: retained CSR storage re-binned in place every rebuild, entries
 //!   split into parallel `ids` / packed-coordinate arrays so the inner
-//!   distance loop streams dense 16-byte pairs. This is the engine behind
-//!   the flooding simulator's adaptive transmit path: it can index an
-//!   arbitrary *subset* of an agent population (the transmitters or the
-//!   shrinking uninformed set, whichever is smaller) without copying
-//!   positions, and after warm-up a rebuild performs **zero heap
-//!   allocations**;
+//!   distance loop streams dense 16-byte pairs. It can index an
+//!   arbitrary *subset* of an agent population (the flooding
+//!   simulator's gossip path bins the shrinking uninformed set) without
+//!   copying positions, and after warm-up a rebuild performs **zero
+//!   heap allocations**;
 //! * **incremental maintenance** — a buffer built with
 //!   [`GridIndexBuffer::rebuild_incremental`] lays its CSR rows out with
 //!   *slack capacity* and can then be kept in sync with a moving
@@ -474,20 +473,20 @@ pub struct GridIndexBuffer {
     /// the bucket join (built for free inside the prefix-sum pass, and
     /// re-derived after every incremental update).
     occupied: Vec<u32>,
-    /// Incremental mode only: remaining *expected-arrival headroom* per
+    /// Slack layouts only: remaining *expected-arrival headroom* per
     /// bucket — row capacity pre-reserved for ids announced via
     /// `rebuild_incremental`'s `expected` list, decremented as arrivals
     /// land. Keeps a grid whose membership grows monotonically (the
     /// transmit roster) from overflowing its rows on every frontier
     /// advance; honored by re-layouts.
     extra: Vec<u32>,
-    /// Incremental mode only: `slot_of[id]` is the entry slot currently
+    /// Slack layouts only: `slot_of[id]` is the entry slot currently
     /// holding original id `id` (`u32::MAX` when not indexed), the
     /// `O(1)` handle behind removals and swap-relocations. Entries for
     /// ids outside the indexed subset are stale garbage and must never
     /// be read — callers name ids explicitly, so they never are.
     slot_of: Vec<u32>,
-    /// Incremental mode only: entries displaced by a full row (plus
+    /// Slack layouts only: entries displaced by a full row (plus
     /// inserts that found no room), parked here until the end-of-update
     /// re-layout re-files them. Always empty between calls.
     pending: Vec<(u32, f64, f64)>,
@@ -511,18 +510,10 @@ pub struct GridIndexBuffer {
     /// in canonical shard order. Grow-only; pre-sized by
     /// [`GridIndexBuffer::reserve_parallel`].
     par_out: Vec<u32>,
-    /// Parallel-refresh relocation scratch: per-shard regions of
-    /// `(id, x, y, new_bucket)` bucket-crossers, re-filed sequentially
-    /// after the sharded row pass.
-    par_moves: Vec<(u32, f64, f64, u32)>,
-    /// Parallel-refresh slot-map fixups `(id, slot)` deferred out of the
-    /// sharded pass (slot-map writes are scattered by id, so they are
-    /// applied in canonical shard order afterwards).
-    par_fixups: Vec<(u32, u32)>,
     len: usize,
 }
 
-/// Ceiling on parallel shards of the sharded join/refresh passes: keeps
+/// Ceiling on parallel shards of the sharded join pass: keeps
 /// the per-call shard descriptors on the stack (no per-step allocation)
 /// while still letting a wide pool split the work 2–4 ways per thread.
 const MAX_PAR_SHARDS: usize = 32;
@@ -552,7 +543,12 @@ impl GridIndexBuffer {
     /// never built. A finer-than-`points/4`-rows slack layout simply
     /// allocates on first build and retains the storage afterwards.
     pub fn reserve(&mut self, points: usize) {
-        let (table, slots) = Self::reserve_bounds(points);
+        let cap = (2.0 * (points.max(1) as f64).sqrt()).ceil() as usize + 1;
+        let table = cap * cap + 1;
+        // the worst-case slack layout: every row keeps `count/4 + 8`
+        // spare slots (`slack_cap`), the per-row floor term bounded by
+        // the coarse-geometry row counts described above
+        let slots = points + points / 4 + 8 * table.min(points / 4 + 1);
         self.starts.reserve(table.saturating_sub(self.starts.len()));
         self.ends.reserve(table.saturating_sub(self.ends.len()));
         self.extra.reserve(table.saturating_sub(self.extra.len()));
@@ -572,22 +568,6 @@ impl GridIndexBuffer {
         // bucket table itself)
         self.occupied
             .reserve(points.min(table).saturating_sub(self.occupied.len()));
-    }
-
-    /// The worst-case `(bucket_table, entry_slots)` sizes behind
-    /// [`GridIndexBuffer::reserve`] and
-    /// [`GridIndexBuffer::reserve_parallel`] — one formula, so the two
-    /// reservations cannot drift apart when the slack policy
-    /// ([`slack_cap`]) is tuned. The slot bound is the worst-case slack
-    /// layout: every row keeps `count/4 + 8` spare slots, so entry
-    /// storage tops out at `points + points/4 + 8·rows`, the per-row
-    /// floor term bounded by the coarse-geometry row counts described
-    /// on `reserve`.
-    fn reserve_bounds(points: usize) -> (usize, usize) {
-        let cap = (2.0 * (points.max(1) as f64).sqrt()).ceil() as usize + 1;
-        let table = cap * cap + 1;
-        let slots = points + points / 4 + 8 * table.min(points / 4 + 1);
-        (table, slots)
     }
 
     /// Creates an empty buffer; storage grows on first rebuild and is
@@ -614,33 +594,20 @@ impl GridIndexBuffer {
             incremental: false,
             relayouts: 0,
             par_out: Vec::new(),
-            par_moves: Vec::new(),
-            par_fixups: Vec::new(),
             len: 0,
         }
     }
 
-    /// Pre-sizes the parallel-path scratch (sharded join output,
-    /// sharded refresh relocation/fixup regions) for populations of up
-    /// to `points`, so parallel joins and refreshes are allocation-free
-    /// from the first call. Complements [`GridIndexBuffer::reserve`]
-    /// (which covers the sequential machinery); callers that never use
-    /// the `_par` entry points need not call this — the scratch also
-    /// grows on demand and is retained.
-    ///
-    /// The relocation/fixup regions are sized by the slack layout's
-    /// **slot** total (every live entry could cross a bucket boundary in
-    /// one refresh), the same bound `reserve` uses for the entry arrays.
+    /// Pre-sizes the sharded-join output scratch of
+    /// [`GridIndexBuffer::join_covered_by_stale_par`] for populations of
+    /// up to `points`, so parallel joins are allocation-free from the
+    /// first call. Complements [`GridIndexBuffer::reserve`] (which
+    /// covers the sequential machinery); callers that never use the
+    /// parallel join need not call this — the scratch also grows on
+    /// demand and is retained.
     pub fn reserve_parallel(&mut self, points: usize) {
-        let (_, slots) = Self::reserve_bounds(points);
         if self.par_out.len() < points {
             self.par_out.resize(points, 0);
-        }
-        if self.par_moves.len() < slots {
-            self.par_moves.resize(slots, (0, 0.0, 0.0, 0));
-        }
-        if self.par_fixups.len() < slots {
-            self.par_fixups.resize(slots, (0, 0));
         }
     }
 
@@ -1187,49 +1154,6 @@ impl GridIndexBuffer {
         removed: &[u32],
         inserted: &[u32],
     ) -> Result<UpdateStats, SpatialError> {
-        self.update_moved_inner(positions, removed, inserted, None)
-    }
-
-    /// Parallel form of [`GridIndexBuffer::update_moved`]: the
-    /// coordinate-refresh/relocation pass (step 2, the `O(live)` part)
-    /// runs **sharded by bucket row** on `pool` — each shard owns a
-    /// contiguous range of CSR rows and therefore disjoint slices of the
-    /// entry arrays — while removals, insertions, and the relocation of
-    /// bucket-crossers stay sequential (they are `O(churn)` and
-    /// `O(crossers)`).
-    ///
-    /// A shard refreshes cached coordinates and swap-removes crossers
-    /// within its own rows only; the crossers and the slot-map fixups
-    /// (scattered by id, so not safely writable from shards) are parked
-    /// in per-shard regions of retained scratch and applied in canonical
-    /// shard order afterwards. The resulting index is **coherent and
-    /// holds exactly the entry set** a sequential `update_moved` would
-    /// produce; only the order of entries *within* a row may differ
-    /// (bucket-crossers are appended after the sharded pass instead of
-    /// interleaved during it), which queries and joins never observe as
-    /// anything but report order. Allocation-free once warm
-    /// ([`GridIndexBuffer::reserve_parallel`]).
-    ///
-    /// # Errors and panics
-    ///
-    /// As [`GridIndexBuffer::update_moved`].
-    pub fn update_moved_par(
-        &mut self,
-        positions: &[Point],
-        removed: &[u32],
-        inserted: &[u32],
-        pool: &WorkerPool,
-    ) -> Result<UpdateStats, SpatialError> {
-        self.update_moved_inner(positions, removed, inserted, Some(pool))
-    }
-
-    fn update_moved_inner(
-        &mut self,
-        positions: &[Point],
-        removed: &[u32],
-        inserted: &[u32],
-        pool: Option<&WorkerPool>,
-    ) -> Result<UpdateStats, SpatialError> {
         assert!(
             self.incremental,
             "update_moved requires a slack layout (build with rebuild_incremental)"
@@ -1249,62 +1173,36 @@ impl GridIndexBuffer {
             self.remove_one(id);
         }
         // 2. the move pass: refresh every cached coordinate and
-        // relocate bucket-crossers.
-        let tasks = pool.map_or(1, |p| {
-            if p.threads() <= 1 {
-                // a 1-thread pool refreshes fastest on the sequential
-                // interleaved pass (no fixup/crosser parking)
-                1
-            } else {
-                p.threads().saturating_mul(2).min(MAX_PAR_SHARDS).min(m * m)
-            }
-        });
-        let relocated = if tasks > 1 {
-            match self.refresh_rows_sharded(positions, pool.expect("tasks > 1"), tasks) {
-                Ok(relocated) => relocated,
-                Err(index) => {
+        // relocate bucket-crossers. Relocations interleave with the
+        // scan: an entry relocated into a not-yet-visited row is
+        // re-examined there, which is a no-op (its bucket now matches);
+        // the swapped-in entry lands in slot `e` and is examined next
+        // iteration, so nothing is skipped.
+        let mut relocated = 0usize;
+        for b in 0..m * m {
+            let mut e = self.starts[b] as usize;
+            while e < self.ends[b] as usize {
+                let id = self.ids[e];
+                let p = positions[id as usize];
+                if !p.is_finite() {
                     self.degrade_to_empty();
-                    return Err(SpatialError::NotFinite { index });
+                    return Err(SpatialError::NotFinite { index: id as usize });
                 }
-            }
-        } else {
-            // sequential: relocations interleave with the scan. An entry
-            // relocated into a not-yet-visited row is re-examined there,
-            // which is a no-op (its bucket now matches); the swapped-in
-            // entry lands in slot `e` and is examined next iteration, so
-            // nothing is skipped.
-            let mut relocated = 0usize;
-            let mut bad: Option<usize> = None;
-            'rows: for b in 0..m * m {
-                let mut e = self.starts[b] as usize;
-                while e < self.ends[b] as usize {
-                    let id = self.ids[e];
-                    let p = positions[id as usize];
-                    if !p.is_finite() {
-                        bad = Some(id as usize);
-                        break 'rows;
-                    }
-                    let nb = bucket_of(p.x, p.y);
-                    self.pts[e] = (p.x, p.y);
-                    if nb == b {
-                        e += 1;
-                        continue;
-                    }
-                    relocated += 1;
-                    let last = self.ends[b] as usize - 1;
-                    self.ids[e] = self.ids[last];
-                    self.pts[e] = self.pts[last];
-                    self.slot_of[self.ids[e] as usize] = e as u32;
-                    self.ends[b] = last as u32;
-                    self.insert_raw(nb, id, p.x, p.y, false);
+                let nb = bucket_of(p.x, p.y);
+                self.pts[e] = (p.x, p.y);
+                if nb == b {
+                    e += 1;
+                    continue;
                 }
+                relocated += 1;
+                let last = self.ends[b] as usize - 1;
+                self.ids[e] = self.ids[last];
+                self.pts[e] = self.pts[last];
+                self.slot_of[self.ids[e] as usize] = e as u32;
+                self.ends[b] = last as u32;
+                self.insert_raw(nb, id, p.x, p.y, false);
             }
-            if let Some(index) = bad {
-                self.degrade_to_empty();
-                return Err(SpatialError::NotFinite { index });
-            }
-            relocated
-        };
+        }
         // 3. membership insertions, binned by their current position
         for &id in inserted {
             let p = positions[id as usize];
@@ -1327,194 +1225,6 @@ impl GridIndexBuffer {
             relocated,
             relayout,
         })
-    }
-
-    /// The sharded coordinate-refresh pass of
-    /// [`GridIndexBuffer::update_moved_par`]: splits the CSR rows into
-    /// `tasks` contiguous shards balanced by slot count (rows are
-    /// contiguous in the entry arrays, so each shard owns disjoint
-    /// slices of `ids`/`pts`/`ends`), refreshes in parallel, then
-    /// applies the deferred slot-map fixups and re-files the
-    /// bucket-crossers sequentially in canonical shard order.
-    ///
-    /// Returns the relocation count, or the first non-finite agent id
-    /// (by shard order) — the caller degrades and reports it exactly as
-    /// the sequential path does.
-    fn refresh_rows_sharded(
-        &mut self,
-        positions: &[Point],
-        pool: &WorkerPool,
-        tasks: usize,
-    ) -> Result<usize, usize> {
-        let m = self.m;
-        let rows = m * m;
-        let min = self.region.min();
-        let inv_x = 1.0 / self.bucket_len_x;
-        let inv_y = 1.0 / self.bucket_len_y;
-        let slots = self.starts[rows] as usize;
-        // row-aligned shard boundaries, balanced by slot span
-        let per_shard = slots.div_ceil(tasks).max(1);
-        let mut row_bound = [0usize; MAX_PAR_SHARDS + 1];
-        {
-            let mut shard = 0usize;
-            for b in 0..rows {
-                if (self.starts[b] as usize) >= (shard + 1) * per_shard && shard + 1 < tasks {
-                    shard += 1;
-                    row_bound[shard] = b;
-                }
-            }
-            for bound in row_bound.iter_mut().take(tasks + 1).skip(shard + 1) {
-                *bound = rows;
-            }
-        }
-        // the entry arrays and scratch leave `self` for the duration of
-        // the sharded pass (the kernel reads `self.starts` shared)
-        let mut ids = std::mem::take(&mut self.ids);
-        let mut pts = std::mem::take(&mut self.pts);
-        let mut ends = std::mem::take(&mut self.ends);
-        let mut par_moves = std::mem::take(&mut self.par_moves);
-        let mut par_fixups = std::mem::take(&mut self.par_fixups);
-        if par_moves.len() < slots {
-            par_moves.resize(slots, (0, 0.0, 0.0, 0));
-        }
-        if par_fixups.len() < slots {
-            par_fixups.resize(slots, (0, 0));
-        }
-        struct RefreshShard<'a> {
-            b_lo: usize,
-            b_hi: usize,
-            /// Global slot index of `ids[0]`/`pts[0]`.
-            slot_off: usize,
-            ids: &'a mut [u32],
-            pts: &'a mut [(f64, f64)],
-            ends: &'a mut [u32],
-            moves: &'a mut [(u32, f64, f64, u32)],
-            fixups: &'a mut [(u32, u32)],
-            n_moves: usize,
-            n_fixups: usize,
-            bad: Option<u32>,
-        }
-        let mut shards: [Option<RefreshShard>; MAX_PAR_SHARDS] = std::array::from_fn(|_| None);
-        {
-            let starts = &self.starts;
-            let (mut ids_rest, mut pts_rest) = (&mut ids[..slots], &mut pts[..slots]);
-            let mut ends_rest = &mut ends[..rows];
-            let (mut mv_rest, mut fx_rest) = (&mut par_moves[..slots], &mut par_fixups[..slots]);
-            for (s, slot) in shards.iter_mut().enumerate().take(tasks) {
-                let (b_lo, b_hi) = (row_bound[s], row_bound[s + 1]);
-                let slot_lo = starts[b_lo] as usize;
-                let span = starts[b_hi] as usize - slot_lo;
-                let (ids_part, ids_tail) = ids_rest.split_at_mut(span);
-                let (pts_part, pts_tail) = pts_rest.split_at_mut(span);
-                let (ends_part, ends_tail) = ends_rest.split_at_mut(b_hi - b_lo);
-                let (mv_part, mv_tail) = mv_rest.split_at_mut(span);
-                let (fx_part, fx_tail) = fx_rest.split_at_mut(span);
-                ids_rest = ids_tail;
-                pts_rest = pts_tail;
-                ends_rest = ends_tail;
-                mv_rest = mv_tail;
-                fx_rest = fx_tail;
-                *slot = Some(RefreshShard {
-                    b_lo,
-                    b_hi,
-                    slot_off: slot_lo,
-                    ids: ids_part,
-                    pts: pts_part,
-                    ends: ends_part,
-                    moves: mv_part,
-                    fixups: fx_part,
-                    n_moves: 0,
-                    n_fixups: 0,
-                    bad: None,
-                });
-            }
-        }
-        {
-            let starts = &self.starts;
-            run_ctx(pool, &mut shards[..tasks], |_s, shard| {
-                let sh = shard.as_mut().expect("shard built above");
-                // `b` walks rows while the body mutates several local
-                // arrays at row-derived offsets; an iterator form over
-                // `starts` would obscure that
-                #[allow(clippy::needless_range_loop)]
-                'rows: for b in sh.b_lo..sh.b_hi {
-                    let lb = b - sh.b_lo;
-                    let mut e = starts[b] as usize;
-                    let mut end = sh.ends[lb] as usize;
-                    while e < end {
-                        let le = e - sh.slot_off;
-                        let id = sh.ids[le];
-                        let p = positions[id as usize];
-                        if !p.is_finite() {
-                            sh.bad = Some(id);
-                            break 'rows;
-                        }
-                        let nb = bin(p.x, p.y, min, inv_x, inv_y, m);
-                        sh.pts[le] = (p.x, p.y);
-                        if nb == b {
-                            e += 1;
-                            continue;
-                        }
-                        // bucket-crosser: swap-remove within the row;
-                        // the re-file and the slot-map write are parked
-                        // for the sequential merge
-                        sh.moves[sh.n_moves] = (id, p.x, p.y, nb as u32);
-                        sh.n_moves += 1;
-                        let last = end - 1;
-                        let ll = last - sh.slot_off;
-                        sh.ids[le] = sh.ids[ll];
-                        sh.pts[le] = sh.pts[ll];
-                        sh.fixups[sh.n_fixups] = (sh.ids[le], e as u32);
-                        sh.n_fixups += 1;
-                        end = last;
-                    }
-                    sh.ends[lb] = end as u32;
-                }
-            });
-        }
-        // canonical-order merge: fixups first (an id's final slot is the
-        // last fixup recorded for it, exactly as the sequential
-        // interleaving would have left it), then the crossers re-file
-        let mut bad: Option<u32> = None;
-        let mut relocated = 0usize;
-        for shard in shards.iter().take(tasks) {
-            let sh = shard.as_ref().expect("shard built above");
-            if bad.is_none() {
-                bad = sh.bad;
-            }
-        }
-        if bad.is_none() {
-            for shard in shards.iter().take(tasks) {
-                let sh = shard.as_ref().expect("shard built above");
-                for &(id, slot) in &sh.fixups[..sh.n_fixups] {
-                    self.slot_of[id as usize] = slot;
-                }
-                relocated += sh.n_moves;
-            }
-        }
-        let move_bounds: [(usize, usize); MAX_PAR_SHARDS] = std::array::from_fn(|s| {
-            if s < tasks {
-                let sh = shards[s].as_ref().expect("shard built above");
-                (sh.slot_off, sh.n_moves)
-            } else {
-                (0, 0)
-            }
-        });
-        self.ids = ids;
-        self.pts = pts;
-        self.ends = ends;
-        self.par_moves = par_moves;
-        self.par_fixups = par_fixups;
-        if let Some(id) = bad {
-            return Err(id as usize);
-        }
-        for &(slot_off, n_moves) in move_bounds.iter().take(tasks) {
-            for k in 0..n_moves {
-                let (id, x, y, nb) = self.par_moves[slot_off + k];
-                self.insert_raw(nb as usize, id, x, y, false);
-            }
-        }
-        Ok(relocated)
     }
 
     /// Files `id` (cached position `(x, y)`) into row `nb`'s slack; a
@@ -2511,77 +2221,6 @@ mod tests {
             inc.join_covered_by_stale_par(&tx, 2.0, 0.5, &pts, &pool, &mut parallel);
             assert_eq!(parallel, sequential, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn parallel_update_moved_matches_sequential_entry_set() {
-        // the sharded refresh must produce the same entry set, slot-map
-        // coherence, and membership as the sequential pass, through
-        // drift, churn, and slack-overflow re-layouts
-        let mut seed = 987654321u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let n = 500usize;
-        let mut pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(next() * 100.0, next() * 100.0))
-            .collect();
-        let members: Vec<u32> = (0..n as u32).collect();
-        let mut seq = GridIndexBuffer::new();
-        let mut par = GridIndexBuffer::new();
-        seq.rebuild_incremental(region(), 6.0, &pts, &members, n, &[])
-            .unwrap();
-        par.rebuild_incremental(region(), 6.0, &pts, &members, n, &[])
-            .unwrap();
-        let pool = WorkerPool::new(3);
-        for round in 0..12 {
-            // drift: every agent walks; some cross bucket boundaries
-            for p in pts.iter_mut() {
-                *p = Point::new(
-                    (p.x + 2.5 * (next() - 0.5)).clamp(0.0, 100.0),
-                    (p.y + 2.5 * (next() - 0.5)).clamp(0.0, 100.0),
-                );
-            }
-            // churn: a couple of ids leave and rejoin alternately
-            let (removed, inserted): (Vec<u32>, Vec<u32>) = if round % 2 == 0 {
-                (vec![7, 11], vec![])
-            } else {
-                (vec![], vec![7, 11])
-            };
-            let s = seq.update_moved(&pts, &removed, &inserted).unwrap();
-            let p = par
-                .update_moved_par(&pts, &removed, &inserted, &pool)
-                .unwrap();
-            assert_eq!(s.relocated, p.relocated, "round {round}");
-            assert_eq!(seq.len(), par.len(), "round {round}");
-            let mut seq_entries = Vec::new();
-            seq.for_each_entry(|b, id, pt| {
-                seq_entries.push((b, id, pt.x.to_bits(), pt.y.to_bits()))
-            });
-            let mut par_entries = Vec::new();
-            par.for_each_entry(|b, id, pt| {
-                par_entries.push((b, id, pt.x.to_bits(), pt.y.to_bits()))
-            });
-            seq_entries.sort_unstable();
-            par_entries.sort_unstable();
-            assert_eq!(
-                seq_entries, par_entries,
-                "round {round}: entry sets diverged"
-            );
-            assert_eq!(
-                seq.occupied_buckets(),
-                par.occupied_buckets(),
-                "round {round}: occupied lists diverged"
-            );
-            // slot-map coherence: a follow-up surgery through the map
-            // must work on the parallel buffer (exercised next round)
-        }
-        // the parallel buffer's slot map stays usable for removals
-        par.update_membership(&pts, &[3, 99, 250], &[]).unwrap();
-        assert_eq!(par.len(), n - 3);
     }
 
     #[test]

@@ -35,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Flood from an agent near the center, in the stationary phase
     // (perfect simulation — no warm-up). The transmit engine can be
-    // pinned explicitly (Adaptive is the default; Incremental / Oracle
-    // are lockstep-identical per seed, so the choice is purely a
-    // performance decision — see docs/ARCHITECTURE.md).
+    // pinned explicitly (Adaptive is the default; the brute-force Oracle
+    // is lockstep-identical per seed and exists to test against — see
+    // docs/ARCHITECTURE.md).
     let model = Mrwp::new(params.side(), params.speed())?;
     let mut sim = FloodingSim::new(
         model,

@@ -5,8 +5,8 @@
 #
 # Two measurement shapes from the flood_end_to_end bench:
 #   engine_step            fixed step batches from a cloned ~25%-informed
-#                          state (pure mid-flood frontier work); adaptive
-#                          vs the forced incremental engine;
+#                          state (pure mid-flood frontier work) on the
+#                          adaptive engine;
 #   engine_step_sustained  time-sized step() loop from ~50% informed —
 #                          the seed's own measurement protocol, directly
 #                          comparable with the baseline blocks below.
@@ -53,7 +53,7 @@ machine="$(uname -srm); $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut 
   echo '  "units": "ns_per_iter; engine_step iterates a whole step batch (see throughput_per_iter for agent-steps), engine_step_sustained iterates one step",'
   echo "  \"recorded_at\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"machine\": \"${machine}\","
-  echo '  "notes": "Two protocols measure different things. engine_step isolates the transmit ALGORITHM: fixed mid-flood step batches (completion asserted not to occur); adaptive (production policy) vs forced incremental (diff-maintained slack grids), both riding the same optimized mobility layer; the retired bucket_join and seed_rebuild engines survive only in the baseline blocks. engine_step_sustained reproduces the whole-run protocol of the baseline blocks (warm to 50%, time-sized loop through completion): comparing its adaptive rows against baseline_pr4_adaptive_at_pr5_start measures the hot-entry shrink (sequential adaptive row) and the chunked-parallel engine (adaptive_par_t1/t2/t4 rows, the threads sweep; deterministic per thread count but a different trajectory sample than the sequential rows — see docs/BENCHMARKING.md). CAVEAT: this recording machine exposes 1 CPU, so t2/t4 cannot run concurrently and the sweep here measures dispatch overhead and determinism coverage, not scaling; the multi-thread acceptance figure requires a multi-core machine. phase_breakdown splits the sustained step into move/transmit/refresh (and the boundary-pass share of move) so move-pass regressions are visible in the share, not just the total; phase_breakdown_parallel is the same shape on the 4-thread chunked engine. move_kernel is the move-only A/B of the split advance-kernel/boundary-pass move pass against the scalar AoS reference loop; comparing the sustained adaptive rows against baseline_pr5_adaptive_at_pr6_start measures the move-pass rework end to end. checkpoint is the durability probe: snapshot (in-memory serialize), write (encode + atomic rename to disk), read, and restore latency plus the encoded size for a warm 100k-agent adaptive sim — what one checkpoint stride costs a long-lived run. Older baselines measure the full history: baseline_pr3_adaptive_at_pr4_start the batched-SoA-move-pass + measured-drift rework, baseline_pr2_adaptive_at_pr3_start the incremental re-binning rework, baseline_pr1_adaptive_at_pr2_start the join rework, baseline_seed_at_pr_start the whole engine rework since the seed.",'
+  echo '  "notes": "Two protocols measure different things. engine_step isolates the transmit ALGORITHM: fixed mid-flood step batches (completion asserted not to occur) on the adaptive production engine (the diff-maintained bucket join); the retired bucket_join, seed_rebuild and incremental engines survive only in the baseline blocks and older recordings. engine_step_sustained reproduces the whole-run protocol of the baseline blocks (warm to 50%, time-sized loop through completion): comparing its adaptive rows against baseline_pr4_adaptive_at_pr5_start measures the hot-entry shrink (sequential adaptive row) and the chunked-parallel engine (adaptive_par_t1/t2/t4 rows, the threads sweep; deterministic per thread count but a different trajectory sample than the sequential rows — see docs/BENCHMARKING.md). CAVEAT: this recording machine exposes 1 CPU, so t2/t4 cannot run concurrently and the sweep here measures dispatch overhead and determinism coverage, not scaling; the multi-thread acceptance figure requires a multi-core machine. phase_breakdown splits the sustained step into move/transmit/refresh (and the boundary-pass share of move) so move-pass regressions are visible in the share, not just the total; phase_breakdown_parallel is the same shape on the 4-thread chunked engine. move_kernel is the move-only A/B of the split advance-kernel/boundary-pass move pass against the scalar AoS reference loop; comparing the sustained adaptive rows against baseline_pr5_adaptive_at_pr6_start measures the move-pass rework end to end. checkpoint is the durability probe: snapshot (in-memory serialize), write (encode + atomic rename to disk), read, and restore latency plus the encoded size for a warm 100k-agent adaptive sim — what one checkpoint stride costs a long-lived run. Older baselines measure the full history: baseline_pr3_adaptive_at_pr4_start the batched-SoA-move-pass + measured-drift rework, baseline_pr2_adaptive_at_pr3_start the incremental re-binning rework, baseline_pr1_adaptive_at_pr2_start the join rework, baseline_seed_at_pr_start the whole engine rework since the seed.",'
   # The seed implementation (per-step GridIndex rebuild + full agent
   # scans + uncached L-path mobility + ChaCha12 StdRng), measured with
   # the sustained protocol at the start of the engine rework, before any

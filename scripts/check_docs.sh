@@ -42,7 +42,6 @@ doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
 doc_expect fastflood_spatial/struct.UpdateStats.html relocated
-doc_expect fastflood_core/enum.EngineMode.html Incremental
 doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_staleness
