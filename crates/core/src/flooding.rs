@@ -1163,7 +1163,8 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// Diagnostic: cumulative slack-overflow re-layouts taken by the two
     /// incremental grids (see [`GridIndexBuffer::relayouts`]) — the
     /// amortized-fallback cost knob to watch when tuning slack and
-    /// headroom.
+    /// headroom. A full row borrows a slot from a row nearby before it
+    /// re-layouts, so a flood in the paper's regime takes few or none.
     #[inline]
     pub fn incremental_relayouts(&self) -> u64 {
         self.grid.relayouts() + self.tx_grid.relayouts()
@@ -2175,11 +2176,12 @@ struct IncrementalSync {
 
 /// Membership-churn spike threshold of the incremental join: when one
 /// step informs more than `live/CHURN_SPIKE_DIVISOR` agents, the diff
-/// update's relocation traffic (and the slack-overflow re-layouts it
-/// provokes on the transmitter side) approaches full-rebuild cost, so
-/// the engine resyncs with full slack rebuilds instead. Spikes that
-/// large occur at dense-flood ignition and after mass crash recovery;
-/// mid-flood steps sit orders of magnitude below the threshold.
+/// update's relocation traffic (and the slack-overflow borrows and
+/// re-layouts it provokes on the transmitter side) approaches
+/// full-rebuild cost, so the engine resyncs with full slack rebuilds
+/// instead. Spikes that large occur at dense-flood ignition and after
+/// mass crash recovery; mid-flood steps sit orders of magnitude below
+/// the threshold.
 const CHURN_SPIKE_DIVISOR: usize = 8;
 
 /// The incrementally-maintained bucket-join transmit kernel of
@@ -2198,8 +2200,9 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 ///   which reads exact coordinates through `positions` and inflates
 ///   its prunes by the bound — no per-agent pass at all.
 /// * **refresh steps** — when the accumulated staleness would exceed
-///   the budget carved from the bucket margin
-///   (`(bucket − R)/2`, halved for safety), both grids are re-filed by
+///   the budget carved from the bucket margin (`0.45·(bucket − R)`:
+///   `R + 2·slop` reaches `3.7R` of the `4R` bucket, a `0.3R` guard
+///   band under the stale join's assert), both grids are re-filed by
 ///   [`GridIndexBuffer::update_moved`]: one linear coordinate-refresh
 ///   pass, `O(moved)` relocations, staleness back to zero, and the
 ///   step's join streams packed coordinates again.
@@ -2257,9 +2260,9 @@ fn join_covered_incremental(
     let live = uninformed.len() + transmitters.len();
     let bucket = JOIN_BUCKET_FACTOR * radius;
     // staleness budget: the stale join needs R + 2·slop to fit the
-    // bucket side; spend at most half the margin so prune inflation
-    // stays mild and rounding can never graze the guarantee
-    let slop_budget = 0.25 * (bucket - radius);
+    // bucket side; spend 90 % of the margin, so R + 2·slop = 3.7R of
+    // the 4R bucket and rounding can never graze the guarantee
+    let slop_budget = 0.45 * (bucket - radius);
     // churn since the last sync is the roster growth; only meaningful
     // when the chain is intact (a crash shrinks the roster and clears
     // `ready`, so the saturating difference is never misread)

@@ -1,9 +1,10 @@
 //! The `floodd` wire protocol: newline-delimited JSON over TCP.
 //!
 //! One request object per line, one response object per line, std-only
-//! (no async runtime — a thread per connection; the supervisor behind
-//! it is the bounded resource, not the socket count). Every response
-//! carries `"ok": true|false`; errors carry `"error"`.
+//! (no async runtime — a thread per connection, at most
+//! `MAX_CONNECTIONS` of them; the supervisor behind them bounds the
+//! work). Every response carries `"ok": true|false`; errors carry
+//! `"error"`.
 //!
 //! Ops (see `docs/SERVICE.md` for the full reference):
 //!
@@ -35,6 +36,10 @@ use std::time::Duration;
 /// bound.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Most client connections served at once. Each holds one OS thread,
+/// so a connection beyond the cap gets one error line and is closed.
+const MAX_CONNECTIONS: usize = 64;
+
 /// How often the stop watcher in [`serve`] checks the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(20);
 
@@ -43,7 +48,9 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 /// returns the final state of every job — the resumable set. The loop
 /// blocks in `accept`; a watcher thread turns a raised `stop` into one
 /// loopback connect to the listener, which wakes the loop within
-/// ~20 ms even with no traffic.
+/// ~20 ms even with no traffic. At most 64 connections are served at
+/// once; one more is answered `{"ok":false,"error":"too many
+/// connections"}` and closed.
 ///
 /// # Errors
 ///
@@ -78,7 +85,7 @@ pub fn serve(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match accepted {
+        let mut stream = match accepted {
             Ok((stream, _addr)) => stream,
             Err(e) => {
                 eprintln!("floodd: accept error: {e}");
@@ -86,6 +93,14 @@ pub fn serve(
                 continue;
             }
         };
+        conns.retain(|(h, _)| !h.is_finished());
+        if conns.len() >= MAX_CONNECTIONS {
+            // the reply fits any socket buffer, so this cannot block
+            // the accept loop; FIN follows it, as for an over-long line
+            let _ = send(&mut stream, &fail("too many connections"))
+                .and_then(|()| stream.shutdown(Shutdown::Write));
+            continue;
+        }
         // replies are single writes, so with Nagle's algorithm off no
         // reply waits for the client's delayed ACK
         let peer = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
@@ -103,7 +118,6 @@ pub fn serve(
             }
         });
         conns.push((handle, peer));
-        conns.retain(|(h, _)| !h.is_finished());
     }
     drop(listener);
     let _ = waker.join();

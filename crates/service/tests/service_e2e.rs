@@ -435,3 +435,65 @@ fn over_long_request_line_gets_an_error_and_the_daemon_keeps_serving() {
         "{pong}"
     );
 }
+
+#[test]
+fn connections_beyond_the_cap_are_refused_until_one_closes() {
+    let root = tmp_root("conncap");
+    let daemon = Daemon::spawn(&root, &[]);
+    let ping = format!("{}\n", Json::obj(vec![("op", Json::str("ping"))]));
+    // one line from a fresh connection, after sending `send` if given
+    let exchange = |send: Option<&str>| -> std::io::Result<(TcpStream, String)> {
+        let mut stream = TcpStream::connect(&daemon.addr)?;
+        stream.set_read_timeout(Some(WAIT))?;
+        if let Some(req) = send {
+            stream.write_all(req.as_bytes())?;
+        }
+        let mut line = String::new();
+        BufReader::new(stream.try_clone()?).read_line(&mut line)?;
+        Ok((stream, line))
+    };
+
+    // 64 idle connections, each proven served by one round trip
+    let mut idle = Vec::new();
+    for i in 0..64 {
+        let (stream, line) = exchange(Some(&ping)).expect("ping under the cap");
+        assert!(line.contains("\"pong\""), "connection {i}: {line}");
+        idle.push(stream);
+    }
+
+    // one more is refused with one error line, then EOF
+    let (refused, line) = exchange(None).expect("read the refusal");
+    let reply = Json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("too many connections"),
+        "{reply}"
+    );
+    let mut rest = String::new();
+    let mut reader = BufReader::new(refused);
+    assert_eq!(reader.read_line(&mut rest).expect("read EOF"), 0, "{rest}");
+
+    // closing one frees its slot once its thread has seen the EOF, so
+    // a fresh connection is served within moments
+    drop(idle.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match exchange(Some(&ping)) {
+            Ok((_, line)) if line.contains("\"pong\"") => break,
+            Ok((_, line)) => assert!(line.contains("too many connections"), "{line}"),
+            // a refusal may reset the connection before the ping is read
+            Err(_) => {}
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no slot freed 10 s after a connection closed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(idle);
+}

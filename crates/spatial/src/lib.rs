@@ -99,9 +99,11 @@ pub struct UpdateStats {
     /// retained layout (swap-remove from the old row, append to the
     /// new row's slack).
     pub relocated: usize,
-    /// Whether a row ran out of slack (or an insert found no room) and
-    /// the whole layout was rebuilt in place with fresh slack. The
-    /// re-layout runs entirely out of retained storage; `true` here
+    /// Whether the whole layout was rebuilt in place with fresh slack:
+    /// an entry found its row full and no row within one bucket row
+    /// (`m` rows, row-major) had a spare slot to lend it. A full row
+    /// with a lender in reach borrows instead and leaves this `false`.
+    /// The re-layout runs entirely out of retained storage; `true` here
     /// signals amortized extra work, not an error.
     pub relayout: bool,
 }
@@ -487,8 +489,9 @@ pub struct GridIndexBuffer {
     /// be read — callers name ids explicitly, so they never are.
     slot_of: Vec<u32>,
     /// Slack layouts only: entries displaced by a full row (plus
-    /// inserts that found no room), parked here until the end-of-update
-    /// re-layout re-files them. Always empty between calls.
+    /// inserts that found no room), parked here until the end of the
+    /// update borrows a slot for each (or, failing that, re-layouts).
+    /// Always empty between calls.
     pending: Vec<(u32, f64, f64)>,
     /// Frontier-band filter of the stale join: `band_stamp[b] ==
     /// band_epoch` marks bucket `b` as lying in the 3×3 neighborhood of
@@ -505,6 +508,9 @@ pub struct GridIndexBuffer {
     /// Cumulative full re-layouts taken by incremental updates (the
     /// slack-overflow fallback); a diagnostic for tests and tuning.
     relayouts: u64,
+    /// Cumulative slots borrowed from another row by parked entries;
+    /// read by the unit tests to prove the overflow path ran.
+    borrows: u64,
     /// Parallel-join output scratch: per-shard disjoint regions sized by
     /// each shard's live entry count, compacted into the caller's output
     /// in canonical shard order. Grow-only; pre-sized by
@@ -593,6 +599,7 @@ impl GridIndexBuffer {
             band_epoch: 0,
             incremental: false,
             relayouts: 0,
+            borrows: 0,
             par_out: Vec::new(),
             len: 0,
         }
@@ -701,11 +708,11 @@ impl GridIndexBuffer {
     /// by overflow re-layouts. A membership that only grows — the
     /// flooding engine's transmit roster, fed by the shrinking
     /// uninformed set — would otherwise exhaust any constant slack on
-    /// every frontier advance and re-layout each step; with its future
-    /// members announced, rows absorb the whole flood. Pass `&[]` when
-    /// membership shrinks or churns symmetrically. (Positions of
-    /// `expected` ids are a capacity hint only; non-finite ones are
-    /// tolerated.)
+    /// every frontier advance and borrow or re-layout each step; with
+    /// its future members announced, rows absorb the whole flood. Pass
+    /// `&[]` when membership shrinks or churns symmetrically.
+    /// (Positions of `expected` ids are a capacity hint only; non-finite
+    /// ones are tolerated.)
     ///
     /// Queries and [`GridIndexBuffer::join_covered_by`] behave exactly
     /// as after a tight rebuild — every read path walks the *live*
@@ -1004,9 +1011,14 @@ impl GridIndexBuffer {
     /// reset the staleness budget.
     ///
     /// Inserted ids are filed by their **current** position (their own
-    /// staleness starts at zero). A slack overflow re-layouts in place
-    /// exactly as in [`GridIndexBuffer::update_moved`] — re-layouts
-    /// re-bin by *cached* coordinates, so staleness is unaffected.
+    /// staleness starts at zero). An insert into a full row borrows a
+    /// slot from the nearest row with room, exactly as in
+    /// [`GridIndexBuffer::update_moved`], and the occupied list stays
+    /// exact. Only when no row within one bucket row can lend does the
+    /// buffer re-layout in place (counted by
+    /// [`GridIndexBuffer::relayouts`]). Borrows move entries with their
+    /// cached coordinates and re-layouts re-bin by them, so staleness
+    /// is unaffected either way.
     ///
     /// # Examples
     ///
@@ -1073,11 +1085,10 @@ impl GridIndexBuffer {
             self.insert_raw(self.bucket_index(p.x, p.y), id, p.x, p.y, true);
             self.len += 1;
         }
-        // `occupied` was maintained in place by the surgery above; only
-        // the overflow fallback re-derives it (inside the re-layout)
-        if !self.pending.is_empty() {
-            self.relayout();
-        }
+        // `occupied` was maintained in place by the surgery above and
+        // is kept so by the borrows; only the re-layout fallback
+        // re-derives it
+        self.settle_pending();
         Ok(())
     }
 
@@ -1093,10 +1104,15 @@ impl GridIndexBuffer {
     /// 3. **insertions** — each id in `inserted` is filed into its
     ///    bucket's slack.
     ///
-    /// A row out of slack parks the entry instead of failing; if any
-    /// entry was parked, the whole layout is rebuilt in place with
-    /// fresh slack before returning (reported via
-    /// [`UpdateStats::relayout`], counted by
+    /// A row out of slack parks the entry instead of failing. After
+    /// the scan and the insertions, each parked entry **borrows** one
+    /// slot from the nearest row with spare capacity on either side
+    /// (row-major order, at most one bucket row — `m` rows — away):
+    /// every row in between shifts by one slot, moving one of its
+    /// entries from one end to the other, so the cost is one entry
+    /// move per row crossed. Only entries with no lender in reach make
+    /// the whole layout rebuild in place with fresh slack (reported
+    /// via [`UpdateStats::relayout`], counted by
     /// [`GridIndexBuffer::relayouts`]). Either way the buffer ends the
     /// call **coherent**: every entry sits in the row its cached
     /// position bins to, the occupied-bucket list is exact and sorted,
@@ -1213,14 +1229,11 @@ impl GridIndexBuffer {
             self.insert_raw(bucket_of(p.x, p.y), id, p.x, p.y, true);
             self.len += 1;
         }
-        // overflow fallback, then occupied-list re-derivation (the
-        // re-layout rebuilds occupied itself)
-        let relayout = !self.pending.is_empty();
-        if relayout {
-            self.relayout();
-        } else {
-            self.rescan_occupied();
-        }
+        // re-derive the occupied list, then let parked entries borrow
+        // slots now that no scan can see a row shift (borrows keep the
+        // list exact, a re-layout rebuilds it)
+        self.rescan_occupied();
+        let relayout = self.settle_pending();
         Ok(UpdateStats {
             relocated,
             relayout,
@@ -1229,7 +1242,7 @@ impl GridIndexBuffer {
 
     /// Files `id` (cached position `(x, y)`) into row `nb`'s slack; a
     /// full row parks the entry on the pending list for the
-    /// end-of-update re-layout instead.
+    /// end-of-update borrow instead.
     ///
     /// `arrival` marks a *membership* insertion from
     /// [`GridIndexBuffer::update_membership`] /
@@ -1244,29 +1257,123 @@ impl GridIndexBuffer {
     /// occupied list afterwards anyway, so the hot relocation loop
     /// stays free of list bookkeeping.
     fn insert_raw(&mut self, nb: usize, id: u32, x: f64, y: f64, arrival: bool) {
+        if arrival && self.extra[nb] > 0 {
+            self.extra[nb] -= 1;
+        }
         let end = self.ends[nb] as usize;
         if end < self.starts[nb + 1] as usize {
             self.ids[end] = id;
             self.pts[end] = (x, y);
             self.slot_of[id as usize] = end as u32;
             self.ends[nb] = end as u32 + 1;
-            if arrival {
-                if self.extra[nb] > 0 {
-                    self.extra[nb] -= 1;
-                }
-                if end == self.starts[nb] as usize {
-                    // empty → non-empty transition keeps `occupied`
-                    // exact without any table scan (rare: O(occupied)
-                    // memmove; no allocation, the list is reserved for
-                    // worst case)
-                    if let Err(i) = self.occupied.binary_search(&(nb as u32)) {
-                        self.occupied.insert(i, nb as u32);
-                    }
-                }
+            if arrival && end == self.starts[nb] as usize {
+                self.mark_occupied(nb);
             }
         } else {
             self.pending.push((id, x, y));
         }
+    }
+
+    /// Records an empty → non-empty transition of row `b` in the
+    /// occupied list without any table scan (rare: `O(occupied)`
+    /// memmove; no allocation, the list is reserved for worst case).
+    fn mark_occupied(&mut self, b: usize) {
+        if let Err(i) = self.occupied.binary_search(&(b as u32)) {
+            self.occupied.insert(i, b as u32);
+        }
+    }
+
+    /// Files every parked entry by borrowing a slot
+    /// ([`GridIndexBuffer::borrow_slot`]); entries with no lender in
+    /// reach stay parked and one re-layout files them with the rest.
+    /// Expects an exact occupied list and keeps it exact. Returns
+    /// whether a re-layout ran.
+    fn settle_pending(&mut self) -> bool {
+        let mut kept = 0;
+        for i in 0..self.pending.len() {
+            let (id, x, y) = self.pending[i];
+            if !self.borrow_slot(id, x, y) {
+                self.pending[kept] = (id, x, y);
+                kept += 1;
+            }
+        }
+        self.pending.truncate(kept);
+        if kept > 0 {
+            self.relayout();
+        }
+        kept > 0
+    }
+
+    /// Files parked entry `id` (cached position `(x, y)`) into its row
+    /// `nb`, taking one slot from the nearest row with spare capacity
+    /// within one bucket row (`m` rows, row-major, ties to the right).
+    /// The rows strictly between are full, and each shifts by one slot
+    /// toward the lender: on a right borrow every such row moves its
+    /// first entry to one past its end, on a left borrow its last entry
+    /// to one before its start; `slot_of` follows every moved entry.
+    /// Row `nb` itself may have gained room since the entry was parked
+    /// (the scan relocates entries out of later rows), in which case no
+    /// row shifts. Returns `false`, changing nothing, when no row in
+    /// reach has room.
+    fn borrow_slot(&mut self, id: u32, x: f64, y: f64) -> bool {
+        let rows = self.m * self.m;
+        let nb = self.bucket_index(x, y);
+        let has_room = |b: usize| self.ends[b] < self.starts[b + 1];
+        let Some(lender) = (0..=self.m).find_map(|d| {
+            if nb + d < rows && has_room(nb + d) {
+                Some(nb + d)
+            } else if d <= nb && has_room(nb - d) {
+                Some(nb - d)
+            } else {
+                None
+            }
+        }) else {
+            return false;
+        };
+        let was_empty = self.ends[nb] == self.starts[nb];
+        let at = if lender >= nb {
+            for b in (nb + 1..=lender).rev() {
+                let (start, end) = (self.starts[b] as usize, self.ends[b] as usize);
+                if end > start {
+                    self.move_entry(start, end);
+                }
+                self.starts[b] += 1;
+                self.ends[b] += 1;
+            }
+            self.ends[nb] += 1;
+            self.ends[nb] as usize - 1
+        } else {
+            for b in lender + 1..nb {
+                let (start, end) = (self.starts[b] as usize, self.ends[b] as usize);
+                if end > start {
+                    self.move_entry(end - 1, start - 1);
+                }
+                self.starts[b] -= 1;
+                self.ends[b] -= 1;
+            }
+            self.starts[nb] -= 1;
+            self.starts[nb] as usize
+        };
+        self.ids[at] = id;
+        self.pts[at] = (x, y);
+        self.slot_of[id as usize] = at as u32;
+        if lender != nb {
+            self.borrows += 1;
+        }
+        if was_empty {
+            self.mark_occupied(nb);
+        }
+        true
+    }
+
+    /// Moves the entry in slot `from` to slot `to`, keeping the slot
+    /// map in step.
+    #[inline]
+    fn move_entry(&mut self, from: usize, to: usize) {
+        let id = self.ids[from];
+        self.ids[to] = id;
+        self.pts[to] = self.pts[from];
+        self.slot_of[id as usize] = to as u32;
     }
 
     /// Turns per-bucket counts (left in `starts[b + 1]` by a counting
@@ -1351,8 +1458,11 @@ impl GridIndexBuffer {
     }
 
     /// Cumulative slack-overflow re-layouts taken by
-    /// [`GridIndexBuffer::update_moved`] since construction — the
-    /// fallback's amortized-cost diagnostic.
+    /// [`GridIndexBuffer::update_moved`] and
+    /// [`GridIndexBuffer::update_membership`] since construction — the
+    /// fallback's amortized-cost diagnostic. A full row normally
+    /// borrows a slot from a nearby row instead; this counts only the
+    /// updates where some row had no lender within one bucket row.
     #[inline]
     pub fn relayouts(&self) -> u64 {
         self.relayouts
@@ -2752,10 +2862,43 @@ mod tests {
         v
     }
 
+    /// Asserts the slack-layout invariants straight from the private
+    /// state: rows are ordered and within their capacity, every live
+    /// entry bins to its row and is named by the slot map, and the
+    /// occupied list is exactly the non-empty rows.
+    fn assert_coherent(buf: &GridIndexBuffer) {
+        let rows = buf.m * buf.m;
+        let mut live = 0;
+        for b in 0..rows {
+            let (start, end) = (buf.starts[b] as usize, buf.ends[b] as usize);
+            assert!(start <= end && end <= buf.starts[b + 1] as usize, "row {b}");
+            for e in start..end {
+                let (x, y) = buf.pts[e];
+                assert_eq!(
+                    buf.bucket_index(x, y),
+                    b,
+                    "slot {e} is filed in the wrong row"
+                );
+                assert_eq!(
+                    buf.slot_of[buf.ids[e] as usize] as usize, e,
+                    "slot map of slot {e}"
+                );
+            }
+            live += end - start;
+        }
+        assert_eq!(live, buf.len());
+        let occupied: Vec<u32> = (0..rows as u32)
+            .filter(|&b| buf.ends[b as usize] > buf.starts[b as usize])
+            .collect();
+        assert_eq!(buf.occupied_buckets(), &occupied[..]);
+    }
+
     #[test]
     fn incremental_tracks_drift_and_matches_fresh_rebuild() {
         // every point marches diagonally, guaranteeing bucket crossings
-        // and, eventually, slack overflow (a re-layout)
+        // and slack overflow: rows first borrow from their neighbors,
+        // and once everyone piles into the corner bucket no neighbor in
+        // reach can lend, which forces re-layouts
         let mut pts: Vec<Point> = (0..300)
             .map(|i| Point::new((i % 17) as f64 * 5.3 + 0.2, (i / 17) as f64 * 5.1 + 0.4))
             .collect();
@@ -2772,6 +2915,7 @@ mod tests {
             }
             let stats = inc.update_moved(&pts, &[], &[]).unwrap();
             total_relocated += stats.relocated;
+            assert_coherent(&inc);
             fresh
                 .rebuild_subset_shared(region(), 8.0, &pts, &subset, pts.len())
                 .unwrap();
@@ -2784,7 +2928,14 @@ mod tests {
             );
         }
         assert!(total_relocated > 0, "drift must relocate entries");
-        assert!(inc.relayouts() > 0, "sustained drift must overflow slack");
+        assert!(
+            inc.borrows > 0,
+            "sustained drift must overflow into borrows"
+        );
+        assert!(
+            inc.relayouts() > 0,
+            "the corner pile-up must outgrow every lender"
+        );
     }
 
     #[test]
@@ -2834,7 +2985,7 @@ mod tests {
     fn expected_headroom_absorbs_monotone_growth_without_relayouts() {
         // transmit-roster pattern: membership only grows, every future
         // member announced up front; the reserved headroom must absorb
-        // the whole influx without a single slack-overflow re-layout
+        // the whole influx without a single borrow or re-layout
         let n = 500usize;
         let pts: Vec<Point> = (0..n)
             .map(|i| Point::new(((i * 37) % 100) as f64, ((i * 53) % 100) as f64))
@@ -2850,18 +3001,18 @@ mod tests {
             buf.update_moved(&pts, &[], &batch).unwrap();
         }
         assert_eq!(buf.len(), n);
+        assert_eq!(buf.borrows, 0, "headroom must absorb monotone growth");
         assert_eq!(buf.relayouts(), 0, "headroom must absorb monotone growth");
         // without the announcement the same influx must have overflowed
+        // its rows and borrowed from neighbors
         let mut bare = GridIndexBuffer::new();
         bare.rebuild_incremental(region(), 8.0, &pts, &[0], n, &[])
             .unwrap();
         let all: Vec<u32> = (1..n as u32).collect();
         bare.update_moved(&pts, &[], &all).unwrap();
-        assert!(
-            bare.relayouts() > 0,
-            "plain slack cannot absorb n-1 inserts"
-        );
+        assert!(bare.borrows > 0, "plain slack cannot absorb n-1 inserts");
         assert_eq!(bare.len(), n);
+        assert_coherent(&bare);
     }
 
     #[test]
@@ -2921,7 +3072,91 @@ mod tests {
             buf.update_moved(&pts, &[], &[]).unwrap();
             assert_eq!(buf.capacities(), caps, "round {round} grew storage");
         }
+        assert!(buf.borrows > 0, "contracting drift must borrow slots");
         assert!(buf.relayouts() > 0, "contracting drift must re-layout");
+    }
+
+    #[test]
+    fn borrows_shift_rows_both_ways_and_keep_the_slot_map() {
+        // 10×10 buckets of side 10, every row starts empty with the
+        // constant 8-slot slack floor; ids 0..20 sit in bucket 0 (the
+        // first row), ids 20..40 in bucket 99 (the last row)
+        let pts: Vec<Point> = (0..40)
+            .map(|i| {
+                if i < 20 {
+                    Point::new(5.0, 5.0)
+                } else {
+                    Point::new(95.0, 95.0)
+                }
+            })
+            .collect();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild_incremental(region(), 10.0, &pts, &[], 100, &[])
+            .unwrap();
+        assert_eq!(buf.buckets_per_axis(), 10);
+        let floor = slack_cap(0);
+        // first row: 8 fit, the 9th borrows rightward from bucket 1
+        buf.update_membership(&pts, &[], &(0..9).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!((buf.borrows, buf.starts[1]), (1, floor + 1));
+        // last row: only a left lender exists
+        buf.update_membership(&pts, &[], &(20..29).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!((buf.borrows, buf.starts[99]), (2, 99 * floor - 1));
+        assert_coherent(&buf);
+        // fill the lenders, then overflow again: each borrow now shifts
+        // a full row, whose entries move across its ends
+        let p1 = Point::new(15.0, 5.0);
+        let p98 = Point::new(85.0, 95.0);
+        let mut pts = pts;
+        pts.extend((0..7).map(|_| p1).chain((0..7).map(|_| p98)));
+        buf.update_membership(&pts, &[], &(40..54).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(buf.borrows, 2, "bucket 1 and 98 had room for 7 each");
+        buf.update_moved(&pts, &[], &[9, 29]).unwrap();
+        assert_eq!(buf.borrows, 4);
+        assert_eq!(buf.starts[1..3], [floor + 2, 2 * floor + 1]);
+        assert_eq!(buf.starts[98..100], [98 * floor - 1, 99 * floor - 2]);
+        assert_eq!(buf.relayouts(), 0);
+        assert_coherent(&buf);
+        // removals go through the slot map, so they find shifted entries
+        let gone: Vec<u32> = (40..54).chain([0, 9, 20, 29]).collect();
+        buf.update_membership(&pts, &gone, &[]).unwrap();
+        let members: Vec<u32> = (1..9).chain(21..29).collect();
+        let mut fresh = GridIndexBuffer::new();
+        fresh
+            .rebuild_incremental(region(), 10.0, &pts, &members, 100, &[])
+            .unwrap();
+        assert_eq!(entry_set(&buf), entry_set(&fresh));
+        assert_coherent(&buf);
+    }
+
+    #[test]
+    fn overflow_beyond_lender_reach_falls_back_to_relayout() {
+        // one entry per bucket, then 300 arrivals into one bucket: the
+        // rows within one bucket row (10 rows each side) lend 8 slots
+        // each, far fewer than the influx needs
+        let mut pts: Vec<Point> = (0..100)
+            .map(|b| Point::new((b % 10) as f64 * 10.0 + 5.0, (b / 10) as f64 * 10.0 + 5.0))
+            .collect();
+        pts.extend((0..300).map(|_| Point::new(55.0, 55.0)));
+        let n = pts.len();
+        let mut buf = GridIndexBuffer::new();
+        buf.reserve(n);
+        buf.rebuild_incremental(region(), 10.0, &pts, &(0..100).collect::<Vec<_>>(), n, &[])
+            .unwrap();
+        let caps = buf.capacities();
+        buf.update_membership(&pts, &[], &(100..n as u32).collect::<Vec<_>>())
+            .unwrap();
+        assert!(buf.borrows > 0, "the nearby rows lend what they have");
+        assert_eq!(buf.relayouts(), 1, "the rest needs one re-layout");
+        assert_eq!(buf.capacities(), caps, "the fallback allocates nothing");
+        assert_coherent(&buf);
+        let mut fresh = GridIndexBuffer::new();
+        fresh
+            .rebuild_subset_shared(region(), 10.0, &pts, &(0..n as u32).collect::<Vec<_>>(), n)
+            .unwrap();
+        assert_eq!(entry_set(&buf), entry_set(&fresh));
     }
 
     #[test]

@@ -352,6 +352,110 @@ proptest! {
         prop_assert_eq!(got, expected, "cluster {} flip {}", cluster, flip);
     }
 
+    /// Clustered drift and clustered arrivals overflow whole runs of
+    /// neighboring rows at once, so parked entries borrow slots through
+    /// chains of full rows, leftward and rightward (and fall back to a
+    /// re-layout when a cluster outgrows every lender in reach). After
+    /// every `update_moved` and every `update_membership` the entry set
+    /// must equal a fresh `rebuild_incremental` over the coordinates
+    /// each entry was last filed under, and the stale join must match
+    /// brute force on the true positions.
+    #[test]
+    fn borrow_chains_under_clustered_drift_match_fresh_rebuild(
+        seed in 0u64..500,
+        n in 60usize..240,
+        rounds in 2usize..16,
+        r in 2.0f64..8.0,
+    ) {
+        let region = Rect::square(SIDE).unwrap();
+        let bucket = 4.0 * r;
+        // the engine's staleness budget: r + 2·slop = 3.7r ≤ bucket
+        let slop_budget = 0.45 * (bucket - r);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE)))
+            .collect();
+        let mut members: Vec<u32> = (0..n as u32).filter(|_| rng.gen::<f64>() < 0.5).collect();
+        let mut inc = GridIndexBuffer::new();
+        inc.rebuild_incremental(region, bucket, &pts, &members, n, &[]).unwrap();
+        // where each entry was last filed: the reference a fresh
+        // rebuild must reproduce
+        let mut filed = pts.clone();
+        let mut stale = 0.0f64;
+        let mut center = Point::new(SIDE / 2.0, SIDE / 2.0);
+        for round in 0..rounds {
+            let removed: Vec<u32> =
+                members.iter().copied().filter(|_| rng.gen::<f64>() < 0.1).collect();
+            members.retain(|id| !removed.contains(id));
+            if round % 2 == 0 {
+                // refresh round: half of everyone is pulled most of the
+                // way toward a new cluster center, and the non-members
+                // nearest to it join
+                center = Point::new(rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE));
+                let pull = rng.gen_range(0.5..0.95);
+                for p in &mut pts {
+                    if rng.gen::<f64>() < 0.5 {
+                        *p = Point::new(
+                            p.x + (center.x - p.x) * pull + rng.gen_range(-r..r),
+                            p.y + (center.y - p.y) * pull + rng.gen_range(-r..r),
+                        );
+                    }
+                }
+                let inserted = near_non_members(&pts, &members, &removed, center, bucket);
+                members.extend(&inserted);
+                inc.update_moved(&pts, &removed, &inserted).unwrap();
+                filed.clone_from(&pts);
+                stale = 0.0;
+            } else {
+                // deferred round: drift within the budget, binning left
+                // stale, while the last cluster's non-members arrive
+                let step = slop_budget - stale;
+                for p in &mut pts {
+                    *p = Point::new(
+                        p.x + rng.gen_range(-step / 1.5..step / 1.5),
+                        p.y + rng.gen_range(-step / 1.5..step / 1.5),
+                    );
+                }
+                stale += step;
+                let inserted = near_non_members(&pts, &members, &removed, center, 2.0 * bucket);
+                members.extend(&inserted);
+                inc.update_membership(&pts, &removed, &inserted).unwrap();
+                for &id in &inserted {
+                    filed[id as usize] = pts[id as usize];
+                }
+            }
+            prop_assert_eq!(inc.len(), members.len());
+
+            let mut fresh = GridIndexBuffer::new();
+            fresh.rebuild_incremental(region, bucket, &filed, &members, n, &[]).unwrap();
+            let snapshot = |buf: &GridIndexBuffer| {
+                let mut v: Vec<(usize, usize, u64, u64)> = Vec::new();
+                buf.for_each_entry(|b, id, p| v.push((b, id, p.x.to_bits(), p.y.to_bits())));
+                v.sort_unstable();
+                v
+            };
+            prop_assert_eq!(snapshot(&inc), snapshot(&fresh), "round {}", round);
+            prop_assert_eq!(inc.occupied_buckets(), fresh.occupied_buckets());
+
+            let others: Vec<u32> = (0..n as u32).filter(|id| !members.contains(id)).collect();
+            let mut tx = GridIndexBuffer::new();
+            tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
+            let mut got = Vec::new();
+            inc.join_covered_by_stale(&tx, r, stale, &pts, |id| got.push(id));
+            got.sort_unstable();
+            let r2 = r * r;
+            let mut expected: Vec<usize> = members
+                .iter()
+                .filter(|&&u| {
+                    others.iter().any(|&t| pts[u as usize].euclid_sq(pts[t as usize]) <= r2)
+                })
+                .map(|&u| u as usize)
+                .collect();
+            expected.sort_unstable();
+            prop_assert_eq!(got, expected, "round {} stale {}", round, stale);
+        }
+    }
+
     #[test]
     fn any_within_consistent_with_count(
         pts in points(60),
@@ -396,4 +500,20 @@ fn dense_random_cloud_matches_oracle_exactly() {
         b.sort();
         assert_eq!(a, b, "query at {q}");
     }
+}
+
+/// Ids that are neither members nor removed this round and lie within
+/// `reach` of `center`: the clustered arrivals of the borrow-chain
+/// property.
+fn near_non_members(
+    pts: &[Point],
+    members: &[u32],
+    removed: &[u32],
+    center: Point,
+    reach: f64,
+) -> Vec<u32> {
+    (0..pts.len() as u32)
+        .filter(|id| !members.contains(id) && !removed.contains(id))
+        .filter(|&id| pts[id as usize].euclid_sq(center) <= reach * reach)
+        .collect()
 }

@@ -38,6 +38,7 @@ doc_expect() {
 }
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html update_moved
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html update_membership
+doc_expect fastflood_spatial/struct.GridIndexBuffer.html "nearest row with spare capacity"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
