@@ -2200,9 +2200,8 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 ///   which reads exact coordinates through `positions` and inflates
 ///   its prunes by the bound — no per-agent pass at all.
 /// * **refresh steps** — when the accumulated staleness would exceed
-///   the budget carved from the bucket margin (`0.45·(bucket − R)`:
-///   `R + 2·slop` reaches `3.7R` of the `4R` bucket, a `0.3R` guard
-///   band under the stale join's assert), both grids are re-filed by
+///   the budget carved from the bucket margin
+///   (`(bucket − R)/2`, halved for safety), both grids are re-filed by
 ///   [`GridIndexBuffer::update_moved`]: one linear coordinate-refresh
 ///   pass, `O(moved)` relocations, staleness back to zero, and the
 ///   step's join streams packed coordinates again.
@@ -2260,9 +2259,9 @@ fn join_covered_incremental(
     let live = uninformed.len() + transmitters.len();
     let bucket = JOIN_BUCKET_FACTOR * radius;
     // staleness budget: the stale join needs R + 2·slop to fit the
-    // bucket side; spend 90 % of the margin, so R + 2·slop = 3.7R of
-    // the 4R bucket and rounding can never graze the guarantee
-    let slop_budget = 0.45 * (bucket - radius);
+    // bucket side; spend at most half the margin so prune inflation
+    // stays mild and rounding can never graze the guarantee
+    let slop_budget = 0.25 * (bucket - radius);
     // churn since the last sync is the roster growth; only meaningful
     // when the chain is intact (a crash shrinks the roster and clears
     // `ready`, so the saturating difference is never misread)

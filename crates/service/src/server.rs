@@ -2,9 +2,9 @@
 //!
 //! One request object per line, one response object per line, std-only
 //! (no async runtime — a thread per connection, at most
-//! `MAX_CONNECTIONS` of them; the supervisor behind them bounds the
-//! work). Every response carries `"ok": true|false`; errors carry
-//! `"error"`.
+//! `MAX_CONNECTIONS` of them, each closed after `IDLE_TIMEOUT` without
+//! a request; the supervisor behind them bounds the work). Every
+//! response carries `"ok": true|false`; errors carry `"error"`.
 //!
 //! Ops (see `docs/SERVICE.md` for the full reference):
 //!
@@ -40,6 +40,13 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// so a connection beyond the cap gets one error line and is closed.
 const MAX_CONNECTIONS: usize = 64;
 
+/// How long a connection may wait for the client's next request, or
+/// for the client to take a reply, before it gets one error line and is
+/// closed — so idle or stalled clients cannot hold the
+/// `MAX_CONNECTIONS` slots for good. A request being served (a long
+/// `wait` included) is not idle time.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// How often the stop watcher in [`serve`] checks the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(20);
 
@@ -50,7 +57,8 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 /// loopback connect to the listener, which wakes the loop within
 /// ~20 ms even with no traffic. At most 64 connections are served at
 /// once; one more is answered `{"ok":false,"error":"too many
-/// connections"}` and closed.
+/// connections"}` and closed. A connection idle for 10 s is answered
+/// `{"ok":false,"error":"idle timeout"}` and closed, freeing its slot.
 ///
 /// # Errors
 ///
@@ -138,6 +146,8 @@ fn handle_connection(
     sup: &Supervisor,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -150,6 +160,11 @@ fn handle_connection(
                 send(&mut writer, &fail(e.to_string()))?;
                 // FIN right behind the reply, so the client reads it
                 // before the close resets the unread request bytes
+                writer.shutdown(Shutdown::Write)?;
+                break;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                send(&mut writer, &fail("idle timeout"))?;
                 writer.shutdown(Shutdown::Write)?;
                 break;
             }

@@ -497,3 +497,56 @@ fn connections_beyond_the_cap_are_refused_until_one_closes() {
     }
     drop(idle);
 }
+
+#[test]
+fn idle_connections_time_out_and_free_their_slots() {
+    let root = tmp_root("idle");
+    let daemon = Daemon::spawn(&root, &[]);
+    let ping = format!("{}\n", Json::obj(vec![("op", Json::str("ping"))]));
+    // fill every slot with a client that sends one ping, then goes idle
+    let mut idle = Vec::new();
+    for i in 0..64 {
+        let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+        stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+        stream.write_all(ping.as_bytes()).expect("send ping");
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read pong");
+        assert!(line.contains("\"pong\""), "connection {i}: {line}");
+        idle.push(reader);
+    }
+
+    // the daemon ends each idle connection itself: one error line, EOF
+    for (i, reader) in idle.iter_mut().enumerate() {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read the idle reply");
+        let reply = Json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("idle timeout"),
+            "connection {i}: {reply}"
+        );
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("read EOF"), 0, "{line}");
+    }
+
+    // the slots are free again: a fresh client is served, after at
+    // most the moments it takes the timed-out threads to finish
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let reply = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+        if reply.get("pong").and_then(Json::as_bool) == Some(true) {
+            break;
+        }
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("too many connections"),
+            "{reply}"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "no slot freed 10 s after the idle connections closed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
