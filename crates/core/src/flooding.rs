@@ -34,10 +34,13 @@
 //!   newly informed leave the uninformed grid and join the transmitter
 //!   grid) and a stale-tolerant join
 //!   ([`GridIndexBuffer::join_covered_by_stale`]) that reads exact
-//!   coordinates and inflates its prunes by the accumulated drift
-//!   bound. When the bound would outgrow the budget carved from the
-//!   bucket margin, one [`GridIndexBuffer::update_moved`] pass
-//!   re-files everyone (`O(moved)` relocations) and resets it. Full
+//!   coordinates and inflates its prunes by each grid's accumulated
+//!   drift bound. When the two bounds together would outgrow the
+//!   budget carved from the bucket margin, one
+//!   [`GridIndexBuffer::update_moved`] pass re-files one grid
+//!   (`O(moved)` relocations) and resets its bound — the grid that
+//!   frees the most staleness per entry scanned, or both grids when
+//!   neither alone is enough. Full
 //!   slack rebuilds remain as fallbacks: membership-churn spikes (an
 //!   informed-set jump above 1/8 of the live population) and crashes
 //!   (roster surgery invalidates the diff bookkeeping).
@@ -74,8 +77,9 @@
 //! increment each via [`Mobility::step_batch`]); full-flooding transmit
 //! is `O(churn + pairs)` amortized (membership surgery plus the
 //! occupied-bucket-pair join, whose scan work is the number of close
-//! bucket pairs; every `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)`
-//! refresh pass), versus the seed implementation's fresh heap index
+//! bucket pairs; about every `⌊0.9·(bucket−R)/2v⌋`-th step pays an
+//! `O(U)` or `O(T)` re-filing pass over one grid, or `O(U + T)` over
+//! both), versus the seed implementation's fresh heap index
 //! build plus two full `O(n)` agent scans every step.
 //! See `BENCH_engine.json` for measured step throughput and
 //! `docs/BENCHMARKING.md` for the protocol behind it.
@@ -1175,7 +1179,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// surgery plus the stale-tolerant join, no per-agent pass at all.
     /// In the MRWP speed regime (`v ≪ bucket`) most join steps land
     /// here; the remainder are the periodic refresh steps that re-file
-    /// everyone and reset the staleness budget.
+    /// one grid (or both) and reset its staleness bound.
     #[inline]
     pub fn incremental_deferred_steps(&self) -> u32 {
         self.inc.deferred_steps
@@ -1197,14 +1201,28 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// Diagnostic: the incremental join's current accumulated staleness
     /// bound — an upper bound on how far any indexed agent has drifted
     /// from the coordinates it was last filed under, accrued from the
-    /// **measured** per-step drift of the batched move pass and reset to
-    /// zero by every refresh or rebuild. The soundness invariant the
+    /// **measured** per-step drift of the batched move pass. Each join
+    /// grid keeps its own bound, reset when that grid is re-filed; this
+    /// value resets only when **both** grids are fresh at once (a
+    /// rebuild, or a step re-filing both), so it bounds the drift of
+    /// every agent in either grid. The soundness invariant the
     /// measured-drift property tests assert: every agent's true
-    /// displacement since the last grid synchronization is at most this
+    /// displacement since this value last read zero is at most this
     /// value.
     #[inline]
     pub fn incremental_staleness(&self) -> f64 {
-        self.inc.stale
+        self.inc.stale_sync
+    }
+
+    /// Diagnostic: entries the incremental join's re-filing passes
+    /// ([`GridIndexBuffer::update_moved`]) have passed over, summed over
+    /// the run — the linear cost of keeping the grids' binning fresh.
+    /// A re-filing step scans only the grid it re-files, so the count
+    /// shows how much of that cost the per-grid staleness budget
+    /// avoids. Deterministic per seed and thread count.
+    #[inline]
+    pub fn incremental_refiled_entries(&self) -> u64 {
+        self.inc.refiled_entries
     }
 
     /// Worker threads of the chunked-parallel step, or 0 when the sim
@@ -1425,12 +1443,12 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// the batched move pass, the incremental path's staleness
     /// increment. Agents moved this step whether or not a transmit
     /// runs, so the skip paths below must still accrue drift: a later
-    /// deferred join trusting an under-counted `stale` could prune a
+    /// deferred join trusting an under-counted bound could prune a
     /// slice hiding an in-range transmitter. Accrual is harmless when
     /// the chain is down (every resync resets it).
     fn transmit_flooding(&mut self, forward_probability: Option<f64>, max_move: f64) {
         if self.uninformed.is_empty() {
-            self.inc.stale += max_move;
+            self.inc.accrue(max_move, forward_probability.is_none());
             return;
         }
         // The transmit roster: all live informed agents, or the
@@ -1451,7 +1469,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         };
         if tx.is_empty() {
             // an all-tails parsimonious step: everyone still moved
-            self.inc.stale += max_move;
+            self.inc.accrue(max_move, false);
             return;
         }
         let radius = self.radius;
@@ -1621,6 +1639,15 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 /// 1.8 ms) — the AABB/cell-rect prunes keep wide neighborhoods cheap,
 /// so the curve is flat past the knee and the exact value is shallow.
 const JOIN_BUCKET_FACTOR: f64 = 4.0;
+
+/// Share of the bucket margin `bucket − R` that the two join grids'
+/// staleness bounds may spend **together** before a grid is re-filed.
+/// The stale join is exact while `R + stale_rx + stale_tx ≤ bucket`;
+/// at 0.9 the join reaches 3.7R against the 4R bucket, and the rest is
+/// a guard band against rounding. A larger share defers longer (fewer
+/// re-filing passes) but widens the join's inflated prunes.
+const STALENESS_BUDGET_FACTOR: f64 = 0.9;
+const _: () = assert!(STALENESS_BUDGET_FACTOR > 0.0 && STALENESS_BUDGET_FACTOR < 1.0);
 
 // ---- checkpoint / restore ----------------------------------------------
 
@@ -2151,12 +2178,22 @@ struct IncrementalSync {
     /// membership diff: they leave the uninformed grid and join the
     /// transmitter grid.
     synced_tx: usize,
-    /// Upper bound on how far any indexed agent has drifted from the
-    /// coordinates it was last filed under (grows by the move pass's
-    /// **measured** per-step drift on deferred steps; reset by refreshes
-    /// and full rebuilds). The stale-tolerant join stays exact while
-    /// this fits the staleness budget carved out of the bucket margin.
-    stale: f64,
+    /// Upper bound on how far any agent in the uninformed grid has
+    /// drifted from the coordinates it was last filed under: grows by
+    /// the move pass's **measured** per-step drift on every step (join
+    /// or skip), reset when that grid is re-filed or rebuilt.
+    stale_rx: f64,
+    /// The same bound for the transmitter grid. Stays 0 when the
+    /// transmitter side is a per-step coin subset (parsimonious), whose
+    /// grid is rebuilt fresh each step. The stale join stays exact
+    /// while `stale_rx + stale_tx` fits the budget carved from the
+    /// bucket margin ([`STALENESS_BUDGET_FACTOR`]).
+    stale_tx: f64,
+    /// Drift accrued since both grids were last fresh at once: at least
+    /// `stale_rx` and `stale_tx`, reset only when both are.
+    stale_sync: f64,
+    /// Entries passed over by re-filing passes, summed over the run.
+    refiled_entries: u64,
     /// Join steps resynced with full slack rebuilds (cold start, and
     /// every churn-spike/crash fallback since).
     full_rebuilds: u32,
@@ -2164,14 +2201,26 @@ struct IncrementalSync {
     /// refresh/relocate pass) rather than full rebuilds.
     diff_steps: u32,
     /// The subset of `diff_steps` that deferred re-binning entirely:
-    /// `O(churn)` membership surgery, stale-tolerant join, no per-agent
-    /// pass at all.
+    /// `O(churn)` membership surgery on both grids, stale-tolerant join,
+    /// no per-agent pass at all.
     deferred_steps: u32,
     /// The subset of `full_rebuilds` taken while the chain was *intact*
     /// because one step's membership churn crossed the spike threshold
     /// (`churn·CHURN_SPIKE_DIVISOR > live`) — the fallback the
     /// adversarial churn-burst scenarios exist to exercise.
     spike_rebuilds: u32,
+}
+
+impl IncrementalSync {
+    /// Accrues one step's measured drift to the staleness bounds; the
+    /// transmitter grid's only when it is maintained (`tx_is_roster`).
+    fn accrue(&mut self, max_move: f64, tx_is_roster: bool) {
+        self.stale_rx += max_move;
+        if tx_is_roster {
+            self.stale_tx += max_move;
+        }
+        self.stale_sync += max_move;
+    }
 }
 
 /// Membership-churn spike threshold of the incremental join: when one
@@ -2199,12 +2248,19 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 ///   stale-tolerant join ([`GridIndexBuffer::join_covered_by_stale`]),
 ///   which reads exact coordinates through `positions` and inflates
 ///   its prunes by the bound — no per-agent pass at all.
-/// * **refresh steps** — when the accumulated staleness would exceed
-///   the budget carved from the bucket margin
-///   (`(bucket − R)/2`, halved for safety), both grids are re-filed by
-///   [`GridIndexBuffer::update_moved`]: one linear coordinate-refresh
-///   pass, `O(moved)` relocations, staleness back to zero, and the
-///   step's join streams packed coordinates again.
+/// * **refresh steps** — each grid keeps its own staleness bound, and
+///   the join needs `R + stale_rx + stale_tx ≤ bucket`. When the two
+///   bounds would together exceed the budget
+///   (`STALENESS_BUDGET_FACTOR·(bucket − R)`), the grid that frees the
+///   most staleness per entry scanned is re-filed by
+///   [`GridIndexBuffer::update_moved`] — one linear coordinate-refresh
+///   pass over that grid only, `O(moved)` relocations, its bound back
+///   to zero — while the other gets membership surgery only. Both are
+///   re-filed only when neither alone brings the pair back within the
+///   budget. In the long sparse tail the few stragglers' grid is thus
+///   re-filed often and cheaply, and the large transmitter grid stays
+///   stale for longer. The rule reads only the bounds and grid sizes,
+///   so it is deterministic and independent of the thread count.
 /// * **full rebuilds** — cold start, membership-churn spikes
 ///   (`churn·CHURN_SPIKE_DIVISOR > live`) and crashes resync from
 ///   scratch via [`GridIndexBuffer::rebuild_incremental`], announcing
@@ -2218,14 +2274,15 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 /// subset every step, so only the uninformed grid is maintained
 /// incrementally; the coin side gets a tight shared-geometry rebuild
 /// (cheap: the subset is small and changes wholesale), which is always
-/// staleness-zero and therefore safe under the same join slop.
+/// staleness-zero, so the uninformed grid gets the whole budget.
 ///
 /// A free function over split borrows so callers can keep `tx` borrowed
 /// from the sim while the grids are updated.
 ///
 /// `max_move` is the step's measured drift from the batched move pass —
-/// accrued into `inc.stale`, so the deferral budget is spent on drift
-/// that actually happened rather than the worst-case model speed.
+/// accrued into both staleness bounds, so the deferral budget is spent
+/// on drift that actually happened rather than the worst-case model
+/// speed.
 ///
 /// With `pool` set (the chunked-parallel engine), the join partitions
 /// its occupied buckets with per-worker output merged in canonical
@@ -2258,10 +2315,9 @@ fn join_covered_incremental(
     let sync_started = timing.then(Instant::now);
     let live = uninformed.len() + transmitters.len();
     let bucket = JOIN_BUCKET_FACTOR * radius;
-    // staleness budget: the stale join needs R + 2·slop to fit the
-    // bucket side; spend at most half the margin so prune inflation
-    // stays mild and rounding can never graze the guarantee
-    let slop_budget = 0.25 * (bucket - radius);
+    // staleness budget of the two grids together: the stale join needs
+    // R + stale_rx + stale_tx to fit the bucket side
+    let budget = STALENESS_BUDGET_FACTOR * (bucket - radius);
     // churn since the last sync is the roster growth; only meaningful
     // when the chain is intact (a crash shrinks the roster and clears
     // `ready`, so the saturating difference is never misread)
@@ -2284,32 +2340,57 @@ fn join_covered_incremental(
                 .expect("positions finite, radius validated");
         }
         inc.ready = true;
-        inc.stale = 0.0;
+        inc.stale_rx = 0.0;
+        inc.stale_tx = 0.0;
+        inc.stale_sync = 0.0;
         inc.full_rebuilds += 1;
     } else {
         let diff = &transmitters[inc.synced_tx..];
-        let stale_after_move = inc.stale + max_move;
-        if stale_after_move <= slop_budget {
+        inc.accrue(max_move, tx_is_roster);
+        let (rx, tx) = (inc.stale_rx, inc.stale_tx);
+        let (refile_rx, refile_tx) = if rx + tx <= budget {
             // deferred: membership surgery only, binning left stale
+            inc.deferred_steps += 1;
+            (false, false)
+        } else {
+            // over budget: re-file the one grid that alone brings the
+            // pair back within it, preferring the one that frees more
+            // staleness per entry scanned; both if neither suffices
+            let rx_alone = tx <= budget;
+            let tx_alone = tx_is_roster && rx <= budget;
+            match (rx_alone, tx_alone) {
+                (true, true) => {
+                    let rx_first = rx * (tx_grid.len() + 1) as f64 >= tx * (grid.len() + 1) as f64;
+                    (rx_first, !rx_first)
+                }
+                (true, false) => (true, false),
+                (false, true) => (false, true),
+                (false, false) => (true, true),
+            }
+        };
+        if refile_rx {
+            let stats = grid
+                .update_moved(positions, diff, &[])
+                .expect("positions finite, diff names indexed agents");
+            inc.refiled_entries += stats.scanned as u64;
+            inc.stale_rx = 0.0;
+        } else {
             grid.update_membership(positions, diff, &[])
                 .expect("positions finite, diff names indexed agents");
-            if tx_is_roster {
-                tx_grid
-                    .update_membership(positions, &[], diff)
-                    .expect("positions finite, diff names new agents");
-            }
-            inc.stale = stale_after_move;
-            inc.deferred_steps += 1;
-        } else {
-            // staleness budget exhausted: refresh and relocate
-            grid.update_moved(positions, diff, &[])
-                .expect("positions finite, diff names indexed agents");
-            if tx_is_roster {
-                tx_grid
-                    .update_moved(positions, &[], diff)
-                    .expect("positions finite, diff names new agents");
-            }
-            inc.stale = 0.0;
+        }
+        if refile_tx {
+            let stats = tx_grid
+                .update_moved(positions, &[], diff)
+                .expect("positions finite, diff names new agents");
+            inc.refiled_entries += stats.scanned as u64;
+            inc.stale_tx = 0.0;
+        } else if tx_is_roster {
+            tx_grid
+                .update_membership(positions, &[], diff)
+                .expect("positions finite, diff names new agents");
+        }
+        if inc.stale_rx == 0.0 && inc.stale_tx == 0.0 {
+            inc.stale_sync = 0.0;
         }
         inc.diff_steps += 1;
     }
@@ -2322,12 +2403,13 @@ fn join_covered_incremental(
             .expect("positions finite, radius validated");
     }
     let refresh_ns = sync_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let (stale_rx, stale_tx) = (inc.stale_rx, inc.stale_tx);
     if let Some(pl) = pool {
         // the parallel kernel reads exact positions either way, so a
         // zero-slop (just-refreshed) step is simply an exact join
-        grid.join_covered_by_stale_par(tx_grid, radius, inc.stale, positions, pl, newly);
-    } else if inc.stale > 0.0 {
-        grid.join_covered_by_stale(tx_grid, radius, inc.stale, positions, |u| {
+        grid.join_covered_by_stale_par(tx_grid, radius, stale_rx, stale_tx, positions, pl, newly);
+    } else if stale_rx > 0.0 || stale_tx > 0.0 {
+        grid.join_covered_by_stale(tx_grid, radius, stale_rx, stale_tx, positions, |u| {
             newly.push(u as u32)
         });
     } else {
@@ -2823,5 +2905,64 @@ mod tests {
         // continuing resumes from where it stopped
         let report2 = sim.run(5);
         assert_eq!(report2.steps_run, 10);
+    }
+
+    /// Each join grid's cached coordinates stay within that grid's own
+    /// staleness bound, and the two bounds fit the shared budget after
+    /// every join — for flooding (both grids maintained, and some steps
+    /// re-file one grid alone) and parsimonious flooding (the coin side
+    /// fresh every step, its bound pinned at 0).
+    #[test]
+    fn each_join_grid_stays_within_its_own_staleness_bound() {
+        let n = 2_000;
+        let scale = SimParams::standard(n, 1.0, 0.0).unwrap().radius_scale();
+        let radius = 0.4 * scale;
+        let params = SimParams::standard(n, radius, 0.2 * radius).unwrap();
+        let budget = STALENESS_BUDGET_FACTOR * (JOIN_BUCKET_FACTOR - 1.0) * radius;
+        for protocol in [Protocol::Flooding, Protocol::Parsimonious { p: 0.5 }] {
+            let model = Mrwp::new(params.side(), params.speed()).unwrap();
+            let config = SimConfig::new(n, radius)
+                .seed(3)
+                .source(SourcePlacement::Center)
+                .protocol(protocol);
+            let mut sim = FloodingSim::new(model, config).unwrap();
+            let mut single_refiles = 0;
+            while !sim.all_informed() {
+                let before = sim.inc;
+                sim.step();
+                let inc = sim.inc;
+                for (grid, bound) in [(&sim.grid, inc.stale_rx), (&sim.tx_grid, inc.stale_tx)] {
+                    grid.for_each_entry(|_, id, filed| {
+                        let drift = sim.positions[id].euclid(filed);
+                        assert!(drift <= bound + 1e-9, "{protocol:?}: {drift} > {bound}");
+                    });
+                }
+                // an all-tails parsimonious step accrues drift without
+                // a join; the budget is enforced by the next join
+                let joined =
+                    inc.diff_steps + inc.full_rebuilds > before.diff_steps + before.full_rebuilds;
+                if joined {
+                    assert!(
+                        inc.stale_rx + inc.stale_tx <= budget,
+                        "{protocol:?}: {inc:?}"
+                    );
+                }
+                assert!(inc.stale_sync >= inc.stale_rx.max(inc.stale_tx));
+                if matches!(protocol, Protocol::Parsimonious { .. }) {
+                    assert_eq!(inc.stale_tx, 0.0);
+                }
+                let refiled = inc.refiled_entries - before.refiled_entries;
+                if inc.diff_steps > before.diff_steps
+                    && inc.deferred_steps == before.deferred_steps
+                    && (inc.stale_rx > 0.0 || inc.stale_tx > 0.0)
+                {
+                    single_refiles += 1;
+                    assert!(refiled > 0 && refiled < n as u64, "{refiled}");
+                }
+            }
+            if protocol == Protocol::Flooding {
+                assert!(single_refiles > 0, "no single-grid re-file");
+            }
+        }
     }
 }

@@ -7,9 +7,14 @@
 //! value tree — complete enough for the protocol (UTF-8 strings with
 //! standard escapes, `u64`-exact integers, nested arrays/objects),
 //! deliberately nothing more (no comments, no trailing commas, no
-//! non-finite numbers).
+//! non-finite numbers). Nesting deeper than 64 levels is rejected, so a
+//! hostile line cannot overflow the parsing thread's stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; protocol messages nest a few levels at most.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 ///
@@ -53,11 +58,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the byte offset of the first problem.
+    /// [`JsonError`] with the byte offset of the first problem,
+    /// including an array or object nested more than 64 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after value"));
@@ -194,8 +200,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, nested `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -211,7 +221,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -239,7 +249,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
+                pairs.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -361,6 +371,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // half a megabyte of `[`: under the server's line cap, and deep
+        // enough to overflow a thread stack without the depth cap
+        let hostile = "[".repeat(500_000);
+        let e = Json::parse(&hostile).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.msg.contains("nesting deeper than 64"), "{e}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let one_more = format!("{{\"a\":{deepest}}}");
+        assert_eq!(Json::parse(&one_more).unwrap_err().at, MAX_DEPTH + 4);
     }
 
     #[test]

@@ -437,6 +437,46 @@ fn over_long_request_line_gets_an_error_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
+    let root = tmp_root("nesting");
+    let daemon = Daemon::spawn(&root, &[]);
+    let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+    stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+    // half a megabyte of `[` fits under the line cap; parsed without a
+    // depth cap it would overflow the connection thread's stack and
+    // abort the whole daemon
+    let mut hostile = "[".repeat(500_000);
+    hostile.push('\n');
+    stream
+        .write_all(hostile.as_bytes())
+        .expect("send hostile line");
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("read the error reply");
+    let reply = Json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    assert!(
+        reply
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("nesting")),
+        "{reply}"
+    );
+
+    let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        pong.get("pong").and_then(Json::as_bool),
+        Some(true),
+        "{pong}"
+    );
+}
+
+#[test]
 fn connections_beyond_the_cap_are_refused_until_one_closes() {
     let root = tmp_root("conncap");
     let daemon = Daemon::spawn(&root, &[]);

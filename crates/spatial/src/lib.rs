@@ -95,6 +95,10 @@ impl Error for SpatialError {}
 /// Outcome of one [`GridIndexBuffer::update_moved`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateStats {
+    /// Entries the coordinate-refresh pass re-filed: everything indexed
+    /// after the removals and before the insertions — the pass's linear
+    /// cost, whatever share of it relocates.
+    pub scanned: usize,
     /// Entries whose bucket changed and were relocated within the
     /// retained layout (swap-remove from the old row, append to the
     /// new row's slack).
@@ -1005,10 +1009,11 @@ impl GridIndexBuffer {
     /// ([`GridIndexBuffer::rebuild_incremental`],
     /// [`GridIndexBuffer::update_moved`], or its own insertion —
     /// whichever touched it last), radius-`r` transmit joins stay exact
-    /// via [`GridIndexBuffer::join_covered_by_stale`] with that `slop`,
-    /// and no per-step `O(len)` pass runs at all. Call
+    /// via [`GridIndexBuffer::join_covered_by_stale`] with that `slop`
+    /// as this buffer's side of the drift budget, and no per-step
+    /// `O(len)` pass runs at all. Call
     /// [`GridIndexBuffer::update_moved`] to re-file everything and
-    /// reset the staleness budget.
+    /// reset this buffer's staleness.
     ///
     /// Inserted ids are filed by their **current** position (their own
     /// staleness starts at zero). An insert into a full row borrows a
@@ -1042,11 +1047,12 @@ impl GridIndexBuffer {
     /// buf.update_membership(&pts, &[0], &[2])?;
     ///
     /// // stale-tolerant join against a fresh transmitter grid still
-    /// // answers exactly, given the drift bound
+    /// // answers exactly, given this side's drift bound (the fresh
+    /// // side has drifted 0)
     /// let mut tx = GridIndexBuffer::new();
     /// tx.rebuild_subset_shared(region, 8.0, &pts, &[0], pts.len())?;
     /// let mut covered = Vec::new();
-    /// buf.join_covered_by_stale(&tx, 2.0, 0.6, &pts, |id| covered.push(id));
+    /// buf.join_covered_by_stale(&tx, 2.0, 0.6, 0.0, &pts, |id| covered.push(id));
     /// assert_eq!(covered, vec![1]); // only 1 is near 0; 2 is far away
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -1188,6 +1194,7 @@ impl GridIndexBuffer {
         for &id in removed {
             self.remove_one(id);
         }
+        let scanned = self.len;
         // 2. the move pass: refresh every cached coordinate and
         // relocate bucket-crossers. Relocations interleave with the
         // scan: an entry relocated into a not-yet-visited row is
@@ -1235,6 +1242,7 @@ impl GridIndexBuffer {
         self.rescan_occupied();
         let relayout = self.settle_pending();
         Ok(UpdateStats {
+            scanned,
             relocated,
             relayout,
         })
@@ -1806,22 +1814,26 @@ impl GridIndexBuffer {
 
     /// Stale-tolerant bucket join: like
     /// [`GridIndexBuffer::join_covered_by`], but correct even when the
-    /// indexed entries' cached coordinates lag their true positions by
-    /// up to `slop` — the companion of
+    /// indexed entries' cached coordinates lag their true positions —
+    /// by up to `slop_self` in this buffer and up to `slop_other` in
+    /// `other` — the companion of
     /// [`GridIndexBuffer::update_membership`]'s deferred-move regime.
+    /// The two sides go stale independently: each is re-filed by its
+    /// own [`GridIndexBuffer::update_moved`].
     ///
     /// Binning and occupied lists are taken from the (stale) cached
     /// state; every *distance decision* reads the exact coordinates
     /// from `positions`. The bucket-level prunes are inflated to stay
     /// conservative under drift: a facing slice survives when its cell
-    /// rectangle is within `r + 2·slop` of the bucket's cached-point
-    /// AABB (both sides may have drifted `slop`), a point skips a slice
-    /// only when it is farther than `r + slop` from the slice's cell
-    /// rectangle (the slice's contents may have drifted out by `slop`),
-    /// and the inner loops compare true positions against `r` exactly —
-    /// so the reported set is *identical* to a fresh re-bin's join.
+    /// rectangle is within `r + slop_self + slop_other` of the bucket's
+    /// cached-point AABB (both sides may have drifted), a point skips a
+    /// slice only when it is farther than `r + slop_other` from the
+    /// slice's cell rectangle (the point reads its exact position; only
+    /// the slice's contents may have drifted out of their cells), and
+    /// the inner loops compare true positions against `r` exactly — so
+    /// the reported set is *identical* to a fresh re-bin's join.
     ///
-    /// With `slop = 0` this is semantically `join_covered_by`; prefer
+    /// With both slops 0 this is semantically `join_covered_by`; prefer
     /// that one on freshly re-binned buffers (it streams the packed
     /// coordinates instead of reading `positions` through the ids).
     ///
@@ -1839,30 +1851,20 @@ impl GridIndexBuffer {
     /// # Panics
     ///
     /// Panics when the buffers do not share a geometry, or when
-    /// `r + 2·slop` exceeds the bucket side (the 3×3 neighborhood could
-    /// miss drifted pairs; re-file entries with
+    /// `r + slop_self + slop_other` exceeds the bucket side (the 3×3
+    /// neighborhood could miss drifted pairs; re-file entries with
     /// [`GridIndexBuffer::update_moved`] before the staleness budget
     /// runs out). Indexed ids must be in bounds of `positions`.
     pub fn join_covered_by_stale<F: FnMut(usize)>(
         &mut self,
         other: &GridIndexBuffer,
         r: f64,
-        slop: f64,
+        slop_self: f64,
+        slop_other: f64,
         positions: &[Point],
         mut f: F,
     ) {
-        assert!(
-            self.shares_geometry_with(other),
-            "join requires both buffers rebuilt with a shared geometry"
-        );
-        debug_assert!(r >= 0.0, "join radius must be nonnegative");
-        debug_assert!(slop >= 0.0, "staleness bound must be nonnegative");
-        assert!(
-            self.m == 1
-                || r + 2.0 * slop <= self.bucket_len_x.min(self.bucket_len_y) * (1.0 + 1e-12),
-            "join radius {r} + twice staleness {slop} exceeds bucket side {}",
-            self.bucket_len_x.min(self.bucket_len_y)
-        );
+        self.check_stale_join(other, r, slop_self, slop_other);
         if self.len == 0 || other.len == 0 {
             return;
         }
@@ -1875,9 +1877,31 @@ impl GridIndexBuffer {
             0..self.occupied.len(),
             use_band,
             r,
-            slop,
+            slop_self,
+            slop_other,
             positions,
             &mut f,
+        );
+    }
+
+    /// The stale join's preconditions: a shared geometry, and a drift
+    /// budget `r + slop_self + slop_other` that fits the bucket side.
+    fn check_stale_join(&self, other: &GridIndexBuffer, r: f64, slop_self: f64, slop_other: f64) {
+        assert!(
+            self.shares_geometry_with(other),
+            "join requires both buffers rebuilt with a shared geometry"
+        );
+        debug_assert!(r >= 0.0, "join radius must be nonnegative");
+        debug_assert!(
+            slop_self >= 0.0 && slop_other >= 0.0,
+            "staleness bounds must be nonnegative"
+        );
+        assert!(
+            self.m == 1
+                || r + slop_self + slop_other
+                    <= self.bucket_len_x.min(self.bucket_len_y) * (1.0 + 1e-12),
+            "join radius {r} + staleness {slop_self} + {slop_other} exceeds bucket side {}",
+            self.bucket_len_x.min(self.bucket_len_y)
         );
     }
 
@@ -1896,15 +1920,16 @@ impl GridIndexBuffer {
         occ_range: std::ops::Range<usize>,
         use_band: bool,
         r: f64,
-        slop: f64,
+        slop_self: f64,
+        slop_other: f64,
         positions: &[Point],
         f: &mut F,
     ) {
         let epoch = self.band_epoch;
         let m = self.m;
         let r2 = r * r;
-        let pair_pad = (r + 2.0 * slop) * (r + 2.0 * slop);
-        let point_pad = (r + slop) * (r + slop);
+        let pair_pad = (r + slop_self + slop_other) * (r + slop_self + slop_other);
+        let point_pad = (r + slop_other) * (r + slop_other);
         for idx in occ_range {
             let b = self.occupied[idx] as usize;
             if use_band && self.band_stamp[b] != epoch {
@@ -1972,23 +1997,13 @@ impl GridIndexBuffer {
         &mut self,
         other: &GridIndexBuffer,
         r: f64,
-        slop: f64,
+        slop_self: f64,
+        slop_other: f64,
         positions: &[Point],
         pool: &WorkerPool,
         out: &mut Vec<u32>,
     ) {
-        assert!(
-            self.shares_geometry_with(other),
-            "join requires both buffers rebuilt with a shared geometry"
-        );
-        debug_assert!(r >= 0.0, "join radius must be nonnegative");
-        debug_assert!(slop >= 0.0, "staleness bound must be nonnegative");
-        assert!(
-            self.m == 1
-                || r + 2.0 * slop <= self.bucket_len_x.min(self.bucket_len_y) * (1.0 + 1e-12),
-            "join radius {r} + twice staleness {slop} exceeds bucket side {}",
-            self.bucket_len_x.min(self.bucket_len_y)
-        );
+        self.check_stale_join(other, r, slop_self, slop_other);
         if self.len == 0 || other.len == 0 {
             return;
         }
@@ -2012,7 +2027,8 @@ impl GridIndexBuffer {
                 0..self.occupied.len(),
                 use_band,
                 r,
-                slop,
+                slop_self,
+                slop_other,
                 positions,
                 &mut |id| out.push(id as u32),
             );
@@ -2078,7 +2094,8 @@ impl GridIndexBuffer {
                 sh.occ_lo..sh.occ_hi,
                 use_band,
                 r,
-                slop,
+                slop_self,
+                slop_other,
                 positions,
                 &mut |id| {
                     sh.out[k] = id as u32;
@@ -2323,12 +2340,12 @@ mod tests {
             );
         }
         let mut sequential = Vec::new();
-        inc.join_covered_by_stale(&tx, 2.0, 0.5, &pts, |id| sequential.push(id as u32));
+        inc.join_covered_by_stale(&tx, 2.0, 0.5, 0.5, &pts, |id| sequential.push(id as u32));
         assert!(!sequential.is_empty(), "the scenario must produce hits");
         for threads in [1usize, 2, 5, 16] {
             let pool = WorkerPool::new(threads);
             let mut parallel = Vec::new();
-            inc.join_covered_by_stale_par(&tx, 2.0, 0.5, &pts, &pool, &mut parallel);
+            inc.join_covered_by_stale_par(&tx, 2.0, 0.5, 0.5, &pts, &pool, &mut parallel);
             assert_eq!(parallel, sequential, "{threads} threads");
         }
     }
@@ -2358,7 +2375,7 @@ mod tests {
             // drift below the announced slop, then join
             pts[0] = Point::new(10.0 + 0.1 * round as f64, 10.0);
             let mut got = Vec::new();
-            inc.join_covered_by_stale(&tx, 2.0, 0.5, &pts, |id| got.push(id));
+            inc.join_covered_by_stale(&tx, 2.0, 0.5, 0.5, &pts, |id| got.push(id));
             assert_eq!(got, vec![0], "round {round}");
         }
     }

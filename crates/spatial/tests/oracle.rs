@@ -281,7 +281,7 @@ proptest! {
             let mut tx = GridIndexBuffer::new();
             tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
             let mut got = Vec::new();
-            inc.join_covered_by_stale(&tx, r, stale, &pts, |id| got.push(id));
+            inc.join_covered_by_stale(&tx, r, stale, stale, &pts, |id| got.push(id));
             got.sort_unstable();
             let r2 = r * r;
             let mut expected: Vec<usize> = members
@@ -338,7 +338,7 @@ proptest! {
         let mut tx = GridIndexBuffer::new();
         tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
         let mut got = Vec::new();
-        inc.join_covered_by_stale(&tx, r, slop, &pts, |id| got.push(id));
+        inc.join_covered_by_stale(&tx, r, slop, slop, &pts, |id| got.push(id));
         got.sort_unstable();
         let r2 = r * r;
         let mut expected: Vec<usize> = members
@@ -442,7 +442,7 @@ proptest! {
             let mut tx = GridIndexBuffer::new();
             tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
             let mut got = Vec::new();
-            inc.join_covered_by_stale(&tx, r, stale, &pts, |id| got.push(id));
+            inc.join_covered_by_stale(&tx, r, stale, stale, &pts, |id| got.push(id));
             got.sort_unstable();
             let r2 = r * r;
             let mut expected: Vec<usize> = members
@@ -455,6 +455,60 @@ proptest! {
             expected.sort_unstable();
             prop_assert_eq!(got, expected, "round {} stale {}", round, stale);
         }
+    }
+
+    /// The two sides of the stale join drift independently: this side
+    /// by up to `slop_self`, the facing side by up to `slop_other`, with
+    /// `slop_self + slop_other ≤ bucket − r` and either one possibly 0.
+    /// Drift lengths sit near each side's own bound, so a prune padded
+    /// by the wrong side's slop drops in-range pairs.
+    #[test]
+    fn asymmetric_stale_join_matches_brute_force(
+        seed in 0u64..500,
+        n in 40usize..240,
+        r in 1.0f64..10.0,
+        budget_share in 0.0f64..=1.0,
+        split in 0usize..4,
+    ) {
+        let region = Rect::square(SIDE).unwrap();
+        let bucket = 4.0 * r;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let total = budget_share * (bucket - r) * (1.0 - 1e-9);
+        let slop_self = match split {
+            0 => 0.0,
+            1 => total,
+            _ => rng.gen_range(0.0..=total),
+        };
+        let slop_other = total - slop_self;
+        let mut pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE)))
+            .collect();
+        let members: Vec<u32> = (0..n as u32).filter(|_| rng.gen::<bool>()).collect();
+        let others: Vec<u32> = (0..n as u32).filter(|id| !members.contains(id)).collect();
+        let mut inc = GridIndexBuffer::new();
+        inc.rebuild_incremental(region, bucket, &pts, &members, n, &[]).unwrap();
+        let mut tx = GridIndexBuffer::new();
+        tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
+        // both grids left stale: each point moves 90–100 % of its own
+        // side's bound in a random direction
+        for (id, p) in pts.iter_mut().enumerate() {
+            let bound = if members.contains(&(id as u32)) { slop_self } else { slop_other };
+            let len = bound * rng.gen_range(0.9..=1.0);
+            let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+            *p = Point::new(p.x + len * angle.cos(), p.y + len * angle.sin());
+        }
+        let mut got = Vec::new();
+        inc.join_covered_by_stale(&tx, r, slop_self, slop_other, &pts, |id| got.push(id));
+        got.sort_unstable();
+        let r2 = r * r;
+        let expected: Vec<usize> = members
+            .iter()
+            .filter(|&&u| {
+                others.iter().any(|&t| pts[u as usize].euclid_sq(pts[t as usize]) <= r2)
+            })
+            .map(|&u| u as usize)
+            .collect();
+        prop_assert_eq!(got, expected, "slops {} {}", slop_self, slop_other);
     }
 
     #[test]

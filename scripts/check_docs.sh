@@ -42,10 +42,12 @@ doc_expect fastflood_spatial/struct.GridIndexBuffer.html "nearest row with spare
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
+doc_expect fastflood_spatial/struct.GridIndexBuffer.html "r + slop_self + slop_other"
 doc_expect fastflood_spatial/struct.UpdateStats.html relocated
 doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_staleness
+doc_expect fastflood_core/struct.FloodingSim.html incremental_refiled_entries
 doc_expect fastflood_core/struct.FloodingSim.html phase_times
 doc_expect fastflood_core/struct.StepPhases.html refresh_ns
 doc_expect fastflood_mobility/trait.Mobility.html step_batch

@@ -1,9 +1,9 @@
 //! Timing-free regression gate on the incremental join: one fixed
 //! sparse flood must reproduce its flooding time and the exact
-//! DEFER/REFRESH/FULL decision and re-layout counts. The counters are
-//! deterministic per seed, so a change to the staleness budget, the
-//! slack layout or the overflow path shows up here as an exact
-//! mismatch, with no timing noise.
+//! DEFER/REFRESH/FULL decision, re-layout and re-filed entry counts.
+//! The counters are deterministic per seed, so a change to the
+//! staleness budget, the re-file rule, the slack layout or the overflow
+//! path shows up here as an exact mismatch, with no timing noise.
 
 use fastflood::core::{
     EngineMode, FloodingSim, Parallelism, SimConfig, SimParams, SourcePlacement,
@@ -17,6 +17,7 @@ struct Counters {
     deferred_steps: u32,
     full_rebuilds: u32,
     relayouts: u64,
+    refiled_entries: u64,
 }
 
 /// MRWP below the connectivity threshold (R = 0.4 of the radius scale,
@@ -41,6 +42,7 @@ fn sparse_flood(parallelism: Parallelism) -> Counters {
         deferred_steps: sim.incremental_deferred_steps(),
         full_rebuilds: sim.incremental_full_rebuilds(),
         relayouts: sim.incremental_relayouts(),
+        refiled_entries: sim.incremental_refiled_entries(),
     }
 }
 
@@ -62,9 +64,10 @@ fn sequential_sparse_flood_work_counters_are_exact() {
         Counters {
             flooding_time: Some(155),
             diff_steps: 154,
-            deferred_steps: 116,
+            deferred_steps: 114,
             full_rebuilds: 1,
             relayouts: 0,
+            refiled_entries: 120_933,
         },
     );
 }
@@ -82,9 +85,10 @@ fn chunked_sparse_flood_work_counters_are_exact_for_any_thread_count() {
         Counters {
             flooding_time: Some(150),
             diff_steps: 149,
-            deferred_steps: 112,
+            deferred_steps: 109,
             full_rebuilds: 1,
             relayouts: 0,
+            refiled_entries: 121_531,
         },
     );
 }
