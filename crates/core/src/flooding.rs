@@ -44,6 +44,15 @@
 //!   slack rebuilds remain as fallbacks: membership-churn spikes (an
 //!   informed-set jump above 1/8 of the live population) and crashes
 //!   (roster surgery invalidates the diff bookkeeping).
+//! * **Sleep epochs.** After the front passes, the informed interior
+//!   can never matter again, and the far suburb cannot be reached for
+//!   many steps. Every [`SLEEP_EPOCH`] steps (and after any event that
+//!   changes a side) one streaming pass classifies every live agent
+//!   from exact positions: an agent that cannot take part in a
+//!   transmission before the next classification sleeps — it keeps
+//!   moving but is in neither join grid. The bounds follow from
+//!   move-then-transmit order and the [`Mobility::speed`] displacement
+//!   contract ([`sleep_reach`]), so sleeping never changes a result.
 //! * **Batched SoA move pass with measured drift.** The move phase is
 //!   one [`Mobility::step_batch`] call over the model's batched state
 //!   layout — for MRWP a hot/cold split (`MrwpBatch`) whose 32-byte hot
@@ -72,15 +81,19 @@
 //! candidate lists so every [`EngineMode`] draws identical random
 //! streams.
 //!
-//! Complexity per step, with `T` live transmitters and `U` live
+//! Complexity per step, with `T` awake transmitters and `U` awake
 //! uninformed agents: moving is `O(n)` (every agent moves, one fused
 //! increment each via [`Mobility::step_batch`]); full-flooding transmit
 //! is `O(churn + pairs)` amortized (membership surgery plus the
 //! occupied-bucket-pair join, whose scan work is the number of close
 //! bucket pairs; about every `⌊0.9·(bucket−R)/2v⌋`-th step pays an
 //! `O(U)` or `O(T)` re-filing pass over one grid, or `O(U + T)` over
-//! both), versus the seed implementation's fresh heap index
-//! build plus two full `O(n)` agent scans every step.
+//! both). Only awake agents enter that cost: the classification is one
+//! `O(n + m²)` pass every 16 steps (`m` join buckets per axis), plus
+//! rebuilds of the two grids over the awake sets. On
+//! `sparse-flood-300k` about 11 % of agent-steps are awake. The seed
+//! implementation instead paid a fresh heap index build plus two full
+//! `O(n)` agent scans every step.
 //! See `BENCH_engine.json` for measured step throughput and
 //! `docs/BENCHMARKING.md` for the protocol behind it.
 
@@ -89,7 +102,7 @@ use crate::checkpoint::{
     CheckpointError, Snapshot, TAG_AGNT, TAG_CRNG, TAG_FLOD, TAG_META, TAG_MRNG, TAG_POSN, TAG_TURN,
 };
 use crate::{CoreError, Zone, ZoneMap};
-use fastflood_geom::Point;
+use fastflood_geom::{Point, Rect};
 use fastflood_mobility::{
     move_chunk_count, BlockRng, ByteReader, ByteWriter, ChunkCtx, Mobility, SnapshotState,
     TurnRecorder, MOVE_CHUNK, RNG_BLOCK,
@@ -534,6 +547,9 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     join_steps: u32,
     /// Cross-step synchronization state of the incremental re-bin path.
     inc: IncrementalSync,
+    /// The sleep epoch: which live agents the join grids index, and the
+    /// scratch of the classification that decides it.
+    sleep: SleepEpoch,
     /// Agents informed during the current step (sorted before applying).
     newly: Vec<u32>,
     /// `stamp[a] == time` marks agent `a` as chosen this step (O(1)
@@ -596,8 +612,9 @@ const CHUNK_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// `transmit_ns` covers the whole post-move half of the step (protocol
 /// transmit plus applying the newly-informed set); `refresh_ns` is the
-/// subset of it spent synchronizing the incremental join grids (full
-/// rebuilds, membership surgery, refresh/relocate passes), so
+/// subset of it spent synchronizing the incremental join grids (the
+/// sleep-epoch classification, full rebuilds, membership surgery,
+/// refresh/relocate passes), so
 /// `refresh_ns ≤ transmit_ns` and pure join/scan cost is their
 /// difference. Analogously, `boundary_ns` is the time spent in the
 /// scalar leg-boundary pass of a split move kernel (models without a
@@ -615,7 +632,8 @@ pub struct StepPhases {
     pub boundary_ns: u64,
     /// Transmit pass, inclusive of `refresh_ns`.
     pub transmit_ns: u64,
-    /// Incremental-grid synchronization inside the transmit pass.
+    /// Incremental-grid synchronization inside the transmit pass,
+    /// including the sleep-epoch classification.
     pub refresh_ns: u64,
 }
 
@@ -648,6 +666,7 @@ impl<M: Mobility + Clone, R: Rng + SeedableRng + Send + Clone> Clone for Floodin
             tx_grid: self.tx_grid.clone(),
             join_steps: self.join_steps,
             inc: self.inc,
+            sleep: self.sleep.clone(),
             newly: self.newly.clone(),
             stamp: self.stamp.clone(),
             tx_scratch: self.tx_scratch.clone(),
@@ -760,6 +779,16 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             }
         };
 
+        // only the Adaptive join of flooding and parsimonious sleeps;
+        // every other sim keeps empty classification scratch
+        let sleeps = config.engine == EngineMode::Adaptive
+            && !matches!(config.protocol, Protocol::Gossip { .. });
+        let sleep = SleepEpoch::new(
+            region,
+            config.radius,
+            model.speed(),
+            if sleeps { config.n } else { 0 },
+        );
         Ok(FloodingSim {
             batch: model.batch_from_states(states),
             model,
@@ -811,6 +840,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             },
             join_steps: 0,
             inc: IncrementalSync::default(),
+            sleep,
             newly: Vec::with_capacity(config.n),
             stamp: vec![u32::MAX; config.n],
             tx_scratch: Vec::with_capacity(config.n),
@@ -1164,6 +1194,17 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.inc.full_rebuilds
     }
 
+    /// Diagnostic: join steps that rebuilt both grids over freshly
+    /// classified awake sets because a sleep epoch ended while the
+    /// maintenance chain was intact. A classification after an event
+    /// rides on the resync [`FloodingSim::incremental_full_rebuilds`]
+    /// counts, so every join step is exactly one of a full rebuild, an
+    /// epoch rebuild or a diff step.
+    #[inline]
+    pub fn incremental_epoch_rebuilds(&self) -> u32 {
+        self.inc.epoch_rebuilds
+    }
+
     /// Diagnostic: cumulative slack-overflow re-layouts taken by the two
     /// incremental grids (see [`GridIndexBuffer::relayouts`]) — the
     /// amortized-fallback cost knob to watch when tuning slack and
@@ -1223,6 +1264,20 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     #[inline]
     pub fn incremental_refiled_entries(&self) -> u64 {
         self.inc.refiled_entries
+    }
+
+    /// Diagnostic: awake agents summed over join steps. At the start of
+    /// each sleep epoch (every 16 steps, and after any event that
+    /// changes the sides) the engine keeps in its two join grids only
+    /// the live agents that can take part in a transmission before the
+    /// next epoch; the others sleep. Comparing this count with
+    /// `n · steps` shows the share of agent-steps the grids still
+    /// maintain. Counted since construction or the last
+    /// [`FloodingSim::restore`], like the other incremental diagnostics.
+    /// Deterministic per seed and thread count.
+    #[inline]
+    pub fn awake_agent_steps(&self) -> u64 {
+        self.sleep.awake_agent_steps
     }
 
     /// Worker threads of the chunked-parallel step, or 0 when the sim
@@ -1324,6 +1379,13 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                 ),
             }
         };
+        // the sleep epoch's reach bounds trust `speed()` to bound every
+        // agent's displacement (the `Mobility::speed` contract)
+        debug_assert!(
+            drift <= self.model.speed() * (1.0 + 1e-9),
+            "measured drift {drift} exceeds the model speed {}",
+            self.model.speed()
+        );
         let transmit_started = if let Some(t0) = move_started {
             self.phases.move_ns += t0.elapsed().as_nanos() as u64;
             if let Some((_, b_ns)) = self.model.move_split_nanos(&self.batch) {
@@ -1357,6 +1419,14 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                 let a = u as usize;
                 !(self.informed[a])
             });
+            if self.inc.ready {
+                // the join informed awake receivers only: they stay
+                // awake as transmitters, which is the roster suffix the
+                // next join's membership diff reads
+                self.sleep.tx.extend_from_slice(&self.newly);
+                let informed = &self.informed;
+                self.sleep.rx.retain(|&u| !informed[u as usize]);
+            }
         }
         self.informed_count += self.newly.len();
         self.spread.push(self.informed_count as u32);
@@ -1452,22 +1522,19 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             return;
         }
         // The transmit roster: all live informed agents, or the
-        // coin-passing subset for parsimonious. Coins are drawn in
-        // roster order in every engine mode, so the random stream is
-        // mode-independent.
-        let tx: &[u32] = match forward_probability {
-            None => &self.transmitters,
-            Some(p) => {
-                self.tx_scratch.clear();
-                for &t in &self.transmitters {
-                    if self.rng.gen::<f64>() < p {
-                        self.tx_scratch.push(t);
-                    }
+        // coin-passing subset for parsimonious. Coins are drawn over the
+        // full roster in roster order in every engine mode, so the
+        // random stream is mode-independent.
+        if let Some(p) = forward_probability {
+            self.tx_scratch.clear();
+            for &t in &self.transmitters {
+                if self.rng.gen::<f64>() < p {
+                    self.tx_scratch.push(t);
                 }
-                &self.tx_scratch
             }
-        };
-        if tx.is_empty() {
+        }
+        let roster = forward_probability.is_none();
+        if (roster && self.transmitters.is_empty()) || (!roster && self.tx_scratch.is_empty()) {
             // an all-tails parsimonious step: everyone still moved
             self.inc.accrue(max_move, false);
             return;
@@ -1478,7 +1545,24 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         match self.engine {
             EngineMode::Adaptive => {
                 self.join_steps += 1;
-                let refresh_ns = join_covered_incremental(
+                let mut refresh_ns = 0;
+                // agents informed since the last sync, read before a
+                // classification replaces the awake roster
+                let churn = self.sleep.tx.len().saturating_sub(self.inc.synced_tx);
+                let epoch_due = self.inc.ready && self.time >= self.sleep.epoch_end;
+                if !self.inc.ready || epoch_due {
+                    // a new epoch: re-decide who is awake from the
+                    // exact post-move positions; the join then rebuilds
+                    // both grids over the awake sets
+                    let started = self.phase_timing.then(Instant::now);
+                    self.sleep
+                        .classify(&self.positions, &self.informed, &self.crashed, self.time);
+                    refresh_ns += started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                }
+                self.sleep.awake_agent_steps += (self.sleep.rx.len() + self.sleep.tx.len()) as u64;
+                let sleep = &self.sleep;
+                let tx: &[u32] = if roster { &sleep.tx } else { &self.tx_scratch };
+                refresh_ns += join_covered_incremental(
                     &mut self.grid,
                     &mut self.tx_grid,
                     &mut self.inc,
@@ -1486,10 +1570,13 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                     radius,
                     max_move,
                     &self.positions,
-                    &self.uninformed,
-                    &self.transmitters,
+                    &sleep.rx,
+                    &sleep.tx,
+                    self.uninformed.len() + self.transmitters.len(),
+                    churn,
+                    epoch_due,
                     tx,
-                    forward_probability.is_none(),
+                    roster,
                     &mut self.newly,
                     self.phase_timing,
                     self.par.as_ref().map(|p| &*p.pool),
@@ -1498,6 +1585,11 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             }
             EngineMode::Oracle => {
                 // brute force: same visitation semantics, no index
+                let tx: &[u32] = if roster {
+                    &self.transmitters
+                } else {
+                    &self.tx_scratch
+                };
                 for &u in &self.uninformed {
                     let p = self.positions[u as usize];
                     if tx
@@ -2143,6 +2235,7 @@ where
             self.rank[t as usize] = i as u32;
         }
         self.inc = IncrementalSync::default();
+        self.sleep.restart();
         self.newly.clear();
         self.tx_scratch.clear();
         self.cand.clear();
@@ -2170,10 +2263,13 @@ struct IncrementalSync {
     /// The grids hold valid slack layouts for the current geometry and
     /// the membership-diff bookkeeping is intact. Cleared at
     /// construction and by every event that breaks the chain: crashes
-    /// (roster surgery + live-population change) and gossip (which
-    /// clobbers `grid` with a fine-bucket layout).
+    /// (roster surgery + live-population change), revivals, out-of-band
+    /// informs, re-placements, source resets, restores, and gossip
+    /// (which clobbers `grid` with a fine-bucket layout). While it is
+    /// clear the awake sets are stale too: the next join reclassifies
+    /// them first.
     ready: bool,
-    /// Prefix of `transmitters` the grids are synced to. The suffix —
+    /// Prefix of the awake roster the grids are synced to. The suffix —
     /// agents informed since the last sync — is the next step's
     /// membership diff: they leave the uninformed grid and join the
     /// transmitter grid.
@@ -2197,6 +2293,9 @@ struct IncrementalSync {
     /// Join steps resynced with full slack rebuilds (cold start, and
     /// every churn-spike/crash fallback since).
     full_rebuilds: u32,
+    /// Join steps that rebuilt both grids over new awake sets because a
+    /// sleep epoch ended while the chain was intact.
+    epoch_rebuilds: u32,
     /// Join steps resynced via a diff (deferred membership-only or a
     /// refresh/relocate pass) rather than full rebuilds.
     diff_steps: u32,
@@ -2220,6 +2319,206 @@ impl IncrementalSync {
             self.stale_tx += max_move;
         }
         self.stale_sync += max_move;
+    }
+}
+
+/// Steps one sleep classification covers. At the start of an epoch
+/// every live agent is classified from exact positions; an agent that
+/// provably cannot take part in a transmission during the next
+/// `SLEEP_EPOCH` steps sleeps — it keeps moving but leaves both join
+/// grids — until the next classification. Measured on the seed-1
+/// `sparse-flood-300k` flood (2-CPU VM, seven interleaved floods
+/// each): 8, 16 and 32 steps took the same wall time within noise,
+/// keeping 6.5 %, 11.4 % and 21 % of agent-steps awake. One
+/// classification pass costs about 2.9 ms at n = 300k, 0.18 ms per
+/// step at 16.
+const SLEEP_EPOCH: u32 = 16;
+const _: () = assert!(SLEEP_EPOCH >= 2);
+
+/// Reach of each side over one sleep epoch: how far an agent may be
+/// from every agent of the other side at classification time and still
+/// take part in a transmission before the next classification. Index 0
+/// is an uninformed agent, 1 a transmitter (the side is the informed
+/// flag); `speed` bounds each agent's displacement per step.
+///
+/// Both bounds follow from move-then-transmit order. The decision at
+/// step `s` sees the exact post-move positions and the roster `T(s−1)`,
+/// and covers the transmit phases of steps `s .. s+K−1` (`K` =
+/// [`SLEEP_EPOCH`]). Between classifications only the flood itself
+/// changes the sides; every fault event ends the epoch early.
+///
+/// * **Uninformed.** Let `d` be the distance to the nearest transmitter
+///   at step `s`. A transmitter informed at step `s+i` was within `R`
+///   of an older one, so the informed set reaches at most `R` further
+///   per hop, and each move closes at most `2v` between two agents:
+///   at step `s+j` the distance is at least `d − j·(R + 2v)`. Reception
+///   needs `≤ R` for some `j ≤ K−1`: `d ≤ R + (K−1)·(R + 2v)`.
+/// * **Transmitter.** The uninformed set only shrinks, so the nearest
+///   uninformed agent closes only by motion: `d − 2v·j ≤ R` for some
+///   `j ≤ K−1`: `d ≤ R + 2v·(K−1)`.
+fn sleep_reach(radius: f64, speed: f64) -> [f64; 2] {
+    let hops = f64::from(SLEEP_EPOCH - 1);
+    [
+        radius + hops * (radius + 2.0 * speed),
+        radius + hops * 2.0 * speed,
+    ]
+}
+
+/// Which live agents the join grids index during the current sleep
+/// epoch, and the retained scratch of the classification that decides
+/// it (see [`sleep_reach`] for the bounds and `docs/ARCHITECTURE.md`,
+/// "Sleep epochs", for why the epoch is global).
+///
+/// The classification streams `positions` once in id order, binning
+/// every live agent into its side's occupancy table on a grid of
+/// cells at least a join bucket wide; runs a two-pass Chebyshev distance transform per
+/// side; and streams the agents again, keeping an agent awake iff the
+/// lower bound `(D − 1)·cell` on its distance to the other side is
+/// within its side's reach, where `D` is the cell distance from its
+/// cell to the nearest cell the other side occupies. Tables are indexed
+/// by side, so neither pass branches on the informed flag.
+#[derive(Debug, Clone)]
+struct SleepEpoch {
+    /// Awake live uninformed agents, ascending.
+    rx: Vec<u32>,
+    /// Awake live transmitters: ascending at classification, then the
+    /// agents the join informs since, appended in inform order.
+    tx: Vec<u32>,
+    /// First step whose transmit phase needs a new classification.
+    epoch_end: u32,
+    /// Awake agents (both sides) summed over join steps.
+    awake_agent_steps: u64,
+    /// Cells per axis of the classification grid.
+    m: usize,
+    /// Region origin and reciprocal cell sides of the binning formula.
+    origin: Point,
+    inv_x: f64,
+    inv_y: f64,
+    /// Per side, the largest cell distance `D` to the other side at
+    /// which an agent stays awake: `(D − 1)·cell ≤ reach`.
+    max_cells: [u32; 2],
+    /// Per-agent cell, written by the binning pass.
+    cell: Vec<u32>,
+    /// Per side (`side·m² ..`), the Chebyshev cell distance to the
+    /// nearest cell the side occupies, `u32::MAX` when it occupies none.
+    dist: Vec<u32>,
+}
+
+impl SleepEpoch {
+    /// Preallocates every table for `n` agents, so classification never
+    /// allocates (`n` = 0 for a sim that never classifies). Cells are at
+    /// least `JOIN_BUCKET_FACTOR·R` wide, and at most about `2√n` per
+    /// axis so the tables stay `O(n)`. Any cell size gives a sound
+    /// `(D − 1)·cell` bound; finer cells sleep a few more agents but
+    /// cost more per pass (see "Sleep epochs" in `docs/ARCHITECTURE.md`).
+    fn new(region: Rect, radius: f64, speed: f64, n: usize) -> SleepEpoch {
+        let side = region.width().min(region.height());
+        let cap = (2.0 * (n.max(1) as f64).sqrt()).ceil() as usize + 1;
+        let m = ((side / (JOIN_BUCKET_FACTOR * radius)).floor() as usize).clamp(1, cap);
+        let cell = side / m as f64;
+        // the relative guard absorbs rounding in the binning formula
+        let reach = sleep_reach(radius, speed);
+        let max_cells = reach.map(|r| (r * (1.0 + 1e-9) / cell).floor() as u32 + 1);
+        SleepEpoch {
+            rx: Vec::with_capacity(n),
+            tx: Vec::with_capacity(n),
+            epoch_end: 0,
+            awake_agent_steps: 0,
+            m,
+            origin: region.min(),
+            inv_x: m as f64 / region.width(),
+            inv_y: m as f64 / region.height(),
+            max_cells,
+            cell: vec![0; n],
+            dist: vec![u32::MAX; 2 * m * m],
+        }
+    }
+
+    /// Forgets the epoch and the awake count, as after construction; the
+    /// next join classifies afresh.
+    fn restart(&mut self) {
+        self.rx.clear();
+        self.tx.clear();
+        self.epoch_end = 0;
+        self.awake_agent_steps = 0;
+    }
+
+    /// Re-decides the awake sets from the exact positions at step
+    /// `time`, starting an epoch that lasts [`SLEEP_EPOCH`] steps.
+    fn classify(&mut self, positions: &[Point], informed: &[bool], crashed: &[bool], time: u32) {
+        debug_assert_eq!(self.cell.len(), positions.len(), "scratch sized for n");
+        let (m, mm) = (self.m, self.m * self.m);
+        self.dist.fill(u32::MAX);
+        // bin every agent; a live one marks its side's cell occupied (a
+        // crashed one ANDs with all ones and leaves it as it was)
+        let agents = positions.iter().zip(informed).zip(crashed);
+        for (cell, ((p, &inf), &cr)) in self.cell.iter_mut().zip(agents) {
+            let cx = (((p.x - self.origin.x) * self.inv_x) as usize).min(m - 1);
+            let cy = (((p.y - self.origin.y) * self.inv_y) as usize).min(m - 1);
+            let c = cy * m + cx;
+            *cell = c as u32;
+            self.dist[usize::from(inf) * mm + c] &= u32::from(cr).wrapping_neg();
+        }
+        for table in self.dist.chunks_exact_mut(mm) {
+            chebyshev_transform(table, m);
+        }
+        // keep the live agents within reach of the other side; every
+        // agent is written and only the kept ones advance their cursor
+        let n = positions.len();
+        self.rx.resize(n, 0);
+        self.tx.resize(n, 0);
+        let mut kept = [0usize; 2];
+        {
+            let out = [&mut self.rx, &mut self.tx];
+            let agents = self.cell.iter().zip(informed).zip(crashed);
+            for (a, ((&c, &inf), &cr)) in agents.enumerate() {
+                let side = usize::from(inf);
+                let d = self.dist[(1 - side) * mm + c as usize];
+                out[side][kept[side]] = a as u32;
+                kept[side] += usize::from(d <= self.max_cells[side] && !cr);
+            }
+        }
+        self.rx.truncate(kept[0]);
+        self.tx.truncate(kept[1]);
+        self.epoch_end = time.saturating_add(SLEEP_EPOCH);
+    }
+}
+
+/// In-place Chebyshev (chessboard) distance transform of an `m × m`
+/// row-major table whose occupied cells hold 0 and the rest
+/// `u32::MAX`: a forward raster pass over the four causal neighbours
+/// and a backward pass over the other four, which is exact for the
+/// chessboard metric.
+fn chebyshev_transform(d: &mut [u32], m: usize) {
+    for y in 0..m {
+        for x in 0..m {
+            let mut v = d[y * m + x];
+            if x > 0 {
+                v = v.min(d[y * m + x - 1].saturating_add(1));
+            }
+            if y > 0 {
+                let row = (y - 1) * m;
+                for k in x.saturating_sub(1)..=(x + 1).min(m - 1) {
+                    v = v.min(d[row + k].saturating_add(1));
+                }
+            }
+            d[y * m + x] = v;
+        }
+    }
+    for y in (0..m).rev() {
+        for x in (0..m).rev() {
+            let mut v = d[y * m + x];
+            if x + 1 < m {
+                v = v.min(d[y * m + x + 1].saturating_add(1));
+            }
+            if y + 1 < m {
+                let row = (y + 1) * m;
+                for k in x.saturating_sub(1)..=(x + 1).min(m - 1) {
+                    v = v.min(d[row + k].saturating_add(1));
+                }
+            }
+            d[y * m + x] = v;
+        }
     }
 }
 
@@ -2265,7 +2564,10 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 ///   (`churn·CHURN_SPIKE_DIVISOR > live`) and crashes resync from
 ///   scratch via [`GridIndexBuffer::rebuild_incremental`], announcing
 ///   every uninformed agent as an expected future transmitter so the
-///   roster grid's rows are pre-sized for the whole flood.
+///   roster grid's rows are pre-sized for the whole flood. An
+///   `epoch_due` step (a sleep epoch ended with the chain intact; the
+///   caller has just reclassified the awake sets) rebuilds the same
+///   way but counts as an epoch rebuild, not a full one.
 ///
 /// Both grids share one geometry sized by the *live population*
 /// (stable while no one crashes), so shared-geometry joins survive
@@ -2275,6 +2577,15 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 /// incrementally; the coin side gets a tight shared-geometry rebuild
 /// (cheap: the subset is small and changes wholesale), which is always
 /// staleness-zero, so the uninformed grid gets the whole budget.
+///
+/// `uninformed` and `transmitters` are the **awake** agents of the two
+/// sides (see [`SleepEpoch`]): the grids index only them, and the
+/// roster suffix `transmitters[synced..]` is still the membership diff,
+/// because the newly informed are appended to the awake roster. `live`
+/// is the full live population, so the geometry and the spike threshold
+/// do not move as agents fall asleep or wake. `churn` is the number of
+/// agents informed since the last sync, which the caller reads before a
+/// classification replaces the awake roster.
 ///
 /// A free function over split borrows so callers can keep `tx` borrowed
 /// from the sim while the grids are updated.
@@ -2300,12 +2611,15 @@ fn join_covered_incremental(
     grid: &mut GridIndexBuffer,
     tx_grid: &mut GridIndexBuffer,
     inc: &mut IncrementalSync,
-    region: fastflood_geom::Rect,
+    region: Rect,
     radius: f64,
     max_move: f64,
     positions: &[Point],
     uninformed: &[u32],
     transmitters: &[u32],
+    live: usize,
+    churn: usize,
+    epoch_due: bool,
     tx: &[u32],
     tx_is_roster: bool,
     newly: &mut Vec<u32>,
@@ -2313,19 +2627,19 @@ fn join_covered_incremental(
     pool: Option<&WorkerPool>,
 ) -> u64 {
     let sync_started = timing.then(Instant::now);
-    let live = uninformed.len() + transmitters.len();
     let bucket = JOIN_BUCKET_FACTOR * radius;
     // staleness budget of the two grids together: the stale join needs
     // R + stale_rx + stale_tx to fit the bucket side
     let budget = STALENESS_BUDGET_FACTOR * (bucket - radius);
-    // churn since the last sync is the roster growth; only meaningful
-    // when the chain is intact (a crash shrinks the roster and clears
-    // `ready`, so the saturating difference is never misread)
-    let churn = transmitters.len().saturating_sub(inc.synced_tx);
-    if !inc.ready || churn * CHURN_SPIKE_DIVISOR > live {
-        if inc.ready {
+    // churn is only meaningful when the chain is intact (a crash
+    // shrinks the roster and clears `ready`, so the caller's saturating
+    // difference is never misread)
+    let resync = !inc.ready;
+    let spike = inc.ready && churn * CHURN_SPIKE_DIVISOR > live;
+    if resync || spike || epoch_due {
+        if spike {
             // the chain was intact: this rebuild is the churn-spike
-            // fallback, not a cold start or crash resync
+            // fallback, not a cold start, crash resync or epoch start
             inc.spike_rebuilds += 1;
         }
         grid.rebuild_incremental(region, bucket, positions, uninformed, live, &[])
@@ -2343,9 +2657,14 @@ fn join_covered_incremental(
         inc.stale_rx = 0.0;
         inc.stale_tx = 0.0;
         inc.stale_sync = 0.0;
-        inc.full_rebuilds += 1;
+        if resync || spike {
+            inc.full_rebuilds += 1;
+        } else {
+            inc.epoch_rebuilds += 1;
+        }
     } else {
         let diff = &transmitters[inc.synced_tx..];
+        debug_assert_eq!(diff.len(), churn);
         inc.accrue(max_move, tx_is_roster);
         let (rx, tx) = (inc.stale_rx, inc.stale_tx);
         let (refile_rx, refile_tx) = if rx + tx <= budget {
@@ -2963,6 +3282,190 @@ mod tests {
             if protocol == Protocol::Flooding {
                 assert!(single_refiles > 0, "no single-grid re-file");
             }
+        }
+    }
+    /// The epoch reach against a literal worst case: a relay chain that
+    /// hops `R` toward the agent every step while the two close at `2v`
+    /// (uninformed side), or motion alone (transmitter side). An agent
+    /// exactly at the reach can take part within the epoch, and one any
+    /// further out cannot, so the bound is neither loose nor short by a
+    /// step. Dyadic inputs keep the arithmetic exact.
+    #[test]
+    fn sleep_reach_is_the_worst_case_contact_distance() {
+        // first step j of the epoch at which an agent `d` away could
+        // take part in a transmission
+        let first_contact = |d: f64, radius: f64, speed: f64, hops: bool| -> u32 {
+            let mut gap = d;
+            for j in 0..4 * SLEEP_EPOCH {
+                if gap <= radius {
+                    return j;
+                }
+                if hops {
+                    gap -= radius;
+                }
+                gap -= 2.0 * speed;
+            }
+            u32::MAX
+        };
+        for (radius, speed) in [(1.0, 0.0), (1.0, 0.25), (2.0, 0.75), (0.5, 1.5)] {
+            let reach = sleep_reach(radius, speed);
+            for (side, hops) in [(0, true), (1, false)] {
+                let at = first_contact(reach[side], radius, speed, hops);
+                assert!(at < SLEEP_EPOCH, "R={radius} v={speed} side {side}: {at}");
+                if speed > 0.0 || hops {
+                    assert_eq!(at, SLEEP_EPOCH - 1, "R={radius} v={speed} side {side}");
+                }
+                let beyond = first_contact(reach[side] + radius / 1024.0, radius, speed, hops);
+                assert!(beyond >= SLEEP_EPOCH, "R={radius} v={speed} side {side}");
+            }
+        }
+    }
+
+    /// The two-pass transform is the exact chessboard distance.
+    #[test]
+    fn chebyshev_transform_matches_brute_force() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for m in [1, 2, 7, 16] {
+            for density in [0.0, 0.02, 0.3] {
+                let occupied: Vec<bool> = (0..m * m).map(|_| rng.gen::<f64>() < density).collect();
+                let mut d: Vec<u32> = occupied
+                    .iter()
+                    .map(|&o| if o { 0 } else { u32::MAX })
+                    .collect();
+                chebyshev_transform(&mut d, m);
+                for (c, &got) in d.iter().enumerate() {
+                    let expect = (0..m * m)
+                        .filter(|&o| occupied[o])
+                        .map(|o| {
+                            let dx = (c % m).abs_diff(o % m);
+                            let dy = (c / m).abs_diff(o / m);
+                            dx.max(dy) as u32
+                        })
+                        .min()
+                        .unwrap_or(u32::MAX);
+                    assert_eq!(got, expect, "m={m} cell {c}");
+                }
+            }
+        }
+    }
+
+    /// Classification only sleeps agents farther than their reach from
+    /// every live agent of the other side, lists each side's awake live
+    /// agents in ascending id order, and does sleep most of a layout
+    /// with a handful of transmitters.
+    #[test]
+    fn classification_sleeps_only_agents_beyond_reach() {
+        let region = Rect::square(200.0).unwrap();
+        let (radius, speed, n) = (1.0, 0.3, 3_000);
+        let reach = sleep_reach(radius, speed);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut sleep = SleepEpoch::new(region, radius, speed, n);
+        for informed_share in [0.001, 0.05, 0.5, 0.97] {
+            let positions: Vec<Point> = (0..n)
+                .map(|_| Point::new(200.0 * rng.gen::<f64>(), 200.0 * rng.gen::<f64>()))
+                .collect();
+            let informed: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < informed_share).collect();
+            let crashed: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.1).collect();
+            sleep.classify(&positions, &informed, &crashed, 7);
+            assert_eq!(sleep.epoch_end, 7 + SLEEP_EPOCH);
+            for (side, awake) in [(0, &sleep.rx), (1, &sleep.tx)] {
+                assert!(awake.windows(2).all(|w| w[0] < w[1]));
+                for a in 0..n {
+                    if crashed[a] || informed[a] as usize != side {
+                        assert!(awake.binary_search(&(a as u32)).is_err());
+                        continue;
+                    }
+                    let nearest = (0..n)
+                        .filter(|&b| !crashed[b] && informed[b] as usize != side)
+                        .map(|b| positions[a].euclid(positions[b]))
+                        .fold(f64::INFINITY, f64::min);
+                    if awake.binary_search(&(a as u32)).is_err() {
+                        assert!(nearest > reach[side], "agent {a}: {nearest}");
+                    }
+                }
+            }
+            if informed_share < 0.01 {
+                // a handful of transmitters: most receivers are far away
+                let awake = sleep.rx.len() + sleep.tx.len();
+                assert!(awake < n / 2, "{awake} awake");
+            }
+        }
+    }
+
+    /// Epoch rebuilds are counted apart from the fallback rebuilds, so
+    /// `incremental_full_rebuilds` still shows only the cold start and
+    /// the resyncs that events force: a crash adds exactly one, an
+    /// epoch none. Every join step is one of the three kinds.
+    #[test]
+    fn epoch_rebuilds_stay_out_of_the_fallback_count() {
+        // side 100R: 25 join buckets across, so epochs sleep agents
+        let mut sim = mrwp_sim(1_200, 100.0, 1.0, 0.5, 4);
+        sim.run(120);
+        let accounted = |s: &FloodingSim<Mrwp>| {
+            s.incremental_full_rebuilds()
+                + s.incremental_epoch_rebuilds()
+                + s.incremental_diff_steps()
+        };
+        assert_eq!(accounted(&sim), sim.bucket_join_steps());
+        assert!(sim.incremental_epoch_rebuilds() >= 2);
+        assert!(sim.awake_agent_steps() < 1_200 * u64::from(sim.bucket_join_steps()));
+        let full = sim.incremental_full_rebuilds();
+        assert_eq!(full, 1 + sim.incremental_spike_rebuilds());
+        let victim = sim.informed().iter().position(|&i| !i).unwrap();
+        sim.crash_agent(victim);
+        let epochs = sim.incremental_epoch_rebuilds();
+        sim.step();
+        assert_eq!(sim.incremental_full_rebuilds(), full + 1);
+        assert_eq!(sim.incremental_epoch_rebuilds(), epochs);
+        assert_eq!(accounted(&sim), sim.bucket_join_steps());
+    }
+
+    /// `restore` restarts the epoch and the awake count, so a sim that
+    /// had already stepped resumes exactly like a fresh one restored
+    /// from the same snapshot.
+    #[test]
+    fn restore_restarts_the_sleep_epoch() {
+        let mut donor = mrwp_sim(1_200, 100.0, 1.0, 0.5, 6);
+        donor.run(40);
+        let snap = donor.snapshot();
+        let mut stepped = mrwp_sim(1_200, 100.0, 1.0, 0.5, 6);
+        stepped.run(57);
+        assert!(stepped.awake_agent_steps() > 0);
+        stepped.restore(&snap).unwrap();
+        assert_eq!(stepped.awake_agent_steps(), 0);
+        assert_eq!(stepped.sleep.epoch_end, 0);
+        let mut fresh = mrwp_sim(1_200, 100.0, 1.0, 0.5, 6);
+        fresh.restore(&snap).unwrap();
+        stepped.run(30);
+        fresh.run(30);
+        assert!(fresh.awake_agent_steps() > 0);
+        assert_eq!(stepped.awake_agent_steps(), fresh.awake_agent_steps());
+        assert_eq!(stepped.sleep.epoch_end, fresh.sleep.epoch_end);
+    }
+
+    /// Only the sims that classify allocate the classification scratch.
+    #[test]
+    fn only_sleeping_sims_allocate_the_sleep_scratch() {
+        let cases = [
+            (Protocol::Flooding, EngineMode::Adaptive, true),
+            (
+                Protocol::Parsimonious { p: 0.5 },
+                EngineMode::Adaptive,
+                true,
+            ),
+            (Protocol::Gossip { k: 2 }, EngineMode::Adaptive, false),
+            (Protocol::Flooding, EngineMode::Oracle, false),
+        ];
+        for (protocol, engine, sleeps) in cases {
+            let model = Mrwp::new(100.0, 0.5).unwrap();
+            let config = SimConfig::new(500, 1.0).protocol(protocol).engine(engine);
+            let sim = FloodingSim::new(model, config).unwrap();
+            assert_eq!(sim.sleep.cell.len(), if sleeps { 500 } else { 0 });
+            assert_eq!(
+                sim.sleep.rx.capacity() >= 500,
+                sleeps,
+                "{protocol:?} {engine:?}"
+            );
         }
     }
 }

@@ -8,8 +8,11 @@
 //! curves is an engine bug, not noise.
 
 use fastflood_core::{EngineMode, FloodingSim, Protocol, SimConfig, SourcePlacement};
+use fastflood_geom::Point;
 use fastflood_mobility::Mrwp;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn sim(
     n: usize,
@@ -237,4 +240,158 @@ fn adaptive_engages_bucket_join_in_dense_regime_and_matches_oracle() {
         "v ≪ bucket here, so some steps must defer re-binning entirely"
     );
     assert_eq!(adaptive.report(), oracle.report());
+}
+
+/// Side of the wide-region cases, in units of the radius R = 1: the
+/// square is 25 join buckets across, so the sleep epochs engage.
+const WIDE_SIDE: f64 = 100.0;
+
+/// Agents per wide-region flood.
+const WIDE_N: usize = 2_000;
+
+/// How a wide-region flood starts.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Stationary MRWP positions, the source at the center.
+    Uniform,
+    /// Four fifths of the agents packed into a dense strip 4R high
+    /// across the square, the source at its west end. The front runs
+    /// along the strip by relay hops of up to R per step, so it reaches
+    /// uninformed agents ahead of it far sooner than motion alone could.
+    Strip,
+}
+
+fn wide_sim(
+    speed: f64,
+    seed: u64,
+    layout: Layout,
+    protocol: Protocol,
+    engine: EngineMode,
+) -> FloodingSim<Mrwp> {
+    let model = Mrwp::new(WIDE_SIDE, speed).unwrap();
+    let mut sim = FloodingSim::new(
+        model,
+        SimConfig::new(WIDE_N, 1.0)
+            .seed(seed)
+            .source(SourcePlacement::Center)
+            .protocol(protocol)
+            .engine(engine),
+    )
+    .unwrap();
+    if let Layout::Strip = layout {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mid = WIDE_SIDE / 2.0;
+        for a in 0..WIDE_N * 4 / 5 {
+            let p = Point::new(
+                WIDE_SIDE * rng.gen::<f64>(),
+                mid - 2.0 + 4.0 * rng.gen::<f64>(),
+            );
+            sim.place_agent_at(a, p).unwrap();
+        }
+        sim.reset_source(SourcePlacement::Nearest(Point::new(0.0, mid)))
+            .unwrap();
+    }
+    sim
+}
+
+fn inform_times(sim: &FloodingSim<Mrwp>) -> Vec<Option<u32>> {
+    (0..sim.n()).map(|a| sim.inform_time(a)).collect()
+}
+
+/// Floods the adaptive engine and the oracle side by side from the same
+/// seed, applying `events` to both before each step, and asserts that
+/// the whole inform-time vectors and the reports agree, and that some
+/// agents slept.
+fn wide_flood_matches_oracle(
+    speed: f64,
+    seed: u64,
+    layout: Layout,
+    protocol: Protocol,
+    mut events: impl FnMut(u32, &mut FloodingSim<Mrwp>),
+) {
+    let mut adaptive = wide_sim(speed, seed, layout, protocol, EngineMode::Adaptive);
+    let mut oracle = wide_sim(speed, seed, layout, protocol, EngineMode::Oracle);
+    for t in 0..5_000u32 {
+        if adaptive.all_informed() {
+            break;
+        }
+        events(t, &mut adaptive);
+        events(t, &mut oracle);
+        adaptive.step();
+        oracle.step();
+    }
+    let label = format!("v={speed} seed={seed} {layout:?} {protocol:?}");
+    assert!(adaptive.all_informed(), "{label}: flood must complete");
+    assert_eq!(
+        inform_times(&adaptive),
+        inform_times(&oracle),
+        "{label}: inform times diverged"
+    );
+    assert_eq!(adaptive.report(), oracle.report(), "{label}");
+    let indexed = WIDE_N as u64 * u64::from(adaptive.bucket_join_steps());
+    assert!(
+        adaptive.awake_agent_steps() < indexed,
+        "{label}: no agent ever slept"
+    );
+}
+
+/// Sleeping is exact: on a region 100R wide, at speeds 0.5R and 0.9R,
+/// the adaptive engine reproduces the oracle's inform time of every
+/// agent over 12 floods, half of them along a dense relay strip where
+/// the front outruns motion.
+#[test]
+fn wide_region_floods_match_oracle_with_sleeping_agents() {
+    for speed in [0.5, 0.9] {
+        for seed in 0..6 {
+            let layout = if seed % 2 == 0 {
+                Layout::Uniform
+            } else {
+                Layout::Strip
+            };
+            wide_flood_matches_oracle(speed, seed, layout, Protocol::Flooding, |_, _| {});
+        }
+    }
+}
+
+/// Parsimonious flooding sleeps only the uninformed side: coins are
+/// drawn over the whole roster and every coin-passing transmitter is
+/// joined, so the flood must still match the oracle exactly.
+#[test]
+fn wide_region_parsimonious_matches_oracle() {
+    for (seed, layout) in [(1, Layout::Uniform), (2, Layout::Strip)] {
+        let protocol = Protocol::Parsimonious { p: 0.5 };
+        wide_flood_matches_oracle(0.9, seed, layout, protocol, |_, _| {});
+    }
+}
+
+/// Events end a sleep epoch early: an out-of-band inform, crashes and
+/// revivals mid-flood each change a side, so the next join must
+/// reclassify rather than trust the sleeping sets.
+#[test]
+fn wide_region_events_mid_epoch_match_oracle() {
+    for (seed, layout) in [(3, Layout::Uniform), (4, Layout::Strip)] {
+        wide_flood_matches_oracle(
+            0.9,
+            seed,
+            layout,
+            Protocol::Flooding,
+            |t, sim: &mut FloodingSim<Mrwp>| {
+                let n = sim.n();
+                match t {
+                    // a second source, the highest-numbered uninformed
+                    // agent, mid-epoch
+                    21 => {
+                        if let Some(a) = (0..n).rev().find(|&a| !sim.informed()[a]) {
+                            sim.inform_agent(a);
+                        }
+                    }
+                    // crash a spread-out batch, informed or not, and
+                    // revive it a few steps later
+                    37 => (1..n).step_by(53).for_each(|a| sim.crash_agent(a)),
+                    42 => (1..n).step_by(53).for_each(|a| sim.revive_agent(a)),
+                    _ => {}
+                }
+            },
+        );
+    }
 }

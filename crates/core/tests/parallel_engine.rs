@@ -439,3 +439,48 @@ fn cloned_parallel_sims_replay_identically() {
     }
     assert_eq!(fingerprint(&a), fingerprint(&b), "clones diverged");
 }
+
+/// Sleep epochs under the chunked engine: on a wide region (side 100R,
+/// where agents sleep between classifications) a flood spanning
+/// several move chunks is bitwise identical at 1 and 2 threads, awake
+/// agent-steps included, and informs exactly the chunked oracle's
+/// agents at the same times.
+#[test]
+fn wide_region_sleeping_is_thread_invariant_and_matches_oracle() {
+    let n = MOVE_CHUNK + 1_500; // two chunks
+    let run = |engine: EngineMode, threads: usize| {
+        let mut s = sim(
+            n,
+            100.0,
+            1.0,
+            0.9,
+            23,
+            Protocol::Flooding,
+            engine,
+            Parallelism::Chunked { threads },
+            0,
+        );
+        let report = s.run(5_000);
+        assert!(report.completed, "{engine:?}: flood must complete");
+        (
+            fingerprint(&s),
+            s.awake_agent_steps(),
+            s.bucket_join_steps(),
+        )
+    };
+    let (one, awake, joins) = run(EngineMode::Adaptive, 1);
+    assert!(
+        awake < n as u64 * u64::from(joins),
+        "no agent ever slept ({awake} awake agent-steps over {joins} joins)"
+    );
+    assert_eq!(
+        run(EngineMode::Adaptive, 2),
+        (one.clone(), awake, joins),
+        "2 threads diverged"
+    );
+    assert_eq!(
+        run(EngineMode::Oracle, 2).0,
+        one,
+        "diverged from the oracle"
+    );
+}

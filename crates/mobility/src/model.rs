@@ -266,6 +266,16 @@ pub trait Mobility {
     fn region(&self) -> Rect;
 
     /// Distance traveled per time step.
+    ///
+    /// # Displacement contract
+    ///
+    /// `speed()` bounds every agent's Euclidean displacement over one
+    /// step, whatever its route, pauses or class: the measured drift
+    /// [`Mobility::step_batch`] returns never exceeds it. The flooding
+    /// engine relies on this to put agents far from the other side of a
+    /// flood to sleep for a whole epoch, so a model that could outrun
+    /// its `speed()` would make the engine miss transmissions. The
+    /// batch lockstep properties check it for every in-tree model.
     fn speed(&self) -> f64;
 
     /// Draws an agent state from the model's stationary distribution

@@ -649,3 +649,16 @@ fn mrwp_paused_steps_measure_drift_below_speed() {
     );
     assert!(exact > 0, "traveling steps still measure full-speed drift");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Static agents through the same batch lockstep check as the moving
+    /// models, so every in-tree model is held to the displacement
+    /// contract (measured drift within `speed()`, here 0).
+    #[test]
+    fn static_step_batch_matches_scalar_loop(seed in 0u64..1000, n in 1usize..40) {
+        let model = Static::new(50.0, Placement::MrwpStationary).unwrap();
+        assert_batch_lockstep(&model, n, 10, seed);
+    }
+}

@@ -48,6 +48,9 @@ doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_staleness
 doc_expect fastflood_core/struct.FloodingSim.html incremental_refiled_entries
+doc_expect fastflood_core/struct.FloodingSim.html awake_agent_steps
+doc_expect fastflood_core/struct.FloodingSim.html incremental_epoch_rebuilds
+doc_expect fastflood_mobility/trait.Mobility.html "Displacement contract"
 doc_expect fastflood_core/struct.FloodingSim.html phase_times
 doc_expect fastflood_core/struct.StepPhases.html refresh_ns
 doc_expect fastflood_mobility/trait.Mobility.html step_batch

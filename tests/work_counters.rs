@@ -1,9 +1,10 @@
 //! Timing-free regression gate on the incremental join: one fixed
 //! sparse flood must reproduce its flooding time and the exact
-//! DEFER/REFRESH/FULL decision, re-layout and re-filed entry counts.
-//! The counters are deterministic per seed, so a change to the
-//! staleness budget, the re-file rule, the slack layout or the overflow
-//! path shows up here as an exact mismatch, with no timing noise.
+//! DEFER/REFRESH/FULL/EPOCH decision, re-layout, re-filed entry and awake
+//! agent-step counts. The counters are deterministic per seed, so a
+//! change to the staleness budget, the re-file rule, the slack layout,
+//! the overflow path or the sleep epochs shows up here as an exact
+//! mismatch, with no timing noise.
 
 use fastflood::core::{
     EngineMode, FloodingSim, Parallelism, SimConfig, SimParams, SourcePlacement,
@@ -16,8 +17,10 @@ struct Counters {
     diff_steps: u32,
     deferred_steps: u32,
     full_rebuilds: u32,
+    epoch_rebuilds: u32,
     relayouts: u64,
     refiled_entries: u64,
+    awake_agent_steps: u64,
 }
 
 /// MRWP below the connectivity threshold (R = 0.4 of the radius scale,
@@ -41,8 +44,10 @@ fn sparse_flood(parallelism: Parallelism) -> Counters {
         diff_steps: sim.incremental_diff_steps(),
         deferred_steps: sim.incremental_deferred_steps(),
         full_rebuilds: sim.incremental_full_rebuilds(),
+        epoch_rebuilds: sim.incremental_epoch_rebuilds(),
         relayouts: sim.incremental_relayouts(),
         refiled_entries: sim.incremental_refiled_entries(),
+        awake_agent_steps: sim.awake_agent_steps(),
     }
 }
 
@@ -63,11 +68,13 @@ fn sequential_sparse_flood_work_counters_are_exact() {
         sparse_flood(Parallelism::Sequential),
         Counters {
             flooding_time: Some(155),
-            diff_steps: 154,
-            deferred_steps: 114,
+            diff_steps: 145,
+            deferred_steps: 113,
             full_rebuilds: 1,
+            epoch_rebuilds: 9,
             relayouts: 0,
-            refiled_entries: 120_933,
+            refiled_entries: 46_800,
+            awake_agent_steps: 704_880,
         },
     );
 }
@@ -84,11 +91,13 @@ fn chunked_sparse_flood_work_counters_are_exact_for_any_thread_count() {
         counters,
         Counters {
             flooding_time: Some(150),
-            diff_steps: 149,
+            diff_steps: 140,
             deferred_steps: 109,
             full_rebuilds: 1,
+            epoch_rebuilds: 9,
             relayouts: 0,
-            refiled_entries: 121_531,
+            refiled_entries: 47_865,
+            awake_agent_steps: 717_170,
         },
     );
 }
