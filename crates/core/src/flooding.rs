@@ -94,8 +94,9 @@
 //! `sparse-flood-300k` about 11 % of agent-steps are awake. The seed
 //! implementation instead paid a fresh heap index build plus two full
 //! `O(n)` agent scans every step.
-//! See `BENCH_engine.json` for measured step throughput and
-//! `docs/BENCHMARKING.md` for the protocol behind it.
+//! The repository benchmark (`perfbench/`) measures whole floods end to
+//! end and, traced, each of these layers per step; see
+//! `docs/BENCHMARKING.md`.
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::{
@@ -607,8 +608,9 @@ const CHUNK_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Cumulative wall-clock time of [`FloodingSim::step`]'s phases, in
 /// nanoseconds, collected when
 /// [`FloodingSim::enable_phase_timing`] is on — the measurement behind
-/// the `phase_breakdown` block of `BENCH_engine.json` (schema in
-/// `docs/BENCHMARKING.md`).
+/// the repository benchmark's traced `mobility.move_ms_per_step`,
+/// `mobility.boundary_ms_per_step`, `spatial.refresh_ms_per_step` and
+/// `spatial.join_apply_ms_per_step` (`transmit_ns − refresh_ns`).
 ///
 /// `transmit_ns` covers the whole post-move half of the step (protocol
 /// transmit plus applying the newly-informed set); `refresh_ns` is the

@@ -87,6 +87,8 @@ pub enum MobilityError {
     /// A model-specific length parameter (e.g. the disk-walk radius) must
     /// be strictly positive and finite.
     BadRadius(f64),
+    /// A street grid needs at least one city block per side.
+    BadBlocks(usize),
 }
 
 impl fmt::Display for MobilityError {
@@ -99,6 +101,7 @@ impl fmt::Display for MobilityError {
                 write!(f, "speed must be nonnegative and finite, got {v}")
             }
             MobilityError::BadRadius(v) => write!(f, "radius must be positive and finite, got {v}"),
+            MobilityError::BadBlocks(b) => write!(f, "block count must be at least 1, got {b}"),
         }
     }
 }
@@ -115,6 +118,7 @@ mod tests {
             MobilityError::BadSide(0.0),
             MobilityError::BadSpeed(-1.0),
             MobilityError::BadRadius(f64::NAN),
+            MobilityError::BadBlocks(0),
         ] {
             assert!(!e.to_string().is_empty());
         }

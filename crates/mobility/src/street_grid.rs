@@ -105,7 +105,7 @@ impl StreetMrwp {
     ///
     /// * [`MobilityError::BadSide`] / [`MobilityError::BadSpeed`] as for
     ///   [`crate::Mrwp::new`];
-    /// * [`MobilityError::BadRadius`] when `blocks == 0` (no streets).
+    /// * [`MobilityError::BadBlocks`] when `blocks == 0` (no streets).
     pub fn new(side: f64, speed: f64, blocks: usize) -> Result<StreetMrwp, MobilityError> {
         if side <= 0.0 || !side.is_finite() {
             return Err(MobilityError::BadSide(side));
@@ -114,7 +114,7 @@ impl StreetMrwp {
             return Err(MobilityError::BadSpeed(speed));
         }
         if blocks == 0 {
-            return Err(MobilityError::BadRadius(0.0));
+            return Err(MobilityError::BadBlocks(blocks));
         }
         Ok(StreetMrwp {
             side,
@@ -385,7 +385,9 @@ mod tests {
     fn construction_validates() {
         assert!(StreetMrwp::new(0.0, 1.0, 10).is_err());
         assert!(StreetMrwp::new(L, -1.0, 10).is_err());
-        assert!(StreetMrwp::new(L, 1.0, 0).is_err());
+        let err = StreetMrwp::new(L, 1.0, 0).unwrap_err();
+        assert_eq!(err, MobilityError::BadBlocks(0));
+        assert!(err.to_string().contains("block count"), "{err}");
         let m = StreetMrwp::new(L, 1.0, 20).unwrap();
         assert_eq!(m.block_len(), 5.0);
         assert_eq!(m.blocks(), 20);

@@ -49,13 +49,14 @@ use std::time::{Duration, Instant};
 /// Estimated resident footprint of one job, in bytes, as a function of
 /// its population size.
 ///
-/// The model is calibrated against the `checkpoint_probe` binary in
-/// `crates/bench`: a full engine+scenario snapshot measures ~9.5 MB at
-/// n = 100 000 (≈ 95 bytes/agent) with a small fixed header, and the
-/// live sim state is the same order. `64 KiB + 100·n` rounds that up —
-/// the budget is a backpressure lever, not an allocator accounting.
+/// The model is the size of a full engine+scenario checkpoint, with
+/// the live sim state taken to be the same order. The scenario library
+/// writes up to 107 bytes/agent (`churn-spike` at n = 20 000) behind a
+/// small fixed header, so `64 KiB + 128·n` rounds that up; the
+/// `supervisor` test suite checks every library checkpoint against it.
+/// The budget is a backpressure lever, not an allocator accounting.
 pub fn estimate_snapshot_bytes(n: usize) -> u64 {
-    64 * 1024 + 100 * n as u64
+    64 * 1024 + 128 * n as u64
 }
 
 /// Tuning of the [`Supervisor`].

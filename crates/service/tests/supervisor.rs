@@ -4,13 +4,18 @@
 //! with a final digest equal to the uninterrupted reference, admission
 //! control degrades/rejects under saturation, and drain settles every
 //! job with its resumable state — which a fresh supervisor on the same
-//! checkpoint root then actually resumes.
+//! checkpoint root then actually resumes. The admission memory model
+//! bounds every checkpoint the scenario library writes at floodd's job
+//! size.
 
 use fastflood_bench::scenario::{
-    run_scenario, trace_digest, InitSpec, MetricSpec, ModelSpec, ProtocolSpec, Scenario, SourceSpec,
+    library, run_scenario, run_scenario_checkpointed, trace_digest, CheckpointOpts, InitSpec,
+    MetricSpec, ModelSpec, ProtocolSpec, Scenario, SourceSpec,
 };
 use fastflood_core::{EngineMode, Parallelism};
-use fastflood_service::{Chaos, JobPhase, JobSpec, Submission, Supervisor, SupervisorConfig};
+use fastflood_service::{
+    estimate_snapshot_bytes, Chaos, JobPhase, JobSpec, Submission, Supervisor, SupervisorConfig,
+};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -260,7 +265,7 @@ fn admission_degrades_when_saturated_and_rejects_past_the_memory_budget() {
     );
 
     // a separate supervisor with a tiny memory budget rejects big jobs
-    // outright (estimate model: 64 KiB + 100 B/agent)
+    // outright (estimate model: 64 KiB + 128 B/agent)
     let mut c = cfg(tmp_root("memory"));
     c.memory_budget_bytes = 1024 * 1024;
     let sup = Supervisor::new(c);
@@ -345,4 +350,37 @@ fn drain_reports_resumable_state_and_a_fresh_supervisor_resumes_it() {
         digest, &reference,
         "resume from the drained checkpoint (step {resumable_step}) must be bitwise-identical"
     );
+}
+
+/// Admission charges each job [`estimate_snapshot_bytes`]; the estimate
+/// must not under-count a real checkpoint. Checked at n = 20 000, the
+/// `floodd-jobs` job size: much below 10k the fixed 64 KiB header hides
+/// a per-agent overshoot.
+#[test]
+fn snapshot_estimate_bounds_every_library_checkpoint() {
+    const N: usize = 20_000;
+    let bound = estimate_snapshot_bytes(N);
+    for sc in library() {
+        let sc = sc.scaled(N);
+        let dir = tmp_root(&format!("estimate-{}", sc.name));
+        let opts = CheckpointOpts::new(&dir, 10);
+        let (_, summary) =
+            run_scenario_checkpointed(&sc, EngineMode::Adaptive, Parallelism::Sequential, 1, &opts)
+                .unwrap();
+        assert!(
+            !summary.written.is_empty(),
+            "{} wrote no checkpoint",
+            sc.name
+        );
+        for path in &summary.written {
+            let bytes = std::fs::metadata(path).unwrap().len();
+            assert!(
+                bytes <= bound,
+                "{}: {} is {bytes} B, over the {bound} B estimate",
+                sc.name,
+                path.display()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -37,7 +37,7 @@
 //!   engine's dense large-`n` regime (cf. Clementi–Monti–Silvestri,
 //!   *Fast Flooding over Manhattan*, PODC 2010);
 //! * [`BruteForceIndex`] — a deliberately naive `O(n)`-per-query oracle
-//!   used for correctness tests and baseline benches.
+//!   used for correctness tests.
 //!
 //! # Examples
 //!
@@ -2233,8 +2233,8 @@ impl Slice {
 /// An `O(n)`-per-query reference index with the same semantics as
 /// [`GridIndex`].
 ///
-/// Exists as the correctness oracle for property tests and as the baseline
-/// in the `spatial` Criterion bench; not intended for production use.
+/// Exists as the correctness oracle for property tests; not intended for
+/// production use.
 #[derive(Debug, Clone)]
 pub struct BruteForceIndex {
     positions: Vec<Point>,

@@ -115,7 +115,7 @@ doc_expect fastflood_service/supervisor/struct.Supervisor.html drain
 doc_expect fastflood_service/supervisor/struct.SupervisorConfig.html memory_budget_bytes
 doc_expect fastflood_service/supervisor/enum.JobPhase.html watchdog
 doc_expect fastflood_service/supervisor/enum.Submission.html Degraded
-doc_expect fastflood_service/supervisor/fn.estimate_snapshot_bytes.html checkpoint_probe
+doc_expect fastflood_service/supervisor/fn.estimate_snapshot_bytes.html "library checkpoint"
 doc_expect fastflood_service/server/fn.serve.html drain
 doc_expect fastflood_service/json/enum.Json.html "key order"
 

@@ -2,8 +2,9 @@
 # Tier-1 verification flow: release build, full test suite, formatting,
 # lint (clippy, warnings as errors) and documentation gates (rustdoc
 # warnings-as-errors, markdown link check, rustdoc coverage of the
-# documented API contract), and the bench smoke (compiles all Criterion
-# targets and runs each body once so bench code cannot rot).
+# documented API contract), and the perfbench self-check (builds the
+# repository benchmark and runs every workload once at tiny sizes, so
+# benchmark code cannot rot).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,5 +40,5 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 scripts/check_docs.sh
-scripts/bench_smoke.sh
-echo "tier-1: build + tests + fmt + clippy + docs + link/coverage gates + bench smoke all green"
+python3 perfbench/run.py --self-check
+echo "tier-1: build + tests + fmt + clippy + docs + link/coverage gates + perfbench self-check all green"
