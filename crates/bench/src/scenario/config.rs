@@ -703,6 +703,27 @@ mod tests {
     }
 
     #[test]
+    fn mixture_weights_must_be_positive() {
+        let mix = |weights: &str| {
+            format!(
+                "[scenario]\nname = \"t\"\nsteps = 100\n\
+                 [mobility]\nmodel = \"mrwp-mix\"\nside = 10.0\n\
+                 speeds = [0.2, 0.8]\nweights = {weights}\n\
+                 [population]\nn = 50\nradius = 1.0\n"
+            )
+        };
+        assert!(parse_scenario(&mix("[1.0, 3.0]")).is_ok());
+        for weights in ["[1.0, 0.0]", "[-1.0, 2.0]"] {
+            let err = parse_scenario(&mix(weights)).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{msg}");
+            assert!(msg.contains("weights") && !msg.contains("speed"), "{msg}");
+        }
+        let err = parse_scenario(&mix("[1.0]")).unwrap_err();
+        assert!(err.to_string().contains("matching"), "{err}");
+    }
+
+    #[test]
     fn duplicate_singleton_section_is_an_error() {
         let err = parse_scenario(&minimal("[population]\nn = 2\nradius = 1.0")).unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");

@@ -433,6 +433,11 @@ impl Scenario {
             if speeds.is_empty() || speeds.len() != weights.len() {
                 return inv("mrwp-mix needs matching nonempty speeds and weights");
             }
+            if weights.iter().any(|w| !(w.is_finite() && *w > 0.0)) {
+                return Err(ScenarioError::Invalid(format!(
+                    "mrwp-mix weights must be positive and finite, got {weights:?}"
+                )));
+            }
         }
         let total: f64 = self.clusters.iter().map(|c| c.frac).sum();
         if total > 1.0 + 1e-9 {

@@ -25,7 +25,7 @@ use fastflood_core::{
     Protocol, SimConfig, SimRng, SourcePlacement,
 };
 use fastflood_geom::Point;
-use fastflood_graph::DiskGraph;
+use fastflood_graph::disk_giant_fraction;
 use fastflood_mobility::{
     ByteReader, ByteWriter, DiskWalk, Mixture, Mobility, Mrwp, Placement, Rwp, SnapshotState,
     Static, StreetMrwp,
@@ -536,10 +536,8 @@ impl<M: Mobility> Driver<M> {
         }
 
         let initial_giant_fraction =
-            DiskGraph::build(sim.model().region(), sc.radius, sim.positions())
-                .map_err(|e| invalid(e.to_string()))?
-                .components()
-                .giant_fraction();
+            disk_giant_fraction(sim.model().region(), sc.radius, sim.positions())
+                .map_err(|e| invalid(e.to_string()))?;
 
         let (events, slots) = expand_faults(sc);
         Ok(Driver {
@@ -976,6 +974,10 @@ where
     }
 }
 
+/// Applies one fault event through the batch crash and revive calls, one
+/// worklist pass per event. Every agent list built here is ascending, as
+/// those calls require: `sample` sorts its draw, and the other lists are
+/// filtered from agents in index order.
 fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
     sim: &mut FloodingSim<M, R>,
     event: &Event,
@@ -999,9 +1001,7 @@ fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
                 CountSpec::Abs(c) => *c,
             };
             let picked = sample(&mut eligible, wanted, fault_rng);
-            for &agent in &picked {
-                sim.crash_agent(agent as usize);
-            }
+            sim.crash_agents(&picked);
             ("crash", picked)
         }
         Event::Silence { region, slot } => {
@@ -1012,9 +1012,7 @@ fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
                     region.contains(side, p.x, p.y)
                 })
                 .collect();
-            for &agent in &picked {
-                sim.crash_agent(agent as usize);
-            }
+            sim.crash_agents(&picked);
             partition_slots[*slot] = picked.clone();
             ("partition", picked)
         }
@@ -1023,9 +1021,7 @@ fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
                 .into_iter()
                 .filter(|&i| sim.is_crashed(i as usize))
                 .collect();
-            for &agent in &healed {
-                sim.revive_agent(agent as usize);
-            }
+            sim.revive_agents(&healed);
             ("heal", healed)
         }
         Event::Revive { count } => {
@@ -1034,9 +1030,7 @@ fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
                 .collect();
             let wanted = if *count == 0 { eligible.len() } else { *count };
             let picked = sample(&mut eligible, wanted, fault_rng);
-            for &agent in &picked {
-                sim.revive_agent(agent as usize);
-            }
+            sim.revive_agents(&picked);
             ("revive", picked)
         }
     }

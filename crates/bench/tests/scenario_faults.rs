@@ -213,3 +213,50 @@ fn heal_reopens_the_worklist() {
         "west 60% of a dense population holds someone"
     );
 }
+
+/// 64-bit FNV-1a over per-agent inform times (`u32::MAX` = never), the
+/// digest the repository benchmark checks its floods against.
+fn inform_digest(times: &[u32]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for t in times {
+        for b in t.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Flooding time and inform digest of `churn-spike` at 3k agents, seed 1,
+/// adaptive engine on a 2-thread chunked pool.
+const PINNED_TIME: u32 = 36;
+const PINNED_DIGEST: u64 = 0x64ac_38f1_5ef5_9dfd;
+
+/// Pins the churn burst's outcome, so a change to fault surgery (the
+/// crash and revive calls, their roster and worklist order) that moves
+/// any agent's inform time fails here. The values were recorded before
+/// the batch `crash_agents`/`revive_agents` calls replaced the
+/// one-agent-at-a-time loop.
+#[test]
+fn churn_spike_digest_is_pinned() {
+    let sc = scenario_by_name("churn-spike").unwrap().scaled(3_000);
+    let run = run_scenario(
+        &sc,
+        EngineMode::Adaptive,
+        Parallelism::Chunked { threads: 2 },
+        1,
+    )
+    .unwrap();
+    let touched: usize = run.trace.faults.iter().map(|f| f.agents.len()).sum();
+    assert_eq!(
+        touched,
+        2 * 10 * 450,
+        "ten steps of 450 crashes and 450 revivals"
+    );
+    assert_eq!(run.outcome, Outcome::Flooded { time: PINNED_TIME });
+    assert_eq!(
+        inform_digest(&run.trace.inform_time),
+        PINNED_DIGEST,
+        "churn-spike at 3k, seed 1: inform digest moved"
+    );
+}

@@ -902,6 +902,11 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// transmits nor receives from now on), though it keeps moving. A
     /// crashed source still counts as informed.
     ///
+    /// An uninformed agent leaves the sorted worklist by binary search
+    /// and one ordered removal, which moves the worklist's tail: to crash
+    /// many agents at once, [`FloodingSim::crash_agents`] does it in one
+    /// pass.
+    ///
     /// # Panics
     ///
     /// Panics if `agent` is out of range.
@@ -909,20 +914,11 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         if self.crashed[agent] {
             return;
         }
-        self.crashed[agent] = true;
         // roster surgery below breaks the incremental grids' membership
         // diff (and shrinks the live population their geometry is sized
         // by): resync with full rebuilds on the next join step
         self.inc.ready = false;
-        if self.informed[agent] {
-            // retire from the transmit roster
-            let rk = self.rank[agent] as usize;
-            self.transmitters.swap_remove(rk);
-            if rk < self.transmitters.len() {
-                self.rank[self.transmitters[rk] as usize] = rk as u32;
-            }
-            self.rank[agent] = u32::MAX;
-        } else {
+        if !self.informed[agent] {
             // ordered removal keeps the worklist sorted
             let pos = self
                 .uninformed
@@ -930,13 +926,65 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                 .expect("uninformed agent is on the worklist");
             self.uninformed.remove(pos);
         }
+        self.set_crashed(agent, true);
+    }
+
+    /// Crashes every agent of `agents`, an ascending, duplicate-free
+    /// list; agents already crashed are skipped. The result is the same,
+    /// bit for bit, as calling [`FloodingSim::crash_agent`] on each agent
+    /// in list order: the transmit roster sees the same sequence of
+    /// swap-removals. The worklist, though, is touched once, by one
+    /// ordered compaction of the crashed agents, so a fault event that
+    /// crashes `k` of `U` uninformed agents costs `O(k + U)` instead of
+    /// `k` binary searches and `k` tail moves of about `U / 2` entries.
+    /// Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an agent is out of range or the list is not strictly
+    /// ascending.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fastflood_core::{FloodingSim, SimConfig, SourcePlacement};
+    /// use fastflood_mobility::Mrwp;
+    ///
+    /// let model = Mrwp::new(20.0, 0.5)?;
+    /// let config = SimConfig::new(50, 3.0).seed(1).source(SourcePlacement::Agent(0));
+    /// let mut sim = FloodingSim::new(model, config)?;
+    /// sim.crash_agents(&[3, 7, 40]);
+    /// assert!(sim.is_crashed(7) && !sim.is_crashed(8));
+    /// sim.revive_agents(&[3, 7, 40]);
+    /// assert!(!sim.is_crashed(7));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn crash_agents(&mut self, agents: &[u32]) {
+        assert_ascending(agents);
+        let mut changed = false;
+        for &a in agents {
+            let a = a as usize;
+            if !self.crashed[a] {
+                changed = true;
+                self.set_crashed(a, true);
+            }
+        }
+        if changed {
+            // the ordered compaction the step's apply loop uses
+            let crashed = &self.crashed;
+            self.uninformed.retain(|&u| !crashed[u as usize]);
+            // as in `crash_agent`: resync the join grids from scratch
+            self.inc.ready = false;
+        }
     }
 
     /// Revives a crashed agent: its radio comes back up with whatever
     /// knowledge it had when it crashed (an informed agent rejoins the
     /// transmit roster; an uninformed one rejoins the worklist). The
     /// heal half of a scenario partition window, and the recovery half
-    /// of churn bursts. No-op when `agent` is not crashed.
+    /// of churn bursts. No-op when `agent` is not crashed. To revive many
+    /// agents at once, [`FloodingSim::revive_agents`] merges them into
+    /// the worklist in one pass.
     ///
     /// # Panics
     ///
@@ -962,19 +1010,91 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         if !self.crashed[agent] {
             return;
         }
-        self.crashed[agent] = false;
         // the live population (grid geometry) and roster membership both
         // change: resync the incremental grids from scratch
         self.inc.ready = false;
-        if self.informed[agent] {
-            self.rank[agent] = self.transmitters.len() as u32;
-            self.transmitters.push(agent as u32);
-        } else {
+        if !self.informed[agent] {
             let pos = self
                 .uninformed
                 .binary_search(&(agent as u32))
                 .expect_err("crashed uninformed agent left the worklist");
             self.uninformed.insert(pos, agent as u32);
+        }
+        self.set_crashed(agent, false);
+    }
+
+    /// Revives every agent of `agents`, an ascending, duplicate-free
+    /// list; agents not crashed are skipped. The result is the same, bit
+    /// for bit, as calling [`FloodingSim::revive_agent`] on each agent in
+    /// list order: informed returnees are pushed onto the transmit roster
+    /// in list order. The uninformed returnees join the worklist in one
+    /// backward merge into its spare capacity, so reviving `k` agents
+    /// costs `O(k + U)`. A sim built by `new` or restored from a snapshot
+    /// keeps room for the whole population in the worklist and the
+    /// roster, so the call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an agent is out of range or the list is not strictly
+    /// ascending.
+    pub fn revive_agents(&mut self, agents: &[u32]) {
+        assert_ascending(agents);
+        let (crashed, informed) = (&self.crashed, &self.informed);
+        let returnee = |a: u32| crashed[a as usize] && !informed[a as usize];
+        let back = agents.iter().filter(|&&a| returnee(a)).count();
+        if back > 0 {
+            // merge from the back: every worklist entry moves at most
+            // once, straight to its final slot
+            let list = &mut self.uninformed;
+            let mut kept = list.len();
+            list.resize(kept + back, 0);
+            let mut write = list.len();
+            for &a in agents.iter().rev().filter(|&&a| returnee(a)) {
+                while kept > 0 && list[kept - 1] > a {
+                    kept -= 1;
+                    write -= 1;
+                    list[write] = list[kept];
+                }
+                write -= 1;
+                list[write] = a;
+            }
+            debug_assert_eq!(write, kept, "the untouched prefix is already in place");
+        }
+        let mut changed = false;
+        for &a in agents {
+            let a = a as usize;
+            if self.crashed[a] {
+                changed = true;
+                self.set_crashed(a, false);
+            }
+        }
+        if changed {
+            // as in `revive_agent`: resync the join grids from scratch
+            self.inc.ready = false;
+        }
+    }
+
+    /// Flips `agent`'s crash flag and keeps the transmit roster in step:
+    /// an informed agent that crashes is swap-removed from the roster,
+    /// one that revives is pushed onto its end. The worklist is the
+    /// caller's: the one-agent calls edit it by binary search, the batch
+    /// calls in one ordered pass.
+    fn set_crashed(&mut self, agent: usize, crashed: bool) {
+        debug_assert_ne!(self.crashed[agent], crashed);
+        self.crashed[agent] = crashed;
+        if !self.informed[agent] {
+            return;
+        }
+        if crashed {
+            let rk = self.rank[agent] as usize;
+            self.transmitters.swap_remove(rk);
+            if rk < self.transmitters.len() {
+                self.rank[self.transmitters[rk] as usize] = rk as u32;
+            }
+            self.rank[agent] = u32::MAX;
+        } else {
+            self.rank[agent] = self.transmitters.len() as u32;
+            self.transmitters.push(agent as u32);
         }
     }
 
@@ -2229,8 +2349,12 @@ where
         self.turns = turns;
         self.source = source;
         self.join_steps = join_steps;
-        self.uninformed = uninformed;
-        self.transmitters = transmitters;
+        // into the retained, population-sized buffers, so that revivals
+        // (and steps) after a restore grow them without allocating
+        self.uninformed.clear();
+        self.uninformed.extend_from_slice(&uninformed);
+        self.transmitters.clear();
+        self.transmitters.extend_from_slice(&transmitters);
         // derived state: rank from the roster; caches cold; scratch clear
         self.rank.iter_mut().for_each(|v| *v = u32::MAX);
         for (i, &t) in self.transmitters.iter().enumerate() {
@@ -2737,6 +2861,15 @@ fn join_covered_incremental(
         grid.join_covered_by(tx_grid, radius, |u| newly.push(u as u32));
     }
     refresh_ns
+}
+
+/// The precondition of the batch fault calls: a strictly ascending
+/// agent list (sorted, no duplicates).
+fn assert_ascending(agents: &[u32]) {
+    assert!(
+        agents.windows(2).all(|w| w[0] < w[1]),
+        "agent lists of batch fault calls must be strictly ascending"
+    );
 }
 
 fn nearest_to(positions: &[Point], target: Point) -> usize {

@@ -268,6 +268,52 @@ fn parallel_chunked_steps_do_not_allocate() {
 }
 
 #[test]
+fn batch_crash_and_revive_do_not_allocate() {
+    let _window = MEASURE.lock().unwrap();
+    // fault surgery edits the worklist in place: a crash batch compacts
+    // it, a revive batch merges back into the capacity it was built with,
+    // which a restore keeps
+    let mut sim = warm_sparse_sim(Protocol::Flooding);
+    let n = sim.n() as u32;
+    let batches: Vec<Vec<u32>> = (0..4u32)
+        .map(|k| (k..n).step_by(3 + k as usize).collect())
+        .collect();
+    let informed = |b: &[u32]| {
+        b.iter()
+            .filter(|&&a| sim.inform_time(a as usize).is_some())
+            .count()
+    };
+    assert!(
+        batches
+            .iter()
+            .all(|b| informed(b) > 0 && informed(b) < b.len()),
+        "every batch must mix informed and uninformed agents"
+    );
+    for restored in [false, true] {
+        let before = allocations();
+        for b in &batches {
+            sim.crash_agents(b);
+        }
+        let mut spent = allocations() - before;
+        if restored {
+            // the returnees must merge into the restored worklist
+            let snap = sim.snapshot();
+            sim.restore(&snap).unwrap();
+        }
+        let before = allocations();
+        for b in batches.iter().rev() {
+            sim.revive_agents(b);
+        }
+        spent += allocations() - before;
+        assert!((0..n as usize).all(|a| !sim.is_crashed(a)));
+        assert_eq!(
+            spent, 0,
+            "crash_agents/revive_agents must not allocate (restored = {restored})"
+        );
+    }
+}
+
+#[test]
 fn allocation_counter_sees_engine_allocations() {
     let _window = MEASURE.lock().unwrap();
     // positive control for every zero assertion above: the counter must

@@ -142,6 +142,44 @@ impl DiskGraph {
     }
 }
 
+/// The fraction of `positions` in the largest connected component of
+/// their disk graph with radius `radius` over `region` (0 when empty):
+/// the value of `DiskGraph::build(..)?.components().giant_fraction()`,
+/// computed without building the graph. Each pair within `radius` goes
+/// straight from the grid index into a [`UnionFind`], so there is no
+/// pair list, no adjacency and no per-vertex sort.
+///
+/// # Errors
+///
+/// Propagates [`SpatialError`] from the underlying index (non-positive
+/// radius, non-finite positions).
+///
+/// # Examples
+///
+/// ```
+/// use fastflood_geom::{Point, Rect};
+/// use fastflood_graph::disk_giant_fraction;
+///
+/// let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(5.0, 5.0)];
+/// assert_eq!(disk_giant_fraction(Rect::square(10.0)?, 1.5, &pts)?, 2.0 / 3.0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn disk_giant_fraction(
+    region: Rect,
+    radius: f64,
+    positions: &[Point],
+) -> Result<f64, SpatialError> {
+    let index = GridIndex::for_radius(region, radius, positions)?;
+    if positions.is_empty() {
+        return Ok(0.0);
+    }
+    let mut uf = UnionFind::new(positions.len());
+    index.for_each_pair_within(radius, |i, j| {
+        uf.union(i, j);
+    });
+    Ok(uf.largest_set() as f64 / positions.len() as f64)
+}
+
 impl fmt::Display for DiskGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -302,5 +340,23 @@ mod tests {
     fn display() {
         let g = DiskGraph::build(square(), 2.5, &[Point::new(1.0, 1.0)]).unwrap();
         assert!(g.to_string().contains("1 vertices"));
+    }
+
+    #[test]
+    fn giant_fraction_matches_the_built_graph() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for (n, radius) in [(0, 1.0), (1, 1.0), (300, 2.0), (2_000, 1.5), (2_000, 4.0)] {
+            let pts: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+                .collect();
+            let built = DiskGraph::build(square(), radius, &pts)
+                .unwrap()
+                .components()
+                .giant_fraction();
+            let direct = disk_giant_fraction(square(), radius, &pts).unwrap();
+            assert_eq!(direct.to_bits(), built.to_bits(), "n = {n}, R = {radius}");
+        }
+        assert!(disk_giant_fraction(square(), 0.0, &[]).is_err());
     }
 }

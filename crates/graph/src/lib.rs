@@ -9,6 +9,8 @@
 //! tools in this crate:
 //!
 //! * [`DiskGraph`] — adjacency built from positions via the grid index;
+//! * [`disk_giant_fraction`] — the giant-component fraction of a
+//!   snapshot, straight from the grid index without building the graph;
 //! * [`UnionFind`] — near-constant-time connected components;
 //! * [`Components`] — component census (count, sizes, giant fraction,
 //!   isolated vertices);
@@ -45,7 +47,7 @@ mod threshold;
 mod union_find;
 
 pub use components::Components;
-pub use disk_graph::{bfs_hops, DiskGraph};
+pub use disk_graph::{bfs_hops, disk_giant_fraction, DiskGraph};
 pub use metrics::{eccentricity, hop_diameter_estimate, hop_diameter_exact};
 pub use threshold::{connectivity_threshold, ThresholdSearch};
 pub use union_find::UnionFind;

@@ -89,6 +89,17 @@ pub enum MobilityError {
     BadRadius(f64),
     /// A street grid needs at least one city block per side.
     BadBlocks(usize),
+    /// A [`Mixture`] weight must be strictly positive and finite; holds
+    /// the first offending weight.
+    BadWeight(f64),
+    /// A [`Mixture`] needs at least one component model and exactly one
+    /// weight per model.
+    MixtureShape {
+        /// Number of component models given.
+        models: usize,
+        /// Number of weights given.
+        weights: usize,
+    },
 }
 
 impl fmt::Display for MobilityError {
@@ -102,6 +113,14 @@ impl fmt::Display for MobilityError {
             }
             MobilityError::BadRadius(v) => write!(f, "radius must be positive and finite, got {v}"),
             MobilityError::BadBlocks(b) => write!(f, "block count must be at least 1, got {b}"),
+            MobilityError::BadWeight(w) => {
+                write!(f, "mixture weight must be positive and finite, got {w}")
+            }
+            MobilityError::MixtureShape { models, weights } => write!(
+                f,
+                "a mixture needs one weight per model and at least one model, \
+                 got {models} models and {weights} weights"
+            ),
         }
     }
 }
@@ -119,6 +138,11 @@ mod tests {
             MobilityError::BadSpeed(-1.0),
             MobilityError::BadRadius(f64::NAN),
             MobilityError::BadBlocks(0),
+            MobilityError::BadWeight(0.0),
+            MobilityError::MixtureShape {
+                models: 1,
+                weights: 2,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

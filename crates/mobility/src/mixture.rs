@@ -81,16 +81,21 @@ impl<M: Mobility> Mixture<M> {
     ///
     /// # Errors
     ///
-    /// * [`MobilityError::BadSpeed`] when `models` and `weights` differ in
-    ///   length, are empty, or any weight is non-positive or non-finite;
+    /// * [`MobilityError::MixtureShape`] when `models` is empty or
+    ///   `models` and `weights` differ in length;
+    /// * [`MobilityError::BadWeight`] naming the first weight that is
+    ///   non-positive or non-finite;
     /// * [`MobilityError::BadSide`] when the components disagree on the
     ///   region.
     pub fn new(models: Vec<M>, weights: Vec<f64>) -> Result<Mixture<M>, MobilityError> {
         if models.is_empty() || models.len() != weights.len() {
-            return Err(MobilityError::BadSpeed(weights.len() as f64));
+            return Err(MobilityError::MixtureShape {
+                models: models.len(),
+                weights: weights.len(),
+            });
         }
-        if weights.iter().any(|&w| !(w.is_finite() && w > 0.0)) {
-            return Err(MobilityError::BadSpeed(f64::NAN));
+        if let Some(&w) = weights.iter().find(|&&w| !(w.is_finite() && w > 0.0)) {
+            return Err(MobilityError::BadWeight(w));
         }
         let region = models[0].region();
         if models.iter().any(|m| m.region() != region) {
@@ -245,6 +250,45 @@ mod tests {
         )
         .is_err());
         assert_eq!(two_class().classes(), 2);
+    }
+
+    #[test]
+    fn mismatched_lengths_name_both_counts() {
+        let one = || vec![Mrwp::new(L, 1.0).unwrap()];
+        assert_eq!(
+            Mixture::new(one(), vec![1.0, 2.0]).unwrap_err(),
+            MobilityError::MixtureShape {
+                models: 1,
+                weights: 2
+            }
+        );
+        let err = Mixture::<Mrwp>::new(vec![], vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            MobilityError::MixtureShape {
+                models: 0,
+                weights: 0
+            }
+        );
+        assert!(err.to_string().contains("0 models and 0 weights"), "{err}");
+    }
+
+    #[test]
+    fn bad_weight_is_named() {
+        let two = || vec![Mrwp::new(L, 1.0).unwrap(), Mrwp::new(L, 2.0).unwrap()];
+        for (weights, bad) in [
+            (vec![1.0, 0.0], 0.0),
+            (vec![-2.0, 1.0], -2.0),
+            (vec![1.0, f64::INFINITY], f64::INFINITY),
+        ] {
+            let err = Mixture::new(two(), weights).unwrap_err();
+            assert_eq!(err, MobilityError::BadWeight(bad));
+            assert!(err.to_string().contains("weight"), "{err}");
+        }
+        match Mixture::new(two(), vec![f64::NAN, 1.0]).unwrap_err() {
+            MobilityError::BadWeight(w) => assert!(w.is_nan()),
+            other => panic!("expected BadWeight, got {other:?}"),
+        }
     }
 
     #[test]
