@@ -16,11 +16,13 @@
 
 use super::run::{with_model, Driver, ModelVisitor};
 use super::{Scenario, ScenarioError, ScenarioRun};
-use fastflood_core::checkpoint::{CheckpointError, Snapshot, CKPT_EXTENSION, TAG_META};
+use fastflood_core::checkpoint::{
+    checkpoint_files_newest_first, CheckpointError, Snapshot, CKPT_EXTENSION, TAG_META,
+};
 use fastflood_core::{CancelToken, EngineMode, Parallelism};
 use fastflood_mobility::{Mobility, SnapshotState};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// How a checkpointed run writes and resumes snapshots.
@@ -93,23 +95,6 @@ fn ckpt_err(e: CheckpointError) -> ScenarioError {
     ScenarioError::Invalid(format!("checkpoint: {e}"))
 }
 
-/// The `*.ckpt` files under `dir`, newest (lexicographically last)
-/// first. An unreadable directory is an empty ladder, not an error —
-/// resume must never be worse than starting fresh.
-fn checkpoint_files_newest_first(dir: &Path) -> Vec<PathBuf> {
-    let mut names: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(CKPT_EXTENSION))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    names.sort();
-    names.reverse();
-    names
-}
-
 /// Runs one scenario trial like
 /// [`run_scenario`](super::run_scenario), but checkpointed: a snapshot
 /// of the whole run (engine + scenario layer) is written atomically
@@ -150,7 +135,10 @@ pub fn run_scenario_checkpointed(
             let mut d = Driver::new(self.sc, model, self.engine, self.parallelism, self.seed)?;
             let mut summary = CheckpointSummary::default();
             if self.opts.resume {
-                for path in checkpoint_files_newest_first(&self.opts.dir) {
+                // an unreadable directory is an empty ladder, not an
+                // error: resume must never be worse than starting fresh
+                let ladder = checkpoint_files_newest_first(&self.opts.dir).unwrap_or_default();
+                for path in ladder {
                     let outcome = Snapshot::read_file(&path).and_then(|snap| d.restore(&snap));
                     match outcome {
                         Ok(()) => {
@@ -505,7 +493,7 @@ mod tests {
         assert!(step > 0);
         assert_eq!(
             path.file_name(),
-            checkpoint_files_newest_first(&dir)[0].file_name()
+            checkpoint_files_newest_first(&dir).unwrap()[0].file_name()
         );
         assert!(summary.rejected.is_empty());
         assert_same_run(&resumed, &reference);
@@ -522,7 +510,7 @@ mod tests {
         run_scenario_checkpointed(&sc, EngineMode::Adaptive, Parallelism::Sequential, 9, &opts)
             .unwrap();
 
-        let files = checkpoint_files_newest_first(&dir);
+        let files = checkpoint_files_newest_first(&dir).unwrap();
         assert!(files.len() >= 3, "need a ladder: {files:?}");
         // bit-flip the newest, truncate the second newest
         let mut bytes = fs::read(&files[0]).unwrap();
@@ -632,7 +620,10 @@ mod tests {
             std::thread::spawn(move || {
                 // cancel as soon as the run has persisted something, so
                 // the interruption always lands mid-run
-                while checkpoint_files_newest_first(&dir).is_empty() {
+                while checkpoint_files_newest_first(&dir)
+                    .unwrap_or_default()
+                    .is_empty()
+                {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 token.cancel();
@@ -655,7 +646,7 @@ mod tests {
             "cancellation must land mid-run, stopped at {stopped_at}"
         );
         // the final flush makes the exact stop step resumable
-        let newest = &checkpoint_files_newest_first(&dir)[0];
+        let newest = &checkpoint_files_newest_first(&dir).unwrap()[0];
         assert!(newest
             .file_name()
             .unwrap()
@@ -704,7 +695,7 @@ mod tests {
             .expect("panic carries its message");
         assert!(msg.contains("panic_at_step"), "{msg}");
         assert!(
-            !checkpoint_files_newest_first(&dir).is_empty(),
+            !checkpoint_files_newest_first(&dir).unwrap().is_empty(),
             "checkpoints from before the crash must survive"
         );
 

@@ -21,10 +21,19 @@
 //! bytes, duplicate tags, wrong magic, and unsupported versions — a
 //! snapshot either decodes completely or not at all.
 //!
-//! Durability is layered on top: [`Snapshot::write_atomic`] writes to a
-//! temporary sibling and renames, so a crash mid-write never leaves a
-//! half-written file under the final name, and
-//! [`latest_valid`] walks a checkpoint directory newest-first and
+//! The checksum is a slicing-by-16 CRC-32: sixteen input bytes per
+//! step through sixteen lookup tables built at compile time, where the
+//! textbook loop chains one dependent lookup per byte. Writes and
+//! resumes share it.
+//!
+//! Durability is layered on top: [`Snapshot::write_atomic`] streams the
+//! header and then each section's frame and payload straight into a
+//! temporary sibling — the file is never assembled in memory — and
+//! renames, so a crash mid-write never leaves a half-written file under
+//! the final name; [`Snapshot::encode`] produces the same bytes as one
+//! buffer and is the reference the streamed writer is tested against.
+//! [`checkpoint_files_newest_first`] lists a directory's `*.ckpt`
+//! candidates newest-first, and [`latest_valid`] walks that list and
 //! returns the first snapshot that decodes — the corruption fallback
 //! ladder of the crash-recovery harness.
 //!
@@ -90,11 +99,58 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
+/// Slicing-by-16 tables: `CRC_SLICES[k][b]` is the CRC register
+/// contribution of byte `b` followed by `k` zero bytes, so one step can
+/// fold sixteen input bytes with sixteen independent lookups.
+/// `CRC_SLICES[0]` is the bytewise [`CRC_TABLE`].
+const CRC_SLICES: [[u32; 256]; 16] = crc32_slices();
+
+const fn crc32_slices() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    t[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-section checksum.
+///
+/// Slicing-by-16: sixteen bytes per step through sixteen lookup
+/// tables, then a bytewise tail. The value is the classic reflected
+/// CRC-32 (`crc32(b"123456789") == 0xCBF4_3926`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_SLICES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -397,9 +453,34 @@ impl Snapshot {
         h
     }
 
-    /// Writes the snapshot to `path` atomically and durably: the
-    /// encoding goes to a `.tmp` sibling which is fsync'd and renamed
-    /// into place, then the **parent directory** is fsync'd.
+    /// Streams the encoding into `out`: the 12-byte header, then per
+    /// section its 16-byte frame (tag, length, CRC-32 of the payload
+    /// computed in place) followed by the payload itself. The bytes are
+    /// exactly [`Snapshot::encode`]'s, but no copy of the whole file is
+    /// ever built.
+    fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut header = [0u8; 12];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header[8..].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        out.write_all(&header)?;
+        for (tag, payload) in &self.sections {
+            let mut frame = [0u8; 16];
+            frame[..4].copy_from_slice(tag);
+            frame[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame[12..].copy_from_slice(&crc32(payload).to_le_bytes());
+            out.write_all(&frame)?;
+            out.write_all(payload)?;
+        }
+        Ok(())
+    }
+
+    /// Writes the snapshot to `path` atomically and durably: the header
+    /// and then each section's frame and payload are streamed straight
+    /// into a `.tmp` sibling (no whole-file encoding is built in
+    /// memory), which is fsync'd and renamed into place, then the
+    /// **parent directory** is fsync'd. The file bytes are exactly
+    /// [`Snapshot::encode`]'s.
     ///
     /// The guarantee after `Ok(())`: the file exists under its final
     /// name with complete contents even across a power failure. The
@@ -418,8 +499,9 @@ impl Snapshot {
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
         let tmp = tmp_sibling(path);
         let result = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
+            let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
+            self.write_to(&mut out)?;
+            let f = out.into_inner().map_err(io::IntoInnerError::into_error)?;
             f.sync_all()?;
             drop(f);
             fs::rename(&tmp, path)?;
@@ -456,6 +538,25 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// The `*.ckpt` files directly under `dir`, newest first. "Newest" is
+/// by file name, descending — checkpoint writers embed the zero-padded
+/// step number in the name precisely so lexicographic order is step
+/// order. Entries that cannot be read are skipped.
+///
+/// # Errors
+///
+/// The I/O error when the directory itself cannot be read.
+pub fn checkpoint_files_newest_first(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut names: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(CKPT_EXTENSION))
+        .collect();
+    names.sort();
+    names.reverse();
+    Ok(names)
+}
+
 /// Outcome of scanning a checkpoint directory for the newest usable
 /// snapshot (the corruption fallback ladder).
 #[derive(Debug)]
@@ -469,24 +570,15 @@ pub struct LatestValid {
 
 /// Scans `dir` for `*.ckpt` files and returns the newest one that
 /// decodes, falling back file-by-file past corrupted or truncated
-/// snapshots. "Newest" is by file name, descending — checkpoint writers
-/// embed the zero-padded step number in the name precisely so
-/// lexicographic order is step order.
+/// snapshots, in [`checkpoint_files_newest_first`] order.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Io`] only when the directory itself cannot be
 /// read; unreadable or invalid *files* become `rejected` entries.
 pub fn latest_valid(dir: &Path) -> Result<LatestValid, CheckpointError> {
-    let mut names: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(CKPT_EXTENSION))
-        .collect();
-    names.sort();
-    names.reverse();
     let mut rejected = Vec::new();
-    for path in names {
+    for path in checkpoint_files_newest_first(dir)? {
         match Snapshot::read_file(&path) {
             Ok(snap) => {
                 return Ok(LatestValid {
@@ -518,11 +610,72 @@ mod tests {
         s
     }
 
+    /// The byte-at-a-time CRC-32 the sliced version must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Deterministic pseudo-random bytes (SplitMix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                ((z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vector() {
         // the classic IEEE check value
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        // every block/tail split of short inputs
+        let short = noise(64, 1);
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&short[..len]),
+                crc32_bytewise(&short[..len]),
+                "len {len}"
+            );
+        }
+        // long buffers at unaligned starts, odd lengths up to 1 MiB
+        let long = noise((1 << 20) + 32, 2);
+        for (start, len) in [(1, 17), (3, 1000), (5, 4099), (7, 65_537), (15, 1 << 20)] {
+            let slice = &long[start..start + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "start {start} len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_write_is_byte_identical_to_encode() {
+        let dir = std::env::temp_dir().join(format!("ffcp-stream-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let mut big = Snapshot::new();
+        big.push(*b"EMTY", Vec::new());
+        big.push(*b"TINY", vec![7, 8, 9]);
+        big.push(*b"HUGE", noise((1 << 20) + 123, 3));
+        big.push(*b"TAIL", vec![1]);
+        for (i, snap) in [Snapshot::new(), sample(), big].iter().enumerate() {
+            let path = dir.join(format!("s{i}.ckpt"));
+            snap.write_atomic(&path).expect("atomic write");
+            assert_eq!(fs::read(&path).unwrap(), snap.encode(), "snapshot {i}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -686,6 +839,13 @@ mod tests {
         assert!(scan.snapshot.is_none());
         assert!(scan.rejected.is_empty());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_directory_is_an_io_error() {
+        let dir = std::env::temp_dir().join(format!("ffcp-missing-{}", std::process::id()));
+        assert!(checkpoint_files_newest_first(&dir).is_err());
+        assert!(matches!(latest_valid(&dir), Err(CheckpointError::Io(_))));
     }
 
     #[test]

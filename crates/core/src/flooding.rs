@@ -2007,12 +2007,18 @@ where
             snap.push(TAG_CRNG, w.into_bytes());
         }
 
-        let mut ag = ByteWriter::with_capacity(n * 64);
+        let mut ag = ByteWriter::new();
         for a in 0..n {
             self.model.batch_state(&self.batch, a).write_state(&mut ag);
             ag.put_u8(self.informed[a] as u8);
             ag.put_u8(self.crashed[a] as u8);
             ag.put_u32(self.inform_time[a]);
+            if a == 0 {
+                // per-agent records are model-sized (75 B for MRWP, 79
+                // for the mixture): size the buffer from the first one
+                // so it is allocated once rather than regrown
+                ag.reserve(ag.len() * (n - 1));
+            }
         }
         snap.push(TAG_AGNT, ag.into_bytes());
 
@@ -2313,7 +2319,13 @@ where
             let mut r = ByteReader::new(snap.require(TAG_TURN)?);
             let mut lists = Vec::with_capacity(n);
             for _ in 0..n {
-                lists.push(get_u32_list(&mut r).ok_or(corrupt(TAG_TURN, "truncated"))?);
+                let ts = get_u32_list(&mut r).ok_or(corrupt(TAG_TURN, "truncated"))?;
+                // the next step records at `time`; a later stamp would
+                // trip the recorder's nondecreasing assertion
+                if ts.last().is_some_and(|&t| t > time) {
+                    return Err(corrupt(TAG_TURN, "timestamp after the snapshot time"));
+                }
+                lists.push(ts);
             }
             if !r.is_empty() {
                 return Err(corrupt(TAG_TURN, "trailing bytes"));

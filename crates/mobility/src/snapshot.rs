@@ -54,6 +54,12 @@ impl ByteWriter {
         }
     }
 
+    /// Reserves room for at least `additional` more bytes, so a caller
+    /// that learns its record size mid-write can allocate once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -111,6 +111,9 @@ doc_expect fastflood_core/struct.CancelToken.html sticky
 doc_expect fastflood_core/struct.FloodingSim.html set_cancel_token
 doc_expect fastflood_parallel/fn.shared_pool.html "process-shared"
 doc_expect fastflood_core/checkpoint/struct.Snapshot.html "parent directory"
+doc_expect fastflood_core/checkpoint/struct.Snapshot.html "frame and payload are streamed straight"
+doc_expect fastflood_core/checkpoint/fn.crc32.html "Slicing-by-16"
+doc_expect fastflood_core/checkpoint/fn.checkpoint_files_newest_first.html "newest first"
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html cancel
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html panic_at_step
 doc_expect fastflood_bench/scenario/struct.CheckpointSummary.html interrupted
