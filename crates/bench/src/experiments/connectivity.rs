@@ -50,8 +50,8 @@ impl Default for Config {
         Config {
             ns: vec![500, 2_000, 8_000, 32_000],
             trials_per_radius: 9,
-            // relative to the region diameter, so keep it tight: at
-            // n = 32000 the diameter is ~250 and thresholds are ~3
+            // relative to the bracket's upper end, which ends near the
+            // threshold: thresholds near 3 resolve to about 0.006
             tolerance: 0.002,
             seed: 2010,
         }

@@ -36,14 +36,13 @@
 //!   ([`GridIndexBuffer::join_covered_by_stale`]) that reads exact
 //!   coordinates and inflates its prunes by each grid's accumulated
 //!   drift bound. When the two bounds together would outgrow the
-//!   budget carved from the bucket margin, one
-//!   [`GridIndexBuffer::update_moved`] pass re-files one grid
-//!   (`O(moved)` relocations) and resets its bound — the grid that
-//!   frees the most staleness per entry scanned, or both grids when
-//!   neither alone is enough. Full
-//!   slack rebuilds remain as fallbacks: membership-churn spikes (an
-//!   informed-set jump above 1/8 of the live population) and crashes
-//!   (roster surgery invalidates the diff bookkeeping).
+//!   budget carved from the bucket margin, one `rebuild_incremental` of
+//!   one grid re-files it and resets its bound — the grid that frees
+//!   the most staleness per entry re-filed, or both grids when neither
+//!   alone is enough. Rebuilds of both grids remain as fallbacks:
+//!   membership-churn spikes (an informed-set jump above 1/8 of the
+//!   live population) and crashes (roster surgery invalidates the diff
+//!   bookkeeping).
 //! * **Sleep epochs.** After the front passes, the informed interior
 //!   can never matter again, and the far suburb cannot be reached for
 //!   many steps. Every [`SLEEP_EPOCH`] steps (and after any event that
@@ -616,7 +615,7 @@ const CHUNK_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// transmit plus applying the newly-informed set); `refresh_ns` is the
 /// subset of it spent synchronizing the incremental join grids (the
 /// sleep-epoch classification, full rebuilds, membership surgery,
-/// refresh/relocate passes), so
+/// single-grid refresh rebuilds), so
 /// `refresh_ns ≤ transmit_ns` and pure join/scan cost is their
 /// difference. Analogously, `boundary_ns` is the time spent in the
 /// scalar leg-boundary pass of a split move kernel (models without a
@@ -1282,8 +1281,9 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     }
 
     /// Diagnostic: join steps that resynchronized the two grids via the
-    /// `O(moved + churn)` incremental diff path
-    /// ([`GridIndexBuffer::update_moved`]) instead of full re-bins.
+    /// incremental diff path (membership surgery, plus a refresh
+    /// rebuild of one grid once its staleness budget runs out) instead
+    /// of rebuilding both.
     /// Tests assert the production policy actually amortizes re-binning;
     /// see also [`FloodingSim::incremental_full_rebuilds`].
     ///
@@ -1377,12 +1377,15 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.inc.stale_sync
     }
 
-    /// Diagnostic: entries the incremental join's re-filing passes
-    /// ([`GridIndexBuffer::update_moved`]) have passed over, summed over
-    /// the run — the linear cost of keeping the grids' binning fresh.
-    /// A re-filing step scans only the grid it re-files, so the count
-    /// shows how much of that cost the per-grid staleness budget
-    /// avoids. Deterministic per seed and thread count.
+    /// Diagnostic: entries that were already indexed and were filed
+    /// again by the incremental join's refresh steps (one
+    /// [`GridIndexBuffer::rebuild_incremental`] of one grid), summed
+    /// over the run — the linear cost of keeping the grids' binning
+    /// fresh. Agents joining the roster on a refresh step are filed,
+    /// not re-filed, and do not count. A refresh step rebuilds only the
+    /// grid it re-files, so the count shows how much of that cost the
+    /// per-grid staleness budget avoids. Deterministic per seed and
+    /// thread count.
     #[inline]
     pub fn incremental_refiled_entries(&self) -> u64 {
         self.inc.refiled_entries
@@ -2426,7 +2429,8 @@ struct IncrementalSync {
     /// Drift accrued since both grids were last fresh at once: at least
     /// `stale_rx` and `stale_tx`, reset only when both are.
     stale_sync: f64,
-    /// Entries passed over by re-filing passes, summed over the run.
+    /// Already-indexed entries filed again by refresh steps, summed
+    /// over the run.
     refiled_entries: u64,
     /// Join steps resynced with full slack rebuilds (cold start, and
     /// every churn-spike/crash fallback since).
@@ -2435,7 +2439,7 @@ struct IncrementalSync {
     /// sleep epoch ended while the chain was intact.
     epoch_rebuilds: u32,
     /// Join steps resynced via a diff (deferred membership-only or a
-    /// refresh/relocate pass) rather than full rebuilds.
+    /// single-grid refresh) rather than full rebuilds.
     diff_steps: u32,
     /// The subset of `diff_steps` that deferred re-binning entirely:
     /// `O(churn)` membership surgery on both grids, stale-tolerant join,
@@ -2662,7 +2666,7 @@ fn chebyshev_transform(d: &mut [u32], m: usize) {
 
 /// Membership-churn spike threshold of the incremental join: when one
 /// step informs more than `live/CHURN_SPIKE_DIVISOR` agents, the diff
-/// update's relocation traffic (and the slack-overflow borrows and
+/// update's membership surgery (and the slack-overflow borrows and
 /// re-layouts it provokes on the transmitter side) approaches
 /// full-rebuild cost, so the engine resyncs with full slack rebuilds
 /// instead. Spikes that large occur at dense-flood ignition and after
@@ -2689,12 +2693,11 @@ const CHURN_SPIKE_DIVISOR: usize = 8;
 ///   the join needs `R + stale_rx + stale_tx ≤ bucket`. When the two
 ///   bounds would together exceed the budget
 ///   (`STALENESS_BUDGET_FACTOR·(bucket − R)`), the grid that frees the
-///   most staleness per entry scanned is re-filed by
-///   [`GridIndexBuffer::update_moved`] — one linear coordinate-refresh
-///   pass over that grid only, `O(moved)` relocations, its bound back
-///   to zero — while the other gets membership surgery only. Both are
-///   re-filed only when neither alone brings the pair back within the
-///   budget. In the long sparse tail the few stragglers' grid is thus
+///   most staleness per entry re-filed is rebuilt by the same
+///   [`GridIndexBuffer::rebuild_incremental`] call a full rebuild
+///   makes — over that grid's members only, its bound back to zero —
+///   while the other gets membership surgery only. Both are re-filed
+///   only when neither alone brings the pair back within the budget. In the long sparse tail the few stragglers' grid is thus
 ///   re-filed often and cheaply, and the large transmitter grid stays
 ///   stale for longer. The rule reads only the bounds and grid sizes,
 ///   so it is deterministic and independent of the thread count.
@@ -2774,22 +2777,30 @@ fn join_covered_incremental(
     // difference is never misread)
     let resync = !inc.ready;
     let spike = inc.ready && churn * CHURN_SPIKE_DIVISOR > live;
+    // re-files one grid from scratch: the uninformed grid over its awake
+    // members with no hints; the roster grid over the transmitters with
+    // every awake uninformed agent announced as a future transmitter,
+    // which pre-sizes its rows by local density, so frontier arrivals
+    // land in reserved headroom instead of overflowing slack (which
+    // would re-layout every step)
+    let refile = |g: &mut GridIndexBuffer, roster: bool| {
+        let (members, hints) = if roster {
+            (transmitters, uninformed)
+        } else {
+            (uninformed, &[][..])
+        };
+        g.rebuild_incremental(region, bucket, positions, members, live, hints)
+            .expect("positions finite, radius validated");
+    };
     if resync || spike || epoch_due {
         if spike {
             // the chain was intact: this rebuild is the churn-spike
             // fallback, not a cold start, crash resync or epoch start
             inc.spike_rebuilds += 1;
         }
-        grid.rebuild_incremental(region, bucket, positions, uninformed, live, &[])
-            .expect("positions finite, radius validated");
+        refile(grid, false);
         if tx_is_roster {
-            // every uninformed agent is a future transmitter: announcing
-            // them pre-sizes the roster grid's rows by local density, so
-            // frontier arrivals land in reserved headroom instead of
-            // overflowing slack (which would re-layout every step)
-            tx_grid
-                .rebuild_incremental(region, bucket, positions, transmitters, live, uninformed)
-                .expect("positions finite, radius validated");
+            refile(tx_grid, true);
         }
         inc.ready = true;
         inc.stale_rx = 0.0;
@@ -2812,7 +2823,7 @@ fn join_covered_incremental(
         } else {
             // over budget: re-file the one grid that alone brings the
             // pair back within it, preferring the one that frees more
-            // staleness per entry scanned; both if neither suffices
+            // staleness per entry re-filed; both if neither suffices
             let rx_alone = tx <= budget;
             let tx_alone = tx_is_roster && rx <= budget;
             match (rx_alone, tx_alone) {
@@ -2826,20 +2837,18 @@ fn join_covered_incremental(
             }
         };
         if refile_rx {
-            let stats = grid
-                .update_moved(positions, diff, &[])
-                .expect("positions finite, diff names indexed agents");
-            inc.refiled_entries += stats.scanned as u64;
+            // the diff has already left the awake uninformed set
+            refile(grid, false);
+            inc.refiled_entries += uninformed.len() as u64;
             inc.stale_rx = 0.0;
         } else {
             grid.update_membership(positions, diff, &[])
                 .expect("positions finite, diff names indexed agents");
         }
         if refile_tx {
-            let stats = tx_grid
-                .update_moved(positions, &[], diff)
-                .expect("positions finite, diff names new agents");
-            inc.refiled_entries += stats.scanned as u64;
+            // the diff is filed, not re-filed
+            refile(tx_grid, true);
+            inc.refiled_entries += (transmitters.len() - diff.len()) as u64;
             inc.stale_tx = 0.0;
         } else if tx_is_roster {
             tx_grid

@@ -20,10 +20,10 @@
 //! variant is asserted, and a rejected restore must leave the
 //! simulation untouched.
 //!
-//! Accepted snapshots are not stepped here: restore does not yet check
-//! that per-agent trajectory states are finite and agree with the
-//! positions, so a hostile but well-framed snapshot can still fail
-//! later, inside `step`.
+//! Accepted snapshots are not stepped here: restore rejects non-finite
+//! trajectory words but does not yet check that per-agent states agree
+//! with the positions, so a hostile but well-framed snapshot can still
+//! fail later, inside `step`.
 
 use fastflood_core::checkpoint::{
     Snapshot, TAG_AGNT, TAG_CRNG, TAG_FLOD, TAG_META, TAG_MRNG, TAG_POSN, TAG_TURN,
@@ -317,4 +317,29 @@ fn turn_stamps_after_the_snapshot_time_are_corrupt() {
     }
     sim.restore(&early).expect("the clean snapshot restores");
     sim.step();
+}
+
+/// A NaN or infinite trajectory word in a well-framed AGNT section
+/// (re-encoded with a fresh CRC) is `Corrupt` at restore, instead of a
+/// panic in the next step's grid rebuild or position clamp.
+#[test]
+fn non_finite_trajectory_words_are_corrupt() {
+    let snap = donor(&sequential(), 6);
+    let agnt = snap.section(TAG_AGNT).expect("present");
+    // AGNT opens with agent 0's MRWP state: start point, dest point,
+    // axis byte, then the arc position `s`
+    for (at, bad) in [(0, f64::NAN), (8, f64::INFINITY), (33, f64::NEG_INFINITY)] {
+        let mut payload = agnt.to_vec();
+        payload[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        let reframed = Snapshot::decode(&with_section(&snap, TAG_AGNT, Some(payload)).encode())
+            .expect("a fresh CRC frames the edit");
+        let mut sim = FloodingSim::new(model(), sequential()).expect("valid config");
+        assert!(!check_restore(&mut sim, &reframed, "non-finite AGNT word"));
+        match sim.restore(&reframed) {
+            Err(CheckpointError::Corrupt { section, what }) => {
+                assert_eq!((section, what), (TAG_AGNT, "invalid trajectory state"));
+            }
+            other => panic!("expected a corrupt AGNT section, got {other:?}"),
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //! larger (a root of `n`) than for uniform clouds (`Θ(√log n)` when
 //! `L = √n`); experiment E11 measures both with this module.
 
-use crate::DiskGraph;
+use crate::disk_giant_fraction;
 use fastflood_geom::{Point, Rect};
 
 /// Configuration for [`connectivity_threshold`].
@@ -39,8 +39,12 @@ impl Default for ThresholdSearch {
 /// `sample` draws one snapshot (a fresh vector of positions) per call;
 /// for each probed radius, `trials_per_radius` snapshots are drawn and the
 /// empirical probability of connectivity is compared against
-/// `target_probability`. The search brackets `R*` between 0 and the region
-/// diameter and bisects to the requested relative tolerance.
+/// `target_probability`. The search starts the bracket's upper end at
+/// 1/256 of the region diameter and doubles it until the probe succeeds
+/// (thresholds sit far below the diameter, and probes at large radii
+/// are the expensive ones), then bisects `[0, upper]` until the bracket
+/// is at most `relative_tolerance` times its upper end — or has shrunk
+/// to the coordinate resolution, for clouds connected at every radius.
 ///
 /// Returns the midpoint of the final bracket.
 ///
@@ -83,23 +87,29 @@ where
         "target probability must be in (0, 1)"
     );
     let diameter = (region.width().powi(2) + region.height().powi(2)).sqrt();
-    let mut lo = 0.0_f64;
-    let mut hi = diameter;
-    // P(connected) is monotone nondecreasing in R for a fixed snapshot, so
-    // bisection on the empirical probability converges to the threshold.
-    while hi - lo > config.relative_tolerance * diameter {
-        let mid = 0.5 * (lo + hi);
+    let mut connected_enough = |radius: f64| {
         let mut connected = 0usize;
         for _ in 0..config.trials_per_radius {
             let pts = sample();
             assert!(!pts.is_empty(), "sampler returned an empty cloud");
-            let g = DiskGraph::build(region, mid, &pts).expect("finite positions");
-            if g.components().is_connected() {
+            if disk_giant_fraction(region, radius, &pts).expect("finite positions") == 1.0 {
                 connected += 1;
             }
         }
-        let p = connected as f64 / config.trials_per_radius as f64;
-        if p >= config.target_probability {
+        connected as f64 / config.trials_per_radius as f64 >= config.target_probability
+    };
+    // every cloud in the region is connected at the diameter, which
+    // 1/256 of it reaches after eight exact doublings
+    let mut hi = diameter / 256.0;
+    while hi < diameter && !connected_enough(hi) {
+        hi *= 2.0;
+    }
+    // P(connected) is monotone nondecreasing in R for a fixed snapshot, so
+    // bisection on the empirical probability converges to the threshold.
+    let mut lo = 0.0_f64;
+    while hi - lo > config.relative_tolerance * hi && hi > f64::EPSILON * diameter {
+        let mid = 0.5 * (lo + hi);
+        if connected_enough(mid) {
             hi = mid;
         } else {
             lo = mid;

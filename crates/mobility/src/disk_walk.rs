@@ -68,9 +68,9 @@ impl SnapshotState for DiskWalkState {
 
     fn read_state(r: &mut ByteReader<'_>) -> Option<DiskWalkState> {
         Some(DiskWalkState {
-            start: r.get_point()?,
-            dest: r.get_point()?,
-            s: r.get_f64()?,
+            start: r.get_finite_point()?,
+            dest: r.get_finite_point()?,
+            s: r.get_finite_f64()?,
         })
     }
 }

@@ -145,18 +145,18 @@ impl SnapshotState for MrwpState {
     }
 
     fn read_state(r: &mut ByteReader<'_>) -> Option<MrwpState> {
-        let start = r.get_point()?;
-        let dest = r.get_point()?;
+        let start = r.get_finite_point()?;
+        let dest = r.get_finite_point()?;
         let axis = r.get_axis()?;
         // corner/leg lengths are a pure function of the endpoints: rebuilt
         let path = LPath::new(start, dest, axis);
         Some(MrwpState {
             path,
-            s: r.get_f64()?,
+            s: r.get_finite_f64()?,
             pause_left: r.get_u32()?,
-            leg_end: r.get_f64()?,
-            vx: r.get_f64()?,
-            vy: r.get_f64()?,
+            leg_end: r.get_finite_f64()?,
+            vx: r.get_finite_f64()?,
+            vy: r.get_finite_f64()?,
         })
     }
 }

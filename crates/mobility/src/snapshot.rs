@@ -192,6 +192,20 @@ impl<'a> ByteReader<'a> {
         Some(Point::new(x, y))
     }
 
+    /// Reads an `f64` like [`ByteReader::get_f64`], but `None` when it
+    /// is NaN or infinite (the word is consumed either way) — what
+    /// trajectory state words must be.
+    pub fn get_finite_f64(&mut self) -> Option<f64> {
+        self.get_f64().filter(|v| v.is_finite())
+    }
+
+    /// Reads a [`Point`] whose coordinates must both be finite.
+    pub fn get_finite_point(&mut self) -> Option<Point> {
+        let x = self.get_finite_f64()?;
+        let y = self.get_finite_f64()?;
+        Some(Point::new(x, y))
+    }
+
     /// Reads an [`Axis`]; `None` on underrun *or* an invalid code.
     pub fn get_axis(&mut self) -> Option<Axis> {
         match self.get_u8()? {
@@ -226,7 +240,9 @@ pub trait SnapshotState: Sized {
     fn write_state(&self, w: &mut ByteWriter);
 
     /// Rebuilds a state written by [`SnapshotState::write_state`];
-    /// `None` when the bytes are truncated or encode an invalid state.
+    /// `None` when the bytes are truncated or encode an invalid state,
+    /// including any non-finite `f64` word (no reachable state has one,
+    /// and stepping one would panic in the spatial index).
     fn read_state(r: &mut ByteReader<'_>) -> Option<Self>;
 }
 
@@ -421,5 +437,60 @@ mod tests {
                 "accepted a state truncated to {cut} bytes"
             );
         }
+    }
+
+    /// Writes a stationary state of `model`, then overwrites each `f64`
+    /// word (at the byte offsets `words`, which must cover every one)
+    /// with NaN, +inf and −inf in turn: each must be rejected.
+    fn non_finite_words_rejected<M>(model: M, len: usize, words: &[usize])
+    where
+        M: crate::Mobility,
+        M::State: SnapshotState,
+    {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut w = ByteWriter::new();
+        model.init_stationary(&mut rng).write_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), len, "state layout changed");
+        assert!(M::State::read_state(&mut ByteReader::new(&bytes)).is_some());
+        for &at in words {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut b = bytes.clone();
+                b[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+                assert!(
+                    M::State::read_state(&mut ByteReader::new(&b)).is_none(),
+                    "accepted {bad} at byte {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_state_words_rejected() {
+        // start, dest, axis byte, s, pause u32, leg_end, vx, vy
+        non_finite_words_rejected(
+            crate::Mrwp::new(50.0, 1.0).unwrap(),
+            69,
+            &[0, 8, 16, 24, 33, 45, 53, 61],
+        );
+        // start, dest, s
+        non_finite_words_rejected(crate::Rwp::new(50.0, 1.0).unwrap(), 40, &[0, 8, 16, 24, 32]);
+        // start, dest, axis byte, s, pause u32
+        non_finite_words_rejected(
+            crate::StreetMrwp::new(60.0, 2.1, 6).unwrap(),
+            45,
+            &[0, 8, 16, 24, 33],
+        );
+        non_finite_words_rejected(
+            crate::DiskWalk::new(50.0, 1.1, 6.0).unwrap(),
+            40,
+            &[0, 8, 16, 24, 32],
+        );
+        non_finite_words_rejected(
+            crate::Static::new(50.0, crate::Placement::MrwpStationary).unwrap(),
+            16,
+            &[0, 8],
+        );
     }
 }

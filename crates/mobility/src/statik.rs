@@ -63,7 +63,7 @@ impl SnapshotState for StaticState {
     }
 
     fn read_state(r: &mut ByteReader<'_>) -> Option<StaticState> {
-        r.get_point().map(StaticState)
+        r.get_finite_point().map(StaticState)
     }
 }
 

@@ -86,12 +86,12 @@ impl SnapshotState for StreetMrwpState {
     }
 
     fn read_state(r: &mut ByteReader<'_>) -> Option<StreetMrwpState> {
-        let start = r.get_point()?;
-        let dest = r.get_point()?;
+        let start = r.get_finite_point()?;
+        let dest = r.get_finite_point()?;
         let axis = r.get_axis()?;
         Some(StreetMrwpState {
             path: LPath::new(start, dest, axis),
-            s: r.get_f64()?,
+            s: r.get_finite_f64()?,
             pause_left: r.get_u32()?,
         })
     }

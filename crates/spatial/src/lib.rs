@@ -17,15 +17,15 @@
 //!   heap allocations**;
 //! * **incremental maintenance** — a buffer built with
 //!   [`GridIndexBuffer::rebuild_incremental`] lays its CSR rows out with
-//!   *slack capacity* and can then be kept in sync with a moving
-//!   population by [`GridIndexBuffer::update_moved`]: one linear pass
-//!   refreshes the cached coordinates and relocates only the (few)
-//!   entries whose bucket changed, with `O(1)` membership removals and
-//!   insertions on the side. When agents move far less than a bucket
-//!   per step (the MRWP regime of the source paper) this replaces the
-//!   scatter-bound full re-bin of both join sides — see
-//!   `docs/ARCHITECTURE.md` ("Spatial layer contract") for the
-//!   invariants;
+//!   *slack capacity* and keeps an id→slot map, so
+//!   [`GridIndexBuffer::update_membership`] can then remove and insert
+//!   agents in `O(1)` each while the entries that merely moved keep
+//!   their (stale) cached coordinates. When agents move far less than a
+//!   bucket per step (the MRWP regime of the source paper) a binning
+//!   stays valid up to a known drift bound for many steps, and one
+//!   `rebuild_incremental` of the grid re-files it once that bound is
+//!   spent — see `docs/ARCHITECTURE.md` ("Spatial layer contract") for
+//!   the invariants;
 //! * the **bucket join** — two buffers binned with a *shared* grid
 //!   geometry ([`GridIndexBuffer::rebuild_subset_shared`]) can be joined
 //!   bucket-against-bucket ([`GridIndexBuffer::join_covered_by`]):
@@ -91,26 +91,6 @@ impl fmt::Display for SpatialError {
 }
 
 impl Error for SpatialError {}
-
-/// Outcome of one [`GridIndexBuffer::update_moved`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UpdateStats {
-    /// Entries the coordinate-refresh pass re-filed: everything indexed
-    /// after the removals and before the insertions — the pass's linear
-    /// cost, whatever share of it relocates.
-    pub scanned: usize,
-    /// Entries whose bucket changed and were relocated within the
-    /// retained layout (swap-remove from the old row, append to the
-    /// new row's slack).
-    pub relocated: usize,
-    /// Whether the whole layout was rebuilt in place with fresh slack:
-    /// an entry found its row full and no row within one bucket row
-    /// (`m` rows, row-major) had a spare slot to lend it. A full row
-    /// with a lender in reach borrows instead and leaves this `false`.
-    /// The re-layout runs entirely out of retained storage; `true` here
-    /// signals amortized extra work, not an error.
-    pub relayout: bool,
-}
 
 /// A uniform bucket-grid index over a fixed set of positions.
 ///
@@ -423,10 +403,11 @@ impl GridIndex {
 /// size) and join them with [`GridIndexBuffer::join_covered_by`].
 ///
 /// When the indexed population moves only a small fraction of a bucket
-/// per step, skip the per-step full re-bin entirely: build once with
+/// per step, skip the per-step full re-bin entirely: build with
 /// [`GridIndexBuffer::rebuild_incremental`] (a slack-capacity variant
-/// of the same layout) and keep the buffer in sync with
-/// [`GridIndexBuffer::update_moved`].
+/// of the same layout), patch membership with
+/// [`GridIndexBuffer::update_membership`], and rebuild only once the
+/// entries' drift outgrows what the stale join tolerates.
 ///
 /// # Examples
 ///
@@ -488,14 +469,13 @@ pub struct GridIndexBuffer {
     extra: Vec<u32>,
     /// Slack layouts only: `slot_of[id]` is the entry slot currently
     /// holding original id `id` (`u32::MAX` when not indexed), the
-    /// `O(1)` handle behind removals and swap-relocations. Entries for
+    /// `O(1)` handle behind removals and row shifts. Entries for
     /// ids outside the indexed subset are stale garbage and must never
     /// be read — callers name ids explicitly, so they never are.
     slot_of: Vec<u32>,
-    /// Slack layouts only: entries displaced by a full row (plus
-    /// inserts that found no room), parked here until the end of the
-    /// update borrows a slot for each (or, failing that, re-layouts).
-    /// Always empty between calls.
+    /// Slack layouts only: inserts that found their row full, parked
+    /// here until the end of the update borrows a slot for each (or,
+    /// failing that, re-layouts). Always empty between calls.
     pending: Vec<(u32, f64, f64)>,
     /// Frontier-band filter of the stale join: `band_stamp[b] ==
     /// band_epoch` marks bucket `b` as lying in the 3×3 neighborhood of
@@ -507,9 +487,10 @@ pub struct GridIndexBuffer {
     band_stamp: Vec<u32>,
     band_epoch: u32,
     /// Whether the current layout is a slack layout with a live slot
-    /// map (built by `rebuild_incremental`, required by `update_moved`).
+    /// map (built by `rebuild_incremental`, required by
+    /// `update_membership`).
     incremental: bool,
-    /// Cumulative full re-layouts taken by incremental updates (the
+    /// Cumulative full re-layouts taken by membership updates (the
     /// slack-overflow fallback); a diagnostic for tests and tuning.
     relayouts: u64,
     /// Cumulative slots borrowed from another row by parked entries;
@@ -540,7 +521,7 @@ impl GridIndexBuffer {
     ///
     /// The reservation also covers the incremental machinery
     /// ([`GridIndexBuffer::rebuild_incremental`] /
-    /// [`GridIndexBuffer::update_moved`]): the slack layout's spare
+    /// [`GridIndexBuffer::update_membership`]): the slack layout's spare
     /// slots (including expected-arrival headroom, for
     /// `subset + expected` totals up to `points`), the id→slot map,
     /// and the overflow scratch — for populations and
@@ -704,7 +685,9 @@ impl GridIndexBuffer {
     /// Like [`GridIndexBuffer::rebuild_subset_shared`], but lays the CSR
     /// rows out with **slack capacity** (each bucket keeps `count/4 + 8`
     /// spare slots) and builds an id→slot map, arming the buffer for
-    /// [`GridIndexBuffer::update_moved`].
+    /// [`GridIndexBuffer::update_membership`]. Calling it again on a
+    /// warm buffer is also how a slack grid is re-filed: every entry is
+    /// binned by its current position and its staleness drops to zero.
     ///
     /// `expected` announces ids likely to be *inserted later* (they are
     /// **not** indexed now): each reserves one extra slot in the row its
@@ -735,11 +718,10 @@ impl GridIndexBuffer {
     /// let mut buf = GridIndexBuffer::new();
     /// buf.rebuild_incremental(region, 5.0, &pts, &[0, 1], pts.len(), &[])?;
     ///
-    /// // agents drift; only bucket-crossers get relocated
-    /// pts[0] = Point::new(1.5, 1.0);
-    /// pts[1] = Point::new(41.0, 40.0);
-    /// buf.update_moved(&pts, &[], &[])?;
-    /// assert!(buf.any_within(Point::new(1.5, 1.0), 0.1));
+    /// // agent 0 drifts across a bucket boundary; re-filing is a rebuild
+    /// pts[0] = Point::new(6.5, 1.0);
+    /// buf.rebuild_incremental(region, 5.0, &pts, &[0, 1], pts.len(), &[])?;
+    /// assert!(buf.any_within(Point::new(6.5, 1.0), 0.1));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -985,45 +967,39 @@ impl GridIndexBuffer {
         }
     }
 
-    /// Re-derives the occupied-bucket list (ascending for free) with one
-    /// sequential scan of the row table. Only the paths that already do
-    /// `O(len)` work use this; membership surgery maintains the list
-    /// incrementally on empty↔non-empty row transitions instead, so
-    /// deferred steps stay `O(churn)`.
-    fn rescan_occupied(&mut self) {
-        self.occupied.clear();
-        for b in 0..self.m * self.m {
-            if self.ends[b] > self.starts[b] {
-                self.occupied.push(b as u32);
-            }
-        }
-    }
-
     /// Membership-only resynchronization of a slack layout: `O(1)`
     /// removals and insertions, **without** touching the entries that
     /// merely moved — their cached coordinates go stale instead.
     ///
     /// This is the per-step fast path of temporally-coherent
     /// maintenance: as long as every indexed agent has moved at most
-    /// `slop` from where it was last filed
-    /// ([`GridIndexBuffer::rebuild_incremental`],
-    /// [`GridIndexBuffer::update_moved`], or its own insertion —
-    /// whichever touched it last), radius-`r` transmit joins stay exact
-    /// via [`GridIndexBuffer::join_covered_by_stale`] with that `slop`
-    /// as this buffer's side of the drift budget, and no per-step
-    /// `O(len)` pass runs at all. Call
-    /// [`GridIndexBuffer::update_moved`] to re-file everything and
-    /// reset this buffer's staleness.
+    /// `slop` from where it was last filed (by
+    /// [`GridIndexBuffer::rebuild_incremental`] or by its own insertion,
+    /// whichever came last), radius-`r` transmit joins stay exact via
+    /// [`GridIndexBuffer::join_covered_by_stale`] with that `slop` as
+    /// this buffer's side of the drift budget, and no per-step `O(len)`
+    /// pass runs at all. Call [`GridIndexBuffer::rebuild_incremental`]
+    /// again to re-file everything and reset this buffer's staleness.
+    ///
+    /// `removed` must name currently indexed ids (each exactly once);
+    /// `inserted` ids must not be indexed and must index `positions`.
+    /// Grid geometry is untouched, so shared geometry for joins
+    /// survives updates.
     ///
     /// Inserted ids are filed by their **current** position (their own
-    /// staleness starts at zero). An insert into a full row borrows a
-    /// slot from the nearest row with room, exactly as in
-    /// [`GridIndexBuffer::update_moved`], and the occupied list stays
-    /// exact. Only when no row within one bucket row can lend does the
-    /// buffer re-layout in place (counted by
-    /// [`GridIndexBuffer::relayouts`]). Borrows move entries with their
-    /// cached coordinates and re-layouts re-bin by them, so staleness
-    /// is unaffected either way.
+    /// staleness starts at zero) and consume the expected-arrival
+    /// headroom of their row. An insert into a full row is parked; after
+    /// all insertions each parked entry **borrows** one slot from the
+    /// nearest row with spare capacity on either side (row-major order,
+    /// at most one bucket row — `m` rows — away): every row in between
+    /// shifts by one slot, moving one of its entries from one end to the
+    /// other, so the cost is one entry move per row crossed. Only when
+    /// no row in reach can lend does the buffer re-layout in place
+    /// (counted by [`GridIndexBuffer::relayouts`]). Borrows move entries
+    /// with their cached coordinates and re-layouts re-bin by them, so
+    /// staleness is unaffected either way, and the occupied list stays
+    /// exact throughout. Allocation-free once the buffer is warm
+    /// ([`GridIndexBuffer::reserve`]).
     ///
     /// # Examples
     ///
@@ -1088,7 +1064,7 @@ impl GridIndexBuffer {
                 self.degrade_to_empty();
                 return Err(SpatialError::NotFinite { index: id as usize });
             }
-            self.insert_raw(self.bucket_index(p.x, p.y), id, p.x, p.y, true);
+            self.insert_raw(self.bucket_index(p.x, p.y), id, p.x, p.y);
             self.len += 1;
         }
         // `occupied` was maintained in place by the surgery above and
@@ -1098,174 +1074,14 @@ impl GridIndexBuffer {
         Ok(())
     }
 
-    /// Diff-based re-synchronization of a slack layout with moved
-    /// positions and changed membership, in one call:
-    ///
-    /// 1. **removals** — each id in `removed` leaves the index in `O(1)`
-    ///    (slot-map lookup, swap-remove within its bucket row);
-    /// 2. **moves** — one pass over the live entries refreshes every
-    ///    cached coordinate from `positions` and relocates the entries
-    ///    whose bucket changed (swap-remove from the old row, append
-    ///    into the new row's slack);
-    /// 3. **insertions** — each id in `inserted` is filed into its
-    ///    bucket's slack.
-    ///
-    /// A row out of slack parks the entry instead of failing. After
-    /// the scan and the insertions, each parked entry **borrows** one
-    /// slot from the nearest row with spare capacity on either side
-    /// (row-major order, at most one bucket row — `m` rows — away):
-    /// every row in between shifts by one slot, moving one of its
-    /// entries from one end to the other, so the cost is one entry
-    /// move per row crossed. Only entries with no lender in reach make
-    /// the whole layout rebuild in place with fresh slack (reported
-    /// via [`UpdateStats::relayout`], counted by
-    /// [`GridIndexBuffer::relayouts`]). Either way the buffer ends the
-    /// call **coherent**: every entry sits in the row its cached
-    /// position bins to, the occupied-bucket list is exact and sorted,
-    /// and queries / [`GridIndexBuffer::join_covered_by`] behave as
-    /// after a full rebuild over the same membership — which is what
-    /// makes this a drop-in replacement for per-step re-binning when
-    /// agents move far less than a bucket per step. Allocation-free
-    /// once the buffer is warm ([`GridIndexBuffer::reserve`]).
-    ///
-    /// `removed` must name currently indexed ids (each exactly once);
-    /// `inserted` ids must not be indexed and must index `positions`.
-    /// Grid geometry (region, bucket layout) is untouched, so shared
-    /// geometry for joins survives updates.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fastflood_geom::{Point, Rect};
-    /// use fastflood_spatial::GridIndexBuffer;
-    ///
-    /// let region = Rect::square(100.0)?;
-    /// let mut pts = vec![
-    ///     Point::new(10.0, 10.0),
-    ///     Point::new(12.0, 10.0),
-    ///     Point::new(90.0, 90.0),
-    /// ];
-    /// let mut buf = GridIndexBuffer::new();
-    /// buf.rebuild_incremental(region, 5.0, &pts, &[0, 1], pts.len(), &[])?;
-    ///
-    /// // agent 1 drifts across a bucket boundary, 0 leaves, 2 joins
-    /// pts[1] = Point::new(55.0, 10.0);
-    /// let stats = buf.update_moved(&pts, &[0], &[2])?;
-    /// assert_eq!(buf.len(), 2);
-    /// assert!(!buf.any_within(Point::new(10.0, 10.0), 1.0)); // 0 gone
-    /// assert!(buf.any_within(Point::new(55.0, 10.0), 0.1)); // 1 moved
-    /// assert!(buf.any_within(Point::new(90.0, 90.0), 0.1)); // 2 joined
-    /// assert_eq!(stats.relocated, 1);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`SpatialError::NotFinite`] when a live or inserted agent's
-    /// position has a NaN/infinite coordinate; the buffer degrades to
-    /// an empty index (as a failed rebuild does) and must be rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the buffer does not hold a slack layout (build with
-    /// [`GridIndexBuffer::rebuild_incremental`] first), or — in debug
-    /// builds — when `removed` names an id that is not indexed.
-    pub fn update_moved(
-        &mut self,
-        positions: &[Point],
-        removed: &[u32],
-        inserted: &[u32],
-    ) -> Result<UpdateStats, SpatialError> {
-        assert!(
-            self.incremental,
-            "update_moved requires a slack layout (build with rebuild_incremental)"
-        );
-        let m = self.m;
-        let min = self.region.min();
-        let inv_x = 1.0 / self.bucket_len_x;
-        let inv_y = 1.0 / self.bucket_len_y;
-        let bucket_of = |x: f64, y: f64| -> usize { bin(x, y, min, inv_x, inv_y, m) };
-        if self.slot_of.len() < positions.len() {
-            self.slot_of.resize(positions.len(), u32::MAX);
-        }
-        // 1. membership removals: O(1) each via the slot map. The
-        // entry's CACHED coordinates name the row it is filed under
-        // (the coherence invariant), whatever `positions` now says.
-        for &id in removed {
-            self.remove_one(id);
-        }
-        let scanned = self.len;
-        // 2. the move pass: refresh every cached coordinate and
-        // relocate bucket-crossers. Relocations interleave with the
-        // scan: an entry relocated into a not-yet-visited row is
-        // re-examined there, which is a no-op (its bucket now matches);
-        // the swapped-in entry lands in slot `e` and is examined next
-        // iteration, so nothing is skipped.
-        let mut relocated = 0usize;
-        for b in 0..m * m {
-            let mut e = self.starts[b] as usize;
-            while e < self.ends[b] as usize {
-                let id = self.ids[e];
-                let p = positions[id as usize];
-                if !p.is_finite() {
-                    self.degrade_to_empty();
-                    return Err(SpatialError::NotFinite { index: id as usize });
-                }
-                let nb = bucket_of(p.x, p.y);
-                self.pts[e] = (p.x, p.y);
-                if nb == b {
-                    e += 1;
-                    continue;
-                }
-                relocated += 1;
-                let last = self.ends[b] as usize - 1;
-                self.ids[e] = self.ids[last];
-                self.pts[e] = self.pts[last];
-                self.slot_of[self.ids[e] as usize] = e as u32;
-                self.ends[b] = last as u32;
-                self.insert_raw(nb, id, p.x, p.y, false);
-            }
-        }
-        // 3. membership insertions, binned by their current position
-        for &id in inserted {
-            let p = positions[id as usize];
-            if !p.is_finite() {
-                self.degrade_to_empty();
-                return Err(SpatialError::NotFinite { index: id as usize });
-            }
-            self.insert_raw(bucket_of(p.x, p.y), id, p.x, p.y, true);
-            self.len += 1;
-        }
-        // re-derive the occupied list, then let parked entries borrow
-        // slots now that no scan can see a row shift (borrows keep the
-        // list exact, a re-layout rebuilds it)
-        self.rescan_occupied();
-        let relayout = self.settle_pending();
-        Ok(UpdateStats {
-            scanned,
-            relocated,
-            relayout,
-        })
-    }
-
-    /// Files `id` (cached position `(x, y)`) into row `nb`'s slack; a
+    /// Files arrival `id` (position `(x, y)`) into row `nb`'s slack; a
     /// full row parks the entry on the pending list for the
-    /// end-of-update borrow instead.
-    ///
-    /// `arrival` marks a *membership* insertion from
-    /// [`GridIndexBuffer::update_membership`] /
-    /// [`GridIndexBuffer::update_moved`]'s `inserted` list: it consumes
-    /// one slot of the row's expected-arrival headroom (so a later
-    /// re-layout re-reserves only what is still pending), and — on the
-    /// membership-only path, which never rescans — keeps the occupied
-    /// list exact across empty→non-empty transitions. Relocations of
-    /// already-indexed entries pass `false`: they ride the proportional
-    /// slack (eating reservations for them would erode the headroom the
-    /// announced arrivals depend on), and their caller re-derives the
-    /// occupied list afterwards anyway, so the hot relocation loop
-    /// stays free of list bookkeeping.
-    fn insert_raw(&mut self, nb: usize, id: u32, x: f64, y: f64, arrival: bool) {
-        if arrival && self.extra[nb] > 0 {
+    /// end-of-update borrow instead. The arrival consumes one slot of
+    /// the row's expected-arrival headroom, so a later re-layout
+    /// re-reserves only what is still pending, and an empty→non-empty
+    /// transition keeps the occupied list exact.
+    fn insert_raw(&mut self, nb: usize, id: u32, x: f64, y: f64) {
+        if self.extra[nb] > 0 {
             self.extra[nb] -= 1;
         }
         let end = self.ends[nb] as usize;
@@ -1274,7 +1090,7 @@ impl GridIndexBuffer {
             self.pts[end] = (x, y);
             self.slot_of[id as usize] = end as u32;
             self.ends[nb] = end as u32 + 1;
-            if arrival && end == self.starts[nb] as usize {
+            if end == self.starts[nb] as usize {
                 self.mark_occupied(nb);
             }
         } else {
@@ -1294,9 +1110,8 @@ impl GridIndexBuffer {
     /// Files every parked entry by borrowing a slot
     /// ([`GridIndexBuffer::borrow_slot`]); entries with no lender in
     /// reach stay parked and one re-layout files them with the rest.
-    /// Expects an exact occupied list and keeps it exact. Returns
-    /// whether a re-layout ran.
-    fn settle_pending(&mut self) -> bool {
+    /// Expects an exact occupied list and keeps it exact.
+    fn settle_pending(&mut self) {
         let mut kept = 0;
         for i in 0..self.pending.len() {
             let (id, x, y) = self.pending[i];
@@ -1309,7 +1124,6 @@ impl GridIndexBuffer {
         if kept > 0 {
             self.relayout();
         }
-        kept > 0
     }
 
     /// Files parked entry `id` (cached position `(x, y)`) into its row
@@ -1319,10 +1133,7 @@ impl GridIndexBuffer {
     /// toward the lender: on a right borrow every such row moves its
     /// first entry to one past its end, on a left borrow its last entry
     /// to one before its start; `slot_of` follows every moved entry.
-    /// Row `nb` itself may have gained room since the entry was parked
-    /// (the scan relocates entries out of later rows), in which case no
-    /// row shifts. Returns `false`, changing nothing, when no row in
-    /// reach has room.
+    /// Returns `false`, changing nothing, when no row in reach has room.
     fn borrow_slot(&mut self, id: u32, x: f64, y: f64) -> bool {
         let rows = self.m * self.m;
         let nb = self.bucket_index(x, y);
@@ -1459,14 +1270,13 @@ impl GridIndexBuffer {
     }
 
     /// Whether the buffer holds a slack (incremental) layout — i.e.
-    /// [`GridIndexBuffer::update_moved`] may be called on it.
+    /// [`GridIndexBuffer::update_membership`] may be called on it.
     #[inline]
     pub fn is_incremental(&self) -> bool {
         self.incremental
     }
 
     /// Cumulative slack-overflow re-layouts taken by
-    /// [`GridIndexBuffer::update_moved`] and
     /// [`GridIndexBuffer::update_membership`] since construction — the
     /// fallback's amortized-cost diagnostic. A full row normally
     /// borrows a slot from a nearby row instead; this counts only the
@@ -1819,7 +1629,7 @@ impl GridIndexBuffer {
     /// `other` — the companion of
     /// [`GridIndexBuffer::update_membership`]'s deferred-move regime.
     /// The two sides go stale independently: each is re-filed by its
-    /// own [`GridIndexBuffer::update_moved`].
+    /// own [`GridIndexBuffer::rebuild_incremental`].
     ///
     /// Binning and occupied lists are taken from the (stale) cached
     /// state; every *distance decision* reads the exact coordinates
@@ -1853,8 +1663,8 @@ impl GridIndexBuffer {
     /// Panics when the buffers do not share a geometry, or when
     /// `r + slop_self + slop_other` exceeds the bucket side (the 3×3
     /// neighborhood could miss drifted pairs; re-file entries with
-    /// [`GridIndexBuffer::update_moved`] before the staleness budget
-    /// runs out). Indexed ids must be in bounds of `positions`.
+    /// [`GridIndexBuffer::rebuild_incremental`] before the staleness
+    /// budget runs out). Indexed ids must be in bounds of `positions`.
     pub fn join_covered_by_stale<F: FnMut(usize)>(
         &mut self,
         other: &GridIndexBuffer,
@@ -2180,10 +1990,9 @@ impl GridIndexBuffer {
 }
 
 /// Slot capacity of a slack-layout row currently holding `count` live
-/// entries: proportional headroom plus a constant floor, so row
-/// occupancy can random-walk under drift (relocations in ≈ relocations
-/// out, but excursions happen) without forcing a re-layout, while total
-/// storage stays within `len + len/4 + 8·rows`.
+/// entries: proportional headroom plus a constant floor, so arrivals
+/// between rebuilds rarely overflow a row into a borrow or re-layout,
+/// while total storage stays within `len + len/4 + 8·rows`.
 #[inline]
 fn slack_cap(count: u32) -> u32 {
     count + count / 4 + 8
@@ -2194,7 +2003,7 @@ fn slack_cap(count: u32) -> u32 {
 /// so the cast is the floor-and-clamp-low in one instruction).
 ///
 /// Every buffer path — rebuild counting/scatter, incremental
-/// removal/insertion/relocation, re-layout — must bin through this one
+/// removal/insertion, re-layout — must bin through this one
 /// function with the same `inv_*` values (`1.0 / bucket_len`): mixing
 ///, say, a division-based variant can disagree by one bucket for
 /// coordinates within an ulp of a row boundary, and a removal that
@@ -2911,51 +2720,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_tracks_drift_and_matches_fresh_rebuild() {
-        // every point marches diagonally, guaranteeing bucket crossings
-        // and slack overflow: rows first borrow from their neighbors,
-        // and once everyone piles into the corner bucket no neighbor in
-        // reach can lend, which forces re-layouts
-        let mut pts: Vec<Point> = (0..300)
-            .map(|i| Point::new((i % 17) as f64 * 5.3 + 0.2, (i / 17) as f64 * 5.1 + 0.4))
-            .collect();
-        let subset: Vec<u32> = (0..300).collect();
-        let mut inc = GridIndexBuffer::new();
-        inc.rebuild_incremental(region(), 8.0, &pts, &subset, pts.len(), &[])
-            .unwrap();
-        assert!(inc.is_incremental());
-        let mut fresh = GridIndexBuffer::new();
-        let mut total_relocated = 0;
-        for round in 0..60 {
-            for p in &mut pts {
-                *p = Point::new((p.x + 0.9).min(99.9), (p.y + 0.7).min(99.9));
-            }
-            let stats = inc.update_moved(&pts, &[], &[]).unwrap();
-            total_relocated += stats.relocated;
-            assert_coherent(&inc);
-            fresh
-                .rebuild_subset_shared(region(), 8.0, &pts, &subset, pts.len())
-                .unwrap();
-            assert!(inc.shares_geometry_with(&fresh), "round {round}");
-            assert_eq!(entry_set(&inc), entry_set(&fresh), "round {round}");
-            assert_eq!(
-                inc.occupied_buckets(),
-                fresh.occupied_buckets(),
-                "round {round}"
-            );
-        }
-        assert!(total_relocated > 0, "drift must relocate entries");
-        assert!(
-            inc.borrows > 0,
-            "sustained drift must overflow into borrows"
-        );
-        assert!(
-            inc.relayouts() > 0,
-            "the corner pile-up must outgrow every lender"
-        );
-    }
-
-    #[test]
     fn incremental_membership_and_join_match_tight_buffers() {
         let pts: Vec<Point> = (0..120)
             .map(|i| Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64))
@@ -2974,7 +2738,7 @@ mod tests {
             let inserted: Vec<u32> = gone.pop().into_iter().collect();
             members.extend(&inserted);
             gone.extend(&removed);
-            inc.update_moved(&pts, &removed, &inserted).unwrap();
+            inc.update_membership(&pts, &removed, &inserted).unwrap();
             assert_eq!(inc.len(), members.len(), "round {round}");
 
             let mut fresh = GridIndexBuffer::new();
@@ -3015,7 +2779,7 @@ mod tests {
         while (next as usize) < n {
             let batch: Vec<u32> = (next..(next + 7).min(n as u32)).collect();
             next += batch.len() as u32;
-            buf.update_moved(&pts, &[], &batch).unwrap();
+            buf.update_membership(&pts, &[], &batch).unwrap();
         }
         assert_eq!(buf.len(), n);
         assert_eq!(buf.borrows, 0, "headroom must absorb monotone growth");
@@ -3026,7 +2790,7 @@ mod tests {
         bare.rebuild_incremental(region(), 8.0, &pts, &[0], n, &[])
             .unwrap();
         let all: Vec<u32> = (1..n as u32).collect();
-        bare.update_moved(&pts, &[], &all).unwrap();
+        bare.update_membership(&pts, &[], &all).unwrap();
         assert!(bare.borrows > 0, "plain slack cannot absorb n-1 inserts");
         assert_eq!(bare.len(), n);
         assert_coherent(&bare);
@@ -3034,11 +2798,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "requires a slack layout")]
-    fn update_moved_requires_incremental_layout() {
+    fn update_membership_requires_incremental_layout() {
         let pts = [Point::new(1.0, 1.0)];
         let mut buf = GridIndexBuffer::new();
         buf.rebuild(region(), 5.0, &pts).unwrap();
-        let _ = buf.update_moved(&pts, &[], &[]);
+        let _ = buf.update_membership(&pts, &[], &[]);
     }
 
     #[test]
@@ -3053,14 +2817,17 @@ mod tests {
 
     #[test]
     fn failed_update_degrades_to_empty_index() {
-        let mut pts = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
+        let pts = [
+            Point::new(1.0, 1.0),
+            Point::new(2.0, 2.0),
+            Point::new(f64::NAN, 2.0),
+        ];
         let mut buf = GridIndexBuffer::new();
-        buf.rebuild_incremental(region(), 5.0, &pts, &[0, 1], 2, &[])
+        buf.rebuild_incremental(region(), 5.0, &pts, &[0, 1], 3, &[])
             .unwrap();
-        pts[1] = Point::new(f64::NAN, 2.0);
         assert!(matches!(
-            buf.update_moved(&pts, &[], &[]),
-            Err(SpatialError::NotFinite { index: 1 })
+            buf.update_membership(&pts, &[0], &[2]),
+            Err(SpatialError::NotFinite { index: 2 })
         ));
         assert!(buf.is_empty());
         assert!(!buf.is_incremental());
@@ -3068,29 +2835,57 @@ mod tests {
         assert!(!buf.any_within(Point::new(1.0, 1.0), 50.0));
     }
 
+    /// Capacities of every vector a slack rebuild or membership update
+    /// may resize.
+    fn slack_capacities(buf: &GridIndexBuffer) -> [usize; 10] {
+        [
+            buf.starts.capacity(),
+            buf.ends.capacity(),
+            buf.cursor.capacity(),
+            buf.ids.capacity(),
+            buf.pts.capacity(),
+            buf.gather.capacity(),
+            buf.bkt.capacity(),
+            buf.occupied.capacity(),
+            buf.extra.capacity(),
+            buf.slot_of.capacity(),
+        ]
+    }
+
     #[test]
-    fn incremental_updates_reuse_capacity_after_reserve() {
+    fn incremental_rebuilds_reuse_capacity_after_reserve() {
+        // re-filing by rebuild, round after round, while contraction
+        // piles everyone into the corner bucket: every rebuild must
+        // match a fresh tight one and fit the storage `reserve` made
+        // (8×8 rows, within the `points/4` rows it provisions for)
         let n = 400usize;
         let mut pts: Vec<Point> = (0..n)
             .map(|i| Point::new((i % 21) as f64 * 4.7 + 0.5, (i % 23) as f64 * 4.3 + 0.5))
             .collect();
-        let subset: Vec<u32> = (0..n as u32).collect();
+        // a third of the ids announced as arrivals, so `subset +
+        // expected` stays within the reservation
+        let (expected, subset): (Vec<u32>, Vec<u32>) = (0..n as u32).partition(|i| i % 3 == 0);
         let mut buf = GridIndexBuffer::new();
         buf.reserve(n);
-        buf.rebuild_incremental(region(), 6.0, &pts, &subset, n, &[])
-            .unwrap();
-        let caps = buf.capacities();
+        let caps = slack_capacities(&buf);
+        let mut fresh = GridIndexBuffer::new();
         for round in 0..80 {
+            buf.rebuild_incremental(region(), 12.0, &pts, &subset, n, &expected)
+                .unwrap();
+            assert_eq!(buf.buckets_per_axis(), 8);
+            assert_eq!(slack_capacities(&buf), caps, "round {round} grew storage");
+            assert_coherent(&buf);
+            fresh
+                .rebuild_subset_shared(region(), 12.0, &pts, &subset, n)
+                .unwrap();
+            assert!(buf.shares_geometry_with(&fresh), "round {round}");
+            assert_eq!(entry_set(&buf), entry_set(&fresh), "round {round}");
+            assert_eq!(buf.occupied_buckets(), fresh.occupied_buckets());
             for p in &mut pts {
-                // contraction piles everyone into the corner bucket, so
-                // rows must overflow their slack and re-layout
                 *p = Point::new(p.x * 0.93 + 0.1, p.y * 0.93 + 0.1);
             }
-            buf.update_moved(&pts, &[], &[]).unwrap();
-            assert_eq!(buf.capacities(), caps, "round {round} grew storage");
         }
-        assert!(buf.borrows > 0, "contracting drift must borrow slots");
-        assert!(buf.relayouts() > 0, "contracting drift must re-layout");
+        assert_eq!(buf.occupied_buckets(), &[0], "everyone ends in the corner");
     }
 
     #[test]
@@ -3130,7 +2925,7 @@ mod tests {
         buf.update_membership(&pts, &[], &(40..54).collect::<Vec<_>>())
             .unwrap();
         assert_eq!(buf.borrows, 2, "bucket 1 and 98 had room for 7 each");
-        buf.update_moved(&pts, &[], &[9, 29]).unwrap();
+        buf.update_membership(&pts, &[], &[9, 29]).unwrap();
         assert_eq!(buf.borrows, 4);
         assert_eq!(buf.starts[1..3], [floor + 2, 2 * floor + 1]);
         assert_eq!(buf.starts[98..100], [98 * floor - 1, 99 * floor - 2]);
@@ -3178,19 +2973,29 @@ mod tests {
 
     #[test]
     fn clamped_out_of_region_points_survive_updates() {
-        // positions outside the region clamp into border buckets; moves
-        // that exit/enter the region must relocate coherently
-        let mut pts = vec![Point::new(99.0, 50.0), Point::new(50.0, 50.0)];
+        // positions outside the region clamp into border buckets, both
+        // when a rebuild re-files them and when they arrive as inserts,
+        // and their removal finds the clamped row again
+        let mut pts = vec![
+            Point::new(99.0, 50.0),
+            Point::new(50.0, 50.0),
+            Point::new(50.0, -6.0),
+        ];
         let mut buf = GridIndexBuffer::new();
-        buf.rebuild_incremental(region(), 10.0, &pts, &[0, 1], 2, &[])
+        buf.rebuild_incremental(region(), 10.0, &pts, &[0, 1], 3, &[])
             .unwrap();
         pts[0] = Point::new(107.0, 50.0); // wandered out east
-        buf.update_moved(&pts, &[], &[]).unwrap();
+        buf.rebuild_incremental(region(), 10.0, &pts, &[0, 1], 3, &[])
+            .unwrap();
         assert!(buf.any_within(Point::new(100.0, 50.0), 8.0));
-        pts[0] = Point::new(95.0, 50.0); // back inside
-        buf.update_moved(&pts, &[], &[]).unwrap();
-        assert!(buf.any_within(Point::new(95.0, 50.0), 0.1));
-        assert_eq!(buf.len(), 2);
+        buf.update_membership(&pts, &[], &[2]).unwrap(); // arrives south
+        assert!(buf.any_within(Point::new(50.0, 0.0), 6.5));
+        assert_coherent(&buf);
+        buf.update_membership(&pts, &[0, 2], &[]).unwrap();
+        assert!(!buf.any_within(Point::new(100.0, 50.0), 8.0));
+        assert!(!buf.any_within(Point::new(50.0, 0.0), 6.5));
+        assert_eq!(buf.len(), 1);
+        assert_coherent(&buf);
     }
 
     #[test]

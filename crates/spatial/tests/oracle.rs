@@ -125,8 +125,10 @@ proptest! {
     /// An incrementally maintained buffer must hold the **identical
     /// entry set** to a fresh shared-geometry rebuild after arbitrarily
     /// long sequences of small moves, teleports, membership removals
-    /// (informs/crashes) and insertions — and keep answering the
-    /// transmit join exactly like the brute-force oracle throughout.
+    /// (informs/crashes) and insertions — whether the round ends with a
+    /// re-filing rebuild or leaves the moved entries stale — and keep
+    /// answering the transmit join exactly like the brute-force oracle
+    /// over the coordinates each entry was filed under.
     #[test]
     fn incremental_update_equals_fresh_rebuild_under_churn(
         seed in 0u64..500,
@@ -146,6 +148,9 @@ proptest! {
         let expected: Vec<u32> = (0..n as u32).filter(|id| !members.contains(id)).collect();
         inc.rebuild_incremental(region, bucket, &pts, &members, n, &expected)
             .unwrap();
+        // where each entry was last filed: the reference a fresh
+        // rebuild must reproduce
+        let mut filed = pts.clone();
         let mut fresh = GridIndexBuffer::new();
         for round in 0..rounds {
             // moves: mostly small drift (a fraction of a bucket), with
@@ -177,35 +182,41 @@ proptest! {
                 .filter(|_| rng.gen::<f64>() < 0.1)
                 .collect();
             members.extend(&inserted);
-            let stats = inc.update_moved(&pts, &removed, &inserted).unwrap();
+            inc.update_membership(&pts, &removed, &inserted).unwrap();
+            for &id in &inserted {
+                filed[id as usize] = pts[id as usize];
+            }
+            let refile = rng.gen::<bool>();
+            if refile {
+                let others: Vec<u32> =
+                    (0..n as u32).filter(|id| !members.contains(id)).collect();
+                inc.rebuild_incremental(region, bucket, &pts, &members, n, &others)
+                    .unwrap();
+                filed.clone_from(&pts);
+            }
             prop_assert_eq!(inc.len(), members.len());
             prop_assert!(inc.is_incremental());
 
             fresh
-                .rebuild_subset_shared(region, bucket, &pts, &members, n)
+                .rebuild_subset_shared(region, bucket, &filed, &members, n)
                 .unwrap();
             prop_assert!(inc.shares_geometry_with(&fresh), "geometry survives updates");
-            let snapshot = |buf: &GridIndexBuffer| {
-                let mut v: Vec<(usize, usize, u64, u64)> = Vec::new();
-                buf.for_each_entry(|b, id, p| v.push((b, id, p.x.to_bits(), p.y.to_bits())));
-                v.sort_unstable();
-                v
-            };
             prop_assert_eq!(
-                snapshot(&inc),
-                snapshot(&fresh),
-                "round {} (relocated {}, relayout {})",
+                entries(&inc),
+                entries(&fresh),
+                "round {} (refiled {}, relayouts {})",
                 round,
-                stats.relocated,
-                stats.relayout
+                refile,
+                inc.relayouts()
             );
             prop_assert_eq!(inc.occupied_buckets(), fresh.occupied_buckets());
 
             // the join through the incremental side answers the transmit
-            // question exactly like brute force
+            // question exactly like brute force, over the filed positions
+            // (the exact join reads cached coordinates)
             let others: Vec<u32> = (0..n as u32).filter(|id| !members.contains(id)).collect();
             let mut tx = GridIndexBuffer::new();
-            tx.rebuild_subset_shared(region, bucket, &pts, &others, n).unwrap();
+            tx.rebuild_subset_shared(region, bucket, &filed, &others, n).unwrap();
             let r = bucket.min(SIDE / 4.0);
             let mut got = Vec::new();
             inc.join_covered_by(&tx, r, |id| got.push(id));
@@ -214,7 +225,7 @@ proptest! {
             let expected: Vec<usize> = members
                 .iter()
                 .filter(|&&u| {
-                    others.iter().any(|&t| pts[u as usize].euclid_sq(pts[t as usize]) <= r2)
+                    others.iter().any(|&t| filed[u as usize].euclid_sq(filed[t as usize]) <= r2)
                 })
                 .map(|&u| u as usize)
                 .collect();
@@ -229,7 +240,7 @@ proptest! {
     /// stale); the stale-tolerant join must stay **exact** against
     /// brute force on the true positions for as long as the drift
     /// stays within the announced slop — including directly after
-    /// `update_moved` refreshes (slop back to 0).
+    /// `rebuild_incremental` refreshes (slop back to 0).
     #[test]
     fn stale_join_with_deferred_moves_matches_brute_force(
         seed in 0u64..500,
@@ -258,7 +269,7 @@ proptest! {
                 *p = Point::new(p.x + dx, p.y + dy);
             }
             if stale + step > slop_budget {
-                inc.update_moved(&pts, &[], &[]).unwrap();
+                inc.rebuild_incremental(region, bucket, &pts, &members, n, &[]).unwrap();
                 stale = 0.0;
             } else {
                 stale += step;
@@ -352,14 +363,15 @@ proptest! {
         prop_assert_eq!(got, expected, "cluster {} flip {}", cluster, flip);
     }
 
-    /// Clustered drift and clustered arrivals overflow whole runs of
-    /// neighboring rows at once, so parked entries borrow slots through
-    /// chains of full rows, leftward and rightward (and fall back to a
-    /// re-layout when a cluster outgrows every lender in reach). After
-    /// every `update_moved` and every `update_membership` the entry set
-    /// must equal a fresh `rebuild_incremental` over the coordinates
-    /// each entry was last filed under, and the stale join must match
-    /// brute force on the true positions.
+    /// Clustered drift, re-filed by a rebuild of the warm buffer, packs
+    /// the rows around a cluster center; clustered arrivals then
+    /// overflow whole runs of those rows at once, so parked entries
+    /// borrow slots through chains of full rows, leftward and rightward
+    /// (and fall back to a re-layout when a cluster outgrows every
+    /// lender in reach). After every round the entry set must equal a
+    /// fresh `rebuild_incremental` over the coordinates each entry was
+    /// last filed under, and the stale join must match brute force on
+    /// the true positions.
     #[test]
     fn borrow_chains_under_clustered_drift_match_fresh_rebuild(
         seed in 0u64..500,
@@ -390,8 +402,7 @@ proptest! {
             members.retain(|id| !removed.contains(id));
             if round % 2 == 0 {
                 // refresh round: half of everyone is pulled most of the
-                // way toward a new cluster center, and the non-members
-                // nearest to it join
+                // way toward a new cluster center
                 center = Point::new(rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE));
                 let pull = rng.gen_range(0.5..0.95);
                 for p in &mut pts {
@@ -402,11 +413,16 @@ proptest! {
                         );
                     }
                 }
-                let inserted = near_non_members(&pts, &members, &removed, center, bucket);
-                members.extend(&inserted);
-                inc.update_moved(&pts, &removed, &inserted).unwrap();
+                // the refresh re-files everyone where they are now, so
+                // the rows around the center fill with pulled members
+                inc.rebuild_incremental(region, bucket, &pts, &members, n, &[]).unwrap();
                 filed.clone_from(&pts);
                 stale = 0.0;
+                // then the non-members nearest to it arrive, overflow
+                // those rows and borrow through runs of full ones
+                let inserted = near_non_members(&pts, &members, &removed, center, bucket);
+                members.extend(&inserted);
+                inc.update_membership(&pts, &[], &inserted).unwrap();
             } else {
                 // deferred round: drift within the budget, binning left
                 // stale, while the last cluster's non-members arrive
@@ -429,13 +445,7 @@ proptest! {
 
             let mut fresh = GridIndexBuffer::new();
             fresh.rebuild_incremental(region, bucket, &filed, &members, n, &[]).unwrap();
-            let snapshot = |buf: &GridIndexBuffer| {
-                let mut v: Vec<(usize, usize, u64, u64)> = Vec::new();
-                buf.for_each_entry(|b, id, p| v.push((b, id, p.x.to_bits(), p.y.to_bits())));
-                v.sort_unstable();
-                v
-            };
-            prop_assert_eq!(snapshot(&inc), snapshot(&fresh), "round {}", round);
+            prop_assert_eq!(entries(&inc), entries(&fresh), "round {}", round);
             prop_assert_eq!(inc.occupied_buckets(), fresh.occupied_buckets());
 
             let others: Vec<u32> = (0..n as u32).filter(|id| !members.contains(id)).collect();
@@ -571,4 +581,13 @@ fn near_non_members(
         .filter(|id| !members.contains(id) && !removed.contains(id))
         .filter(|&id| pts[id as usize].euclid_sq(center) <= reach * reach)
         .collect()
+}
+
+/// Sorted `(bucket, id, x bits, y bits)` snapshot of a buffer's live
+/// entries.
+fn entries(buf: &GridIndexBuffer) -> Vec<(usize, usize, u64, u64)> {
+    let mut v = Vec::new();
+    buf.for_each_entry(|b, id, p| v.push((b, id, p.x.to_bits(), p.y.to_bits())));
+    v.sort_unstable();
+    v
 }

@@ -36,14 +36,14 @@ doc_expect() {
     fail=1
   fi
 }
-doc_expect fastflood_spatial/struct.GridIndexBuffer.html update_moved
+doc_expect fastflood_spatial/struct.GridIndexBuffer.html "warm buffer is also how a slack grid is re-filed"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html update_membership
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "nearest row with spare capacity"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "r + slop_self + slop_other"
-doc_expect fastflood_spatial/struct.UpdateStats.html relocated
+doc_expect fastflood_core/struct.FloodingSim.html "entries that were already indexed and were filed"
 doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_staleness
