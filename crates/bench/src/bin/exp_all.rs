@@ -1,130 +1,27 @@
-//! Runs every experiment (E1–E15) in sequence and prints their tables —
-//! the single command that regenerates all of EXPERIMENTS.md.
+//! Runs the paper's experiments (E1–E17) and prints their tables: all of
+//! them, in the order of `fastflood_bench::experiments::EXPERIMENTS`, or
+//! only those named by `--only`.
 //!
-//! Usage: `cargo run --release -p fastflood-bench --bin exp_all [--quick] [--seed N] [--threads N]`
+//! Usage: `cargo run --release -p fastflood-bench --bin exp_all -- [--only <name>]... [--quick] [--seed N] [--threads N] [--trials N]`
+//!
+//! `<name>` is an experiment module's name (`thm3_sweep`, …); every name
+//! is checked before anything runs. `--trials` sets the trial count of
+//! the seven experiments that have one, as listed at that table.
 
 use fastflood_bench::cli::ExpArgs;
-use fastflood_bench::experiments::*;
+use std::time::Instant;
 
 fn main() {
     let args = ExpArgs::parse();
-    let started = std::time::Instant::now();
-
-    macro_rules! exp {
-        ($name:literal, $module:ident, $tweak:expr) => {{
-            let mut config = if args.quick {
-                $module::Config::quick()
-            } else {
-                $module::Config::default()
-            };
-            #[allow(clippy::redundant_closure_call)]
-            ($tweak)(&mut config);
-            println!("==================================================================");
-            println!("== {}", $name);
-            println!("==================================================================");
-            let t = std::time::Instant::now();
-            println!("{}", $module::run(&config));
-            println!("[{} finished in {:.1?}]\n", $name, t.elapsed());
-        }};
+    let started = Instant::now();
+    for exp in &args.experiments {
+        let title = format!("{} {}", exp.number, exp.name);
+        println!("==================================================================");
+        println!("== {title}");
+        println!("==================================================================");
+        let t = Instant::now();
+        println!("{}", (exp.run)(&args));
+        println!("[{title} finished in {:.1?}]\n", t.elapsed());
     }
-
-    let seed = args.seed;
-    let threads = args.threads;
-    exp!(
-        "E1 fig1_density",
-        fig1_density,
-        |c: &mut fig1_density::Config| c.seed = seed
-    );
-    exp!(
-        "E2 fig1_destination",
-        fig1_destination,
-        |c: &mut fig1_destination::Config| { c.seed = seed }
-    );
-    exp!(
-        "E3 thm1_marginals",
-        thm1_marginals,
-        |c: &mut thm1_marginals::Config| c.seed = seed
-    );
-    exp!("E4 thm3_sweep", thm3_sweep, |c: &mut thm3_sweep::Config| {
-        c.seed = seed;
-        c.threads = threads;
-    });
-    exp!(
-        "E5 suburb_vs_center",
-        suburb_vs_center,
-        |c: &mut suburb_vs_center::Config| {
-            c.seed = seed;
-            c.threads = threads;
-        }
-    );
-    exp!(
-        "E6 thm10_cor12",
-        thm10_cor12,
-        |c: &mut thm10_cor12::Config| {
-            c.seed = seed;
-            c.threads = threads;
-        }
-    );
-    exp!(
-        "E7 lemma7_density",
-        lemma7_density,
-        |c: &mut lemma7_density::Config| c.seed = seed
-    );
-    exp!(
-        "E8 lemma13_turns",
-        lemma13_turns,
-        |c: &mut lemma13_turns::Config| c.seed = seed
-    );
-    exp!(
-        "E9 lemma15_suburb",
-        lemma15_suburb,
-        |_: &mut lemma15_suburb::Config| {}
-    );
-    exp!(
-        "E10 thm18_lower",
-        thm18_lower,
-        |c: &mut thm18_lower::Config| {
-            c.seed = seed;
-            c.threads = threads;
-        }
-    );
-    exp!(
-        "E11 connectivity",
-        connectivity,
-        |c: &mut connectivity::Config| c.seed = seed
-    );
-    exp!(
-        "E12 convergence",
-        convergence,
-        |c: &mut convergence::Config| c.seed = seed
-    );
-    exp!(
-        "E13 model_comparison",
-        model_comparison,
-        |c: &mut model_comparison::Config| {
-            c.seed = seed;
-            c.threads = threads;
-        }
-    );
-    exp!(
-        "E14 lemma9_expansion",
-        lemma9_expansion,
-        |c: &mut lemma9_expansion::Config| { c.seed = seed }
-    );
-    exp!("E15 protocols", protocols, |c: &mut protocols::Config| {
-        c.seed = seed;
-        c.threads = threads;
-    });
-    exp!(
-        "E17 lemma14_segments",
-        lemma14_segments,
-        |c: &mut lemma14_segments::Config| { c.seed = seed }
-    );
-    exp!(
-        "E16 lemma16_meeting",
-        lemma16_meeting,
-        |c: &mut lemma16_meeting::Config| { c.seed = seed }
-    );
-
-    println!("all experiments done in {:.1?}", started.elapsed());
+    println!("[all finished in {:.1?}]", started.elapsed());
 }

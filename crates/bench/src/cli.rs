@@ -1,16 +1,23 @@
-//! Tiny command-line parsing shared by the experiment binaries.
+//! Tiny command-line parsing for `exp_all`, the experiment runner.
 
-/// Common arguments accepted by every experiment binary:
+use crate::experiments::{self, Experiment, EXPERIMENTS};
+
+/// The arguments of `exp_all`:
 ///
+/// * `--only <name>` — run the named experiment (repeatable; default:
+///   all of [`EXPERIMENTS`]). Unknown names panic, listing the valid ones;
 /// * `--quick` — run a reduced configuration (used by smoke tests);
 /// * `--seed <u64>` — master seed (default 2010, the paper's year);
 /// * `--trials <usize>` — trials per configuration (experiment-specific
-///   default);
+///   default; only the experiments with a trial count take it);
 /// * `--threads <usize>` — worker threads (default: the
 ///   `FASTFLOOD_THREADS` environment variable, else available
 ///   parallelism — see [`fastflood_parallel::default_threads`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ExpArgs {
+    /// The experiments to run: each `--only`, in order, else all of
+    /// [`EXPERIMENTS`].
+    pub experiments: Vec<&'static Experiment>,
     /// Reduced configuration for smoke runs.
     pub quick: bool,
     /// Master seed.
@@ -24,16 +31,13 @@ pub struct ExpArgs {
 impl Default for ExpArgs {
     fn default() -> Self {
         ExpArgs {
+            experiments: EXPERIMENTS.iter().collect(),
             quick: false,
             seed: 2010,
             trials: None,
-            threads: default_threads(),
+            threads: fastflood_parallel::default_threads(),
         }
     }
-}
-
-fn default_threads() -> usize {
-    fastflood_parallel::default_threads()
 }
 
 impl ExpArgs {
@@ -63,9 +67,14 @@ impl ExpArgs {
         S: AsRef<str>,
     {
         let mut out = ExpArgs::default();
+        let mut only = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_ref() {
+                "--only" => {
+                    let v = it.next().expect("--only requires a value");
+                    only.push(experiments::find(v.as_ref()));
+                }
                 "--quick" => out.quick = true,
                 "--seed" => {
                     let v = it.next().expect("--seed requires a value");
@@ -81,9 +90,12 @@ impl ExpArgs {
                     assert!(out.threads > 0, "--threads must be positive");
                 }
                 other => panic!(
-                    "unknown argument {other:?}; supported: --quick --seed <u64> --trials <n> --threads <n>"
+                    "unknown argument {other:?}; supported: --only <name> --quick --seed <u64> --trials <n> --threads <n>"
                 ),
             }
+        }
+        if !only.is_empty() {
+            out.experiments = only;
         }
         out
     }
@@ -106,6 +118,7 @@ mod tests {
         assert_eq!(a.trials, None);
         assert!(a.threads >= 1);
         assert_eq!(a.trials_or(7), 7);
+        assert_eq!(a.experiments.len(), EXPERIMENTS.len());
     }
 
     #[test]
@@ -116,6 +129,9 @@ mod tests {
         assert_eq!(a.trials, Some(3));
         assert_eq!(a.threads, 2);
         assert_eq!(a.trials_or(7), 3);
+        let a = ExpArgs::from_iter(["--only", "protocols", "--only", "fig1_density"]);
+        let names: Vec<&str> = a.experiments.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["protocols", "fig1_density"]);
     }
 
     #[test]

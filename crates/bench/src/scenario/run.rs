@@ -649,28 +649,6 @@ impl<M: Mobility> Driver<M> {
     }
 }
 
-/// Appends a `u64`-length-prefixed `u32` list.
-fn put_u32_list(w: &mut ByteWriter, xs: &[u32]) {
-    w.put_u64(xs.len() as u64);
-    for &x in xs {
-        w.put_u32(x);
-    }
-}
-
-/// Reads a list written by [`put_u32_list`]; `None` on truncation or a
-/// length that cannot fit the remaining bytes.
-fn get_u32_list(r: &mut ByteReader<'_>) -> Option<Vec<u32>> {
-    let len = usize::try_from(r.get_u64()?).ok()?;
-    if len > r.remaining() / 4 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_u32()?);
-    }
-    Some(out)
-}
-
 /// Shorthand for scenario-section corruption errors.
 fn scorrupt(section: [u8; 4], what: &'static str) -> CheckpointError {
     CheckpointError::Corrupt { section, what }
@@ -808,7 +786,7 @@ where
         let mut w = ByteWriter::new();
         w.put_u64(self.partition_slots.len() as u64);
         for slot in &self.partition_slots {
-            put_u32_list(&mut w, slot);
+            w.put_u32_list(slot);
         }
         snap.push(TAG_SCPT, w.into_bytes());
 
@@ -821,7 +799,7 @@ where
                 .position(|&k| k == rec.kind)
                 .expect("fault records use the canonical kind labels");
             w.put_u8(code as u8);
-            put_u32_list(&mut w, &rec.agents);
+            w.put_u32_list(&rec.agents);
         }
         snap.push(TAG_SCRC, w.into_bytes());
 
@@ -909,8 +887,9 @@ where
         }
         let mut slots = Vec::with_capacity(self.partition_slots.len());
         for _ in 0..slot_count {
-            let slot =
-                get_u32_list(&mut r).ok_or_else(|| scorrupt(TAG_SCPT, "truncated slot list"))?;
+            let slot = r
+                .get_u32_list()
+                .ok_or_else(|| scorrupt(TAG_SCPT, "truncated slot list"))?;
             if slot.iter().any(|&a| a >= n32) {
                 return Err(scorrupt(TAG_SCPT, "agent id out of range"));
             }
@@ -938,8 +917,9 @@ where
             let kind = *FAULT_KINDS
                 .get(code as usize)
                 .ok_or_else(|| scorrupt(TAG_SCRC, "unknown fault kind code"))?;
-            let agents =
-                get_u32_list(&mut r).ok_or_else(|| scorrupt(TAG_SCRC, "truncated agent list"))?;
+            let agents = r
+                .get_u32_list()
+                .ok_or_else(|| scorrupt(TAG_SCRC, "truncated agent list"))?;
             if agents.iter().any(|&a| a >= n32) {
                 return Err(scorrupt(TAG_SCRC, "agent id out of range"));
             }

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A simple text table: headers plus rows of strings, rendered with
 /// aligned columns (GitHub-flavored markdown, so experiment output can be
-/// pasted into EXPERIMENTS.md verbatim).
+/// pasted into a markdown document verbatim).
 ///
 /// # Examples
 ///

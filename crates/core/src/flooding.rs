@@ -1897,27 +1897,6 @@ fn get_opt_u32(r: &mut ByteReader<'_>) -> Option<Option<u32>> {
     }
 }
 
-fn put_u32_list(w: &mut ByteWriter, xs: &[u32]) {
-    w.put_u64(xs.len() as u64);
-    for &x in xs {
-        w.put_u32(x);
-    }
-}
-
-fn get_u32_list(r: &mut ByteReader<'_>) -> Option<Vec<u32>> {
-    let len = usize::try_from(r.get_u64()?).ok()?;
-    // a length longer than the bytes behind it cannot be honest, and
-    // must not drive with_capacity
-    if len > r.remaining() / 4 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_u32()?);
-    }
-    Some(out)
-}
-
 /// Shorthand constructor for section-level corruption errors.
 fn corrupt(section: [u8; 4], what: &'static str) -> CheckpointError {
     CheckpointError::Corrupt { section, what }
@@ -2032,15 +2011,15 @@ where
         snap.push(TAG_POSN, po.into_bytes());
 
         let mut fl = ByteWriter::new();
-        put_u32_list(&mut fl, &self.uninformed);
-        put_u32_list(&mut fl, &self.transmitters);
-        put_u32_list(&mut fl, &self.spread);
+        fl.put_u32_list(&self.uninformed);
+        fl.put_u32_list(&self.transmitters);
+        fl.put_u32_list(&self.spread);
         snap.push(TAG_FLOD, fl.into_bytes());
 
         if let Some(turns) = &self.turns {
             let mut w = ByteWriter::new();
             for a in 0..n {
-                put_u32_list(&mut w, turns.agent_timestamps(a));
+                w.put_u32_list(turns.agent_timestamps(a));
             }
             snap.push(TAG_TURN, w.into_bytes());
         }
@@ -2279,9 +2258,9 @@ where
         // ---- FLOD: rosters and spread curve ----------------------------
         let mut r = ByteReader::new(snap.require(TAG_FLOD)?);
         let flod_err = || corrupt(TAG_FLOD, "truncated roster");
-        let uninformed = get_u32_list(&mut r).ok_or_else(flod_err)?;
-        let transmitters = get_u32_list(&mut r).ok_or_else(flod_err)?;
-        let spread = get_u32_list(&mut r).ok_or_else(flod_err)?;
+        let uninformed = r.get_u32_list().ok_or_else(flod_err)?;
+        let transmitters = r.get_u32_list().ok_or_else(flod_err)?;
+        let spread = r.get_u32_list().ok_or_else(flod_err)?;
         if !r.is_empty() {
             return Err(corrupt(TAG_FLOD, "trailing bytes"));
         }
@@ -2322,7 +2301,7 @@ where
             let mut r = ByteReader::new(snap.require(TAG_TURN)?);
             let mut lists = Vec::with_capacity(n);
             for _ in 0..n {
-                let ts = get_u32_list(&mut r).ok_or(corrupt(TAG_TURN, "truncated"))?;
+                let ts = r.get_u32_list().ok_or(corrupt(TAG_TURN, "truncated"))?;
                 // the next step records at `time`; a later stamp would
                 // trip the recorder's nondecreasing assertion
                 if ts.last().is_some_and(|&t| t > time) {

@@ -21,8 +21,7 @@ const SQRT5: f64 = 2.23606797749979;
 ///
 /// Logarithms are **natural logs** throughout: the paper's `log n` appears
 /// only inside `Θ(·)`/thresholds where the base is a constant factor, and
-/// the authors explicitly do not optimize constants. DESIGN.md records
-/// this choice.
+/// the authors explicitly do not optimize constants.
 ///
 /// # Examples
 ///

@@ -17,7 +17,7 @@ use rand::Rng;
 /// square"), whose stationary spatial distribution is *almost uniform* —
 /// the key contrast with MRWP's center-heavy density. `init_stationary`
 /// places agents uniformly (the model's stationary distribution up to
-/// `O(walk_radius/L)` border effects, documented in DESIGN.md).
+/// `O(walk_radius/L)` border effects).
 ///
 /// # Examples
 ///
@@ -149,7 +149,7 @@ impl Mobility for DiskWalk {
 
     fn init_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> DiskWalkState {
         // The stationary distribution of this walk is uniform up to border
-        // effects of order walk_radius/side (see DESIGN.md); uniform
+        // effects of order walk_radius/side; uniform
         // placement is the standard approximation used in [10, 11].
         let pos = Point::new(self.side * rng.gen::<f64>(), self.side * rng.gen::<f64>());
         self.init_at(pos, rng)

@@ -126,6 +126,14 @@ impl ByteWriter {
         self.put_u64(bytes.len() as u64);
         self.put_bytes(bytes);
     }
+
+    /// Appends a `u64`-length-prefixed list of little-endian `u32`s.
+    pub fn put_u32_list(&mut self, xs: &[u32]) {
+        self.put_u64(xs.len() as u64);
+        for &x in xs {
+            self.put_u32(x);
+        }
+    }
 }
 
 /// Cursor over snapshot payload bytes; every getter returns `None` on
@@ -221,6 +229,22 @@ impl<'a> ByteReader<'a> {
         let len = usize::try_from(len).ok()?;
         self.take(len)
     }
+
+    /// Reads a list written by [`ByteWriter::put_u32_list`]; `None` on
+    /// truncation or a length that cannot fit the remaining bytes.
+    pub fn get_u32_list(&mut self) -> Option<Vec<u32>> {
+        let len = usize::try_from(self.get_u64()?).ok()?;
+        // a length longer than the bytes behind it cannot be honest, and
+        // must not drive with_capacity
+        if len > self.remaining() / 4 {
+            return None;
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(self.get_u32()?);
+        }
+        Some(out)
+    }
 }
 
 /// Per-agent mobility state that can round-trip through a checkpoint
@@ -301,6 +325,22 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_block(), None);
+    }
+
+    #[test]
+    fn u32_list_roundtrips_and_rejects_hostile_lengths() {
+        let mut w = ByteWriter::new();
+        w.put_u32_list(&[7, 0, u32::MAX]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 3 * 4);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_u32_list(), Some(vec![7, 0, u32::MAX]));
+        assert!(r.is_empty());
+        // one element short, and a length no payload could back
+        let short = &bytes[..bytes.len() - 4];
+        assert_eq!(ByteReader::new(short).get_u32_list(), None);
+        let huge = u64::MAX.to_le_bytes();
+        assert_eq!(ByteReader::new(&huge).get_u32_list(), None);
     }
 
     #[test]

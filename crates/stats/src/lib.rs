@@ -13,8 +13,8 @@
 //!   regularized incomplete gamma function in [`special`];
 //! * [`regression`] — ordinary least squares and log–log scaling-exponent
 //!   fits (used for the Theorem 3 / Theorem 18 scaling experiments);
-//! * [`seeds`] — deterministic seed derivation so every table in
-//!   EXPERIMENTS.md is exactly reproducible.
+//! * [`seeds`] — deterministic seed derivation so every experiment table
+//!   is exactly reproducible.
 //!
 //! # Examples
 //!

@@ -2,8 +2,8 @@
 //!
 //! Every randomized component of the workspace takes an explicit seed, and
 //! every experiment derives per-trial seeds from one master seed with
-//! [`derive_seed`], so the tables in EXPERIMENTS.md are exactly
-//! reproducible run-to-run and machine-to-machine.
+//! [`derive_seed`], so every experiment table is exactly reproducible
+//! run-to-run and machine-to-machine.
 
 /// SplitMix64 step: the standard 64-bit finalizer used to decorrelate
 /// sequential seeds.

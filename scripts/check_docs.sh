@@ -3,7 +3,10 @@
 #   1. link check — every relative markdown link in README.md and
 #      docs/*.md must resolve to a file in the repo (links are resolved
 #      against the linking file's directory, like a markdown viewer);
-#   2. doc coverage — the generated rustdoc must contain the pages and
+#   2. cited documents — every `*.md` path a Rust source under crates/,
+#      src/, tests/ or examples/ cites must exist, from the repo root or
+#      from docs/ (a doc comment must not point at a missing document);
+#   3. doc coverage — the generated rustdoc must contain the pages and
 #      items of the spatial/engine incremental contract, so a rename or
 #      visibility change cannot silently orphan the documented design.
 set -euo pipefail
@@ -25,7 +28,15 @@ for f in README.md docs/*.md; do
            | grep -vE '^(https?://|mailto:|#)' || true)
 done
 
-# ---- 2. rustdoc coverage of the incremental spatial/engine API ----
+# ---- 2. markdown documents cited from Rust sources ----
+while IFS=: read -r file line target; do
+  if [ ! -e "$target" ] && [ ! -e "docs/$target" ]; then
+    echo "check_docs: $file:$line cites $target, which does not exist"
+    fail=1
+  fi
+done < <(grep -rnoE --include='*.rs' '[A-Za-z0-9_./-]+\.md\b' crates src tests examples || true)
+
+# ---- 3. rustdoc coverage of the incremental spatial/engine API ----
 doc_expect() {
   local file="$1" needle="$2"
   if [ ! -f "target/doc/$file" ]; then
@@ -129,4 +140,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: relative links resolve + rustdoc covers the incremental API"
+echo "check_docs: relative links resolve + cited documents exist + rustdoc covers the incremental API"

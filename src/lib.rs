@@ -14,8 +14,8 @@
 //! apparatus: the mobility models with exact stationary sampling, the
 //! closed-form stationary distributions (Theorems 1–2), the cell/zone
 //! machinery of §4, the flooding engine, disk-graph connectivity
-//! analytics, a statistics toolkit, and experiment binaries regenerating
-//! every figure and theorem-level claim (see `EXPERIMENTS.md`).
+//! analytics, a statistics toolkit, and the `exp_all` runner regenerating
+//! every figure and theorem-level claim (see `crates/bench/src/experiments/`).
 //!
 //! This crate is the umbrella: it re-exports the public APIs of all
 //! member crates so applications can depend on `fastflood` alone.
