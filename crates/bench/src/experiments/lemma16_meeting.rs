@@ -18,7 +18,7 @@ use crate::table::{fmt_f64, Table};
 use fastflood_core::{SimParams, Zone, ZoneMap};
 use fastflood_geom::Point;
 use fastflood_mobility::{Mobility, Mrwp};
-use fastflood_spatial::GridIndex;
+use fastflood_spatial::GridIndexBuffer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -126,7 +126,8 @@ pub fn run(config: &Config) -> Output {
     // march forward, matching suburb agents against CZ-origin couriers.
     let meet_radius = 0.75 * params.radius();
     let budget = (config.budget_multiple * s_over_v).ceil() as u32;
-    let couriers: Vec<usize> = (0..n).filter(|&i| from_cz[i]).collect();
+    let couriers: Vec<u32> = (0..n as u32).filter(|&i| from_cz[i as usize]).collect();
+    let mut index = GridIndexBuffer::new();
     let mut meeting: Vec<Option<(u32, usize)>> = vec![None; watched.len()]; // (delay, courier)
     let mut met = 0usize;
     let mut courier_deadline: Vec<(usize, u32)> = Vec::new(); // (courier, deadline)
@@ -140,17 +141,17 @@ pub fn run(config: &Config) -> Output {
         }
         let positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
         if met < watched.len() {
-            let courier_pos: Vec<Point> = couriers.iter().map(|&i| positions[i]).collect();
-            let index = GridIndex::for_radius(model.region(), meet_radius, &courier_pos)
+            index
+                .rebuild_subset(model.region(), meet_radius, &positions, &couriers)
                 .expect("finite positions");
             for (w, &agent) in watched.iter().enumerate() {
                 if meeting[w].is_some() {
                     continue;
                 }
                 let mut partner = None;
-                index.visit_within(positions[agent], meet_radius, |ci, _| {
-                    if couriers[ci] != agent {
-                        partner = Some(couriers[ci]);
+                index.visit_within(positions[agent], meet_radius, |b| {
+                    if b != agent {
+                        partner = Some(b);
                         false
                     } else {
                         true

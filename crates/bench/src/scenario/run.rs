@@ -958,8 +958,8 @@ where
 /// worklist pass per event. Every agent list built here is ascending, as
 /// those calls require: `sample` sorts its draw, and the other lists are
 /// filtered from agents in index order.
-fn apply_event<M: Mobility, R: Rng + SeedableRng + Send>(
-    sim: &mut FloodingSim<M, R>,
+fn apply_event<M: Mobility>(
+    sim: &mut FloodingSim<M>,
     event: &Event,
     side: f64,
     partition_slots: &mut [Vec<u32>],

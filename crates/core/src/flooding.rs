@@ -67,12 +67,12 @@
 //!   worklists, candidate buffers, the newly-informed list) is retained
 //!   across steps; after warm-up a full-flooding step performs no heap
 //!   allocation (asserted by the `alloc_steady_state` test).
-//! * **Pluggable RNG.** `FloodingSim<M, R>` is generic over the
-//!   generator with the fast [`SimRng`] (xoshiro256++) as default;
-//!   mobility stepping no longer pays ChaCha prices. Trial seeding via
-//!   [`run_trials`](crate::run_trials)/`derive_seed` is unchanged, so
-//!   reports stay deterministic per `(master_seed, trials)` whatever the
-//!   thread count.
+//! * **One fast RNG.** Every stream of a `FloodingSim` (the main
+//!   stream and the per-chunk move streams) is a [`SimRng`]
+//!   (xoshiro256++), so mobility stepping pays no ChaCha prices.
+//!   Trials are seeded via [`run_trials`](crate::run_trials)/
+//!   `derive_seed`, so reports stay deterministic per
+//!   `(master_seed, trials)` whatever the thread count.
 //!
 //! Parsimonious flooding and push gossip ride the same machinery: the
 //! worklist doubles as the candidate set, and gossip's per-transmitter
@@ -120,8 +120,7 @@ use std::time::Instant;
 ///
 /// The paper's experiments burn billions of draws on mobility stepping;
 /// a cryptographic generator (ChaCha12 [`rand::rngs::StdRng`]) is wasted
-/// there. Any `R: Rng + SeedableRng + Send` can be substituted via
-/// [`FloodingSim::with_rng`].
+/// there.
 pub type SimRng = SmallRng;
 
 /// Where the initially informed source agent is placed.
@@ -379,7 +378,7 @@ impl SimConfig {
     /// `n ≥ 1`, radius positive and finite (NaN and infinities are
     /// rejected here instead of propagating into the grid geometry),
     /// protocol parameters in range, and a fixed source index in bounds.
-    /// [`FloodingSim::with_rng`] calls this first, so an invalid config
+    /// [`FloodingSim::new`] calls this first, so an invalid config
     /// never half-constructs a simulator.
     ///
     /// # Errors
@@ -499,8 +498,8 @@ impl fmt::Display for FloodingReport {
 /// assert_eq!(*report.spread.last().unwrap() as usize, 200);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
+#[derive(Debug, Clone)]
+pub struct FloodingSim<M: Mobility> {
     model: M,
     radius: f64,
     protocol: Protocol,
@@ -509,7 +508,7 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// so a restore into a differently-seeded run is rejected rather
     /// than silently mixing two random universes.
     seed: u64,
-    rng: R,
+    rng: SimRng,
     /// The population's trajectory state in the model's batched layout
     /// (hot/cold SoA for MRWP): the move pass is one
     /// [`Mobility::step_batch`] call over it.
@@ -570,7 +569,7 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// default): the retained worker pool plus one per-chunk context
     /// (counter-derived RNG stream + move scratch) per [`MOVE_CHUNK`]
     /// chunk of the population.
-    par: Option<ParState<R>>,
+    par: Option<ParState>,
     /// Cooperative cancellation checked by [`FloodingSim::run`] between
     /// steps (`None` = never cancelled). Not part of simulation state:
     /// snapshots ignore it and clones share the same token.
@@ -580,22 +579,13 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
 /// Retained state of [`Parallelism::Chunked`]: the worker pool and the
 /// per-chunk move contexts (streams continue across steps; scratch
 /// keeps its capacity).
-#[derive(Debug)]
-struct ParState<R> {
+#[derive(Debug, Clone)]
+struct ParState {
     /// Shared so sim clones reuse the threads (dispatches serialize;
     /// concurrent use from clones degrades to inline execution, never
     /// to different results).
     pool: Arc<WorkerPool>,
-    chunks: Vec<ChunkCtx<R>>,
-}
-
-impl<R: Clone> Clone for ParState<R> {
-    fn clone(&self) -> Self {
-        ParState {
-            pool: Arc::clone(&self.pool),
-            chunks: self.chunks.clone(),
-        }
-    }
+    chunks: Vec<ChunkCtx<SimRng>>,
 }
 
 /// Domain-separation salt of the per-chunk move streams: chunk `c` of a
@@ -638,52 +628,9 @@ pub struct StepPhases {
     pub refresh_ns: u64,
 }
 
-impl<M: Mobility + Clone, R: Rng + SeedableRng + Send + Clone> Clone for FloodingSim<M, R> {
-    fn clone(&self) -> Self {
-        FloodingSim {
-            model: self.model.clone(),
-            radius: self.radius,
-            protocol: self.protocol,
-            engine: self.engine,
-            seed: self.seed,
-            rng: self.rng.clone(),
-            batch: self.batch.clone(),
-            positions: self.positions.clone(),
-            informed: self.informed.clone(),
-            crashed: self.crashed.clone(),
-            inform_time: self.inform_time.clone(),
-            informed_count: self.informed_count,
-            time: self.time,
-            spread: self.spread.clone(),
-            zones: self.zones.clone(),
-            central_zone_time: self.central_zone_time,
-            suburb_time: self.suburb_time,
-            turns: self.turns.clone(),
-            source: self.source,
-            uninformed: self.uninformed.clone(),
-            transmitters: self.transmitters.clone(),
-            rank: self.rank.clone(),
-            grid: self.grid.clone(),
-            tx_grid: self.tx_grid.clone(),
-            join_steps: self.join_steps,
-            inc: self.inc,
-            sleep: self.sleep.clone(),
-            newly: self.newly.clone(),
-            stamp: self.stamp.clone(),
-            tx_scratch: self.tx_scratch.clone(),
-            cand: self.cand.clone(),
-            phase_timing: self.phase_timing,
-            phases: self.phases,
-            par: self.par.clone(),
-            cancel: self.cancel.clone(),
-        }
-    }
-}
-
 impl<M: Mobility> FloodingSim<M> {
-    /// Builds the simulator with the default fast [`SimRng`]:
-    /// initializes agents, places the source, and marks it informed at
-    /// `t = 0`.
+    /// Builds the simulator: initializes agents, places the source, and
+    /// marks it informed at `t = 0`.
     ///
     /// # Errors
     ///
@@ -691,21 +638,8 @@ impl<M: Mobility> FloodingSim<M> {
     /// positive/finite, a protocol parameter is out of range, or a fixed
     /// source index is out of bounds.
     pub fn new(model: M, config: SimConfig) -> Result<FloodingSim<M>, CoreError> {
-        FloodingSim::with_rng(model, config)
-    }
-}
-
-impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
-    /// Builds the simulator with an explicit generator type (e.g.
-    /// `FloodingSim::<_, rand::rngs::StdRng>::with_rng` to reproduce
-    /// ChaCha12-driven runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`FloodingSim::new`].
-    pub fn with_rng(model: M, config: SimConfig) -> Result<FloodingSim<M, R>, CoreError> {
         config.validate()?;
-        let mut rng = R::seed_from_u64(config.seed);
+        let mut rng = SimRng::seed_from_u64(config.seed);
         let region = model.region();
         let mut states = Vec::with_capacity(config.n);
         for _ in 0..config.n {
@@ -760,7 +694,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                     .map(|c| {
                         let len = MOVE_CHUNK.min(config.n - c * MOVE_CHUNK);
                         ChunkCtx::new(
-                            R::seed_from_u64(derive_seed(
+                            SimRng::seed_from_u64(derive_seed(
                                 config.seed ^ CHUNK_STREAM_SALT,
                                 c as u64,
                             )),
@@ -854,7 +788,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     }
 
     /// Attaches a [`ZoneMap`] so zone completion times are tracked.
-    pub fn with_zones(mut self, zones: ZoneMap) -> FloodingSim<M, R> {
+    pub fn with_zones(mut self, zones: ZoneMap) -> FloodingSim<M> {
         self.zones = Some(zones);
         self.update_zone_completion();
         self
@@ -1902,10 +1836,9 @@ fn corrupt(section: [u8; 4], what: &'static str) -> CheckpointError {
     CheckpointError::Corrupt { section, what }
 }
 
-impl<M, R> FloodingSim<M, R>
+impl<M> FloodingSim<M>
 where
     M: Mobility,
-    R: Rng + SeedableRng + Send + SnapshotRng,
     M::State: SnapshotState,
 {
     /// Freezes the complete resumable state of the simulation into a
@@ -2176,7 +2109,7 @@ where
 
         // ---- MRNG / CRNG: the random streams --------------------------
         let mut r = ByteReader::new(snap.require(TAG_MRNG)?);
-        let rng = R::from_state_bytes(r.get_block().ok_or(corrupt(TAG_MRNG, "truncated"))?)
+        let rng = SimRng::from_state_bytes(r.get_block().ok_or(corrupt(TAG_MRNG, "truncated"))?)
             .ok_or(corrupt(TAG_MRNG, "invalid generator state"))?;
         if !r.is_empty() {
             return Err(corrupt(TAG_MRNG, "trailing bytes"));
@@ -2187,7 +2120,7 @@ where
             let mut streams = Vec::with_capacity(sim_chunks);
             for _ in 0..sim_chunks {
                 let inner =
-                    R::from_state_bytes(r.get_block().ok_or(corrupt(TAG_CRNG, "truncated"))?)
+                    SimRng::from_state_bytes(r.get_block().ok_or(corrupt(TAG_CRNG, "truncated"))?)
                         .ok_or(corrupt(TAG_CRNG, "invalid chunk generator state"))?;
                 let mut buf = [0u64; RNG_BLOCK];
                 for b in &mut buf {

@@ -34,10 +34,9 @@ fn config(engine: EngineMode, par: Parallelism, protocol: Protocol, seed: u64) -
 /// The deterministic fault schedule: applied *before* the step at the
 /// named times, exactly like the scenario driver applies events. Agent
 /// 0 is the source and is never touched.
-fn apply_faults<M, R>(sim: &mut FloodingSim<M, R>)
+fn apply_faults<M>(sim: &mut FloodingSim<M>)
 where
     M: Mobility,
-    R: rand::Rng + rand::SeedableRng + Send,
 {
     match sim.time() {
         4 => {
@@ -53,10 +52,9 @@ where
 
 /// One continuation step under the fault schedule, returning a bitwise
 /// fingerprint of the post-step state.
-fn step_fingerprint<M, R>(sim: &mut FloodingSim<M, R>, faults: bool) -> (Vec<(u64, u64)>, usize)
+fn step_fingerprint<M>(sim: &mut FloodingSim<M>, faults: bool) -> (Vec<(u64, u64)>, usize)
 where
     M: Mobility,
-    R: rand::Rng + rand::SeedableRng + Send,
 {
     if faults {
         apply_faults(sim);

@@ -1,4 +1,4 @@
-//! Disk-graph snapshot analytics for MANET connectivity studies.
+//! Disk-graph connectivity of MANET snapshots.
 //!
 //! At every time step `t` the MANET snapshot induces the symmetric disk
 //! graph `G_t`: agents are vertices, and two agents share an edge iff their
@@ -8,46 +8,39 @@
 //! uniform-like models — experiment E11 reproduces that contrast with the
 //! tools in this crate:
 //!
-//! * [`DiskGraph`] — adjacency built from positions via the grid index;
 //! * [`disk_giant_fraction`] — the giant-component fraction of a
-//!   snapshot, straight from the grid index without building the graph;
+//!   snapshot, from the grid index's pair sweep without building the
+//!   graph;
 //! * [`UnionFind`] — near-constant-time connected components;
-//! * [`Components`] — component census (count, sizes, giant fraction,
-//!   isolated vertices);
-//! * [`bfs_hops`] — multi-source BFS hop distances;
 //! * [`connectivity_threshold`] — bisection for the critical radius of a
-//!   point cloud.
+//!   point cloud, configured by [`ThresholdSearch`].
 //!
 //! # Examples
 //!
 //! ```
 //! use fastflood_geom::{Point, Rect};
-//! use fastflood_graph::DiskGraph;
+//! use fastflood_graph::disk_giant_fraction;
 //!
 //! let pts = vec![
 //!     Point::new(0.0, 0.0),
 //!     Point::new(1.0, 0.0),
 //!     Point::new(5.0, 5.0),
 //! ];
-//! let g = DiskGraph::build(Rect::square(10.0)?, 1.5, &pts)?;
-//! assert_eq!(g.degree(0), 1);
-//! let comps = g.components();
-//! assert_eq!(comps.count(), 2);
-//! assert!(!comps.is_connected());
+//! let region = Rect::square(10.0)?;
+//! // two components: the giant holds two of the three agents
+//! assert_eq!(disk_giant_fraction(region, 1.5, &pts)?, 2.0 / 3.0);
+//! // at R = 6.5 the snapshot is connected
+//! assert_eq!(disk_giant_fraction(region, 6.5, &pts)?, 1.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod components;
 mod disk_graph;
-mod metrics;
 mod threshold;
 mod union_find;
 
-pub use components::Components;
-pub use disk_graph::{bfs_hops, disk_giant_fraction, DiskGraph};
-pub use metrics::{eccentricity, hop_diameter_estimate, hop_diameter_exact};
+pub use disk_graph::disk_giant_fraction;
 pub use threshold::{connectivity_threshold, ThresholdSearch};
 pub use union_find::UnionFind;

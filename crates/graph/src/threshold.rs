@@ -162,6 +162,24 @@ mod tests {
     }
 
     #[test]
+    fn opposite_corners_connect_at_the_diagonal() {
+        // the bisection probes radii above the region side, where the
+        // grid has a single bucket narrower than the radius
+        let region = Rect::square(10.0).unwrap();
+        let r = connectivity_threshold(
+            region,
+            ThresholdSearch {
+                trials_per_radius: 1,
+                relative_tolerance: 0.001,
+                target_probability: 0.5,
+            },
+            || vec![Point::new(0.0, 0.0), Point::new(10.0, 10.0)],
+        );
+        let diagonal = 200f64.sqrt();
+        assert!((r - diagonal).abs() < 0.02 * diagonal, "{r} vs {diagonal}");
+    }
+
+    #[test]
     fn uniform_cloud_threshold_decreases_with_n() {
         let region = Rect::square(100.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);

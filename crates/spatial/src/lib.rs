@@ -4,13 +4,13 @@
 //! agent, "is any informed agent within Euclidean distance `R`?". With `n`
 //! agents this must not be `O(n²)`. This crate provides:
 //!
-//! * [`GridIndex`] — an immutable bucket-grid index built in `O(n)`,
-//!   answering radius queries by scanning only the buckets overlapping the
-//!   query disk;
-//! * [`GridIndexBuffer`] — the same grid in **reusable, allocation-free**
+//! * [`GridIndexBuffer`] — a bucket grid in **reusable, allocation-free**
 //!   form: retained CSR storage re-binned in place every rebuild, entries
 //!   split into parallel `ids` / packed-coordinate arrays so the inner
-//!   distance loop streams dense 16-byte pairs. It can index an
+//!   distance loop streams dense 16-byte pairs. Radius queries scan only
+//!   the buckets overlapping the query disk, and
+//!   [`GridIndexBuffer::for_each_pair_within`] sweeps every close pair
+//!   once (the disk-graph connectivity of a snapshot). It can index an
 //!   arbitrary *subset* of an agent population (the flooding
 //!   simulator's gossip path bins the shrinking uninformed set) without
 //!   copying positions, and after warm-up a rebuild performs **zero
@@ -43,16 +43,21 @@
 //!
 //! ```
 //! use fastflood_geom::{Point, Rect};
-//! use fastflood_spatial::GridIndex;
+//! use fastflood_spatial::GridIndexBuffer;
 //!
 //! let region = Rect::square(100.0)?;
 //! let pts = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0), Point::new(50.0, 50.0)];
-//! let index = GridIndex::build(region, 5.0, &pts)?;
+//! let mut index = GridIndexBuffer::new();
+//! index.rebuild(region, 5.0, &pts)?;
 //!
-//! let mut hits = index.indices_within(Point::new(0.0, 0.0), 3.0);
+//! let mut hits = Vec::new();
+//! index.for_each_within(Point::new(0.0, 0.0), 3.0, |i| hits.push(i));
 //! hits.sort();
 //! assert_eq!(hits, vec![0, 1]);
-//! assert_eq!(index.count_within(Point::new(50.0, 50.0), 1.0), 1);
+//!
+//! let mut pairs = Vec::new();
+//! index.for_each_pair_within(5.0, |i, j| pairs.push((i, j)));
+//! assert_eq!(pairs, vec![(0, 1)]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -92,300 +97,17 @@ impl fmt::Display for SpatialError {
 
 impl Error for SpatialError {}
 
-/// A uniform bucket-grid index over a fixed set of positions.
-///
-/// Buckets have side at least `bucket_size` (the requested size, enlarged
-/// so that an integer number of buckets tiles the region). Queries with
-/// radius `r ≤ bucket_size` touch at most a 3×3 block of buckets; larger
-/// radii are supported and scan proportionally more buckets.
-///
-/// Build time and memory are `O(n + buckets)`; the number of buckets per
-/// axis is capped near `2·√n` so memory never dominates, even for tiny
-/// bucket sizes.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    region: Rect,
-    m: usize,
-    bucket_len: f64,
-    /// CSR layout: `starts[b]..starts[b+1]` indexes `entries` for bucket `b`.
-    starts: Vec<u32>,
-    /// `(original index, position)` sorted by bucket, position copied for
-    /// cache-friendly distance checks.
-    entries: Vec<(u32, Point)>,
-}
-
-impl GridIndex {
-    /// Builds an index over `positions` with buckets of side at least
-    /// `bucket_size`.
-    ///
-    /// Positions outside `region` are clamped into the border buckets (the
-    /// simulator keeps agents inside the region; clamping makes the index
-    /// total rather than partial).
-    ///
-    /// # Errors
-    ///
-    /// * [`SpatialError::BadBucketSize`] — non-positive or non-finite size;
-    /// * [`SpatialError::NotFinite`] — a position with NaN/infinite
-    ///   coordinates.
-    pub fn build(
-        region: Rect,
-        bucket_size: f64,
-        positions: &[Point],
-    ) -> Result<GridIndex, SpatialError> {
-        if bucket_size <= 0.0 || !bucket_size.is_finite() {
-            return Err(SpatialError::BadBucketSize(bucket_size));
-        }
-        if let Some(index) = positions.iter().position(|p| !p.is_finite()) {
-            return Err(SpatialError::NotFinite { index });
-        }
-        let side = region.width().max(region.height());
-        // buckets of side >= bucket_size; cap count so memory stays O(n)
-        let cap = (2.0 * (positions.len().max(1) as f64).sqrt()).ceil() as usize + 1;
-        let m = ((side / bucket_size).floor() as usize).clamp(1, cap.max(1));
-        let bucket_len_x = region.width() / m as f64;
-        let bucket_len_y = region.height() / m as f64;
-        // the region is square in all simulator uses; keep one length
-        let bucket_len = bucket_len_x.max(bucket_len_y);
-
-        let bucket_of = |p: Point| -> usize {
-            let cx = (((p.x - region.min().x) / bucket_len_x).floor().max(0.0) as usize).min(m - 1);
-            let cy = (((p.y - region.min().y) / bucket_len_y).floor().max(0.0) as usize).min(m - 1);
-            cy * m + cx
-        };
-
-        let mut counts = vec![0u32; m * m + 1];
-        for &p in positions {
-            counts[bucket_of(p) + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut entries = vec![(0u32, Point::ORIGIN); positions.len()];
-        for (i, &p) in positions.iter().enumerate() {
-            let b = bucket_of(p);
-            let at = cursor[b] as usize;
-            entries[at] = (i as u32, p);
-            cursor[b] += 1;
-        }
-        Ok(GridIndex {
-            region,
-            m,
-            bucket_len,
-            starts,
-            entries,
-        })
-    }
-
-    /// Builds an index sized for radius-`r` queries (`bucket_size = r`).
-    ///
-    /// # Errors
-    ///
-    /// As [`GridIndex::build`].
-    pub fn for_radius(
-        region: Rect,
-        r: f64,
-        positions: &[Point],
-    ) -> Result<GridIndex, SpatialError> {
-        GridIndex::build(region, r, positions)
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index holds no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The indexed region.
-    #[inline]
-    pub fn region(&self) -> Rect {
-        self.region
-    }
-
-    /// Effective bucket side length.
-    #[inline]
-    pub fn bucket_len(&self) -> f64 {
-        self.bucket_len
-    }
-
-    /// Buckets per axis.
-    #[inline]
-    pub fn buckets_per_axis(&self) -> usize {
-        self.m
-    }
-
-    fn bucket_range(&self, lo: f64, origin: f64, extent: f64) -> usize {
-        let len = extent / self.m as f64;
-        (((lo - origin) / len).floor().max(0.0) as usize).min(self.m - 1)
-    }
-
-    /// Calls `f(index, position)` for every point within Euclidean distance
-    /// `r` of `p` (inclusive).
-    pub fn for_each_within<F: FnMut(usize, Point)>(&self, p: Point, r: f64, mut f: F) {
-        self.visit_within(p, r, |i, q| {
-            f(i, q);
-            true
-        });
-    }
-
-    /// Visits points within distance `r` of `p`, stopping early when
-    /// `f` returns `false`. Returns `false` iff the scan was stopped early.
-    pub fn visit_within<F: FnMut(usize, Point) -> bool>(&self, p: Point, r: f64, mut f: F) -> bool {
-        debug_assert!(r >= 0.0, "query radius must be nonnegative");
-        let r2 = r * r;
-        let min = self.region.min();
-        let w = self.region.width();
-        let h = self.region.height();
-        let cx0 = self.bucket_range(p.x - r, min.x, w);
-        let cx1 = self.bucket_range(p.x + r, min.x, w);
-        let cy0 = self.bucket_range(p.y - r, min.y, h);
-        let cy1 = self.bucket_range(p.y + r, min.y, h);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let b = cy * self.m + cx;
-                let lo = self.starts[b] as usize;
-                let hi = self.starts[b + 1] as usize;
-                for &(i, q) in &self.entries[lo..hi] {
-                    if p.euclid_sq(q) <= r2 && !f(i as usize, q) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Indices of all points within distance `r` of `p` (unordered).
-    pub fn indices_within(&self, p: Point, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_within(p, r, |i, _| out.push(i));
-        out
-    }
-
-    /// Number of points within distance `r` of `p`.
-    pub fn count_within(&self, p: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_within(p, r, |_, _| n += 1);
-        n
-    }
-
-    /// Whether any point within distance `r` of `p` satisfies `pred`.
-    ///
-    /// Scans stop at the first hit, which makes the
-    /// "does an informed agent cover me?" check in the flooding engine
-    /// sublinear on average.
-    pub fn any_within<F: FnMut(usize) -> bool>(&self, p: Point, r: f64, mut pred: F) -> bool {
-        !self.visit_within(p, r, |i, _| !pred(i))
-    }
-
-    /// The index and distance of the point nearest to `p`, or `None` for
-    /// an empty index.
-    ///
-    /// Searches expanding rings of buckets, so typical cost is a handful
-    /// of buckets rather than the whole index.
-    pub fn nearest(&self, p: Point) -> Option<(usize, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        let mut radius = self.bucket_len;
-        let diameter = (self.region.width().powi(2) + self.region.height().powi(2)).sqrt()
-            + self.region.distance(p) * 2.0
-            + self.bucket_len;
-        loop {
-            self.for_each_within(p, radius, |i, q| {
-                let d = p.euclid(q);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            });
-            // a hit within the scanned radius is provably the global
-            // nearest once radius covers its distance
-            if let Some((_, d)) = best {
-                if d <= radius {
-                    return best;
-                }
-            }
-            if radius > diameter {
-                return best;
-            }
-            radius *= 2.0;
-        }
-    }
-
-    /// Calls `f(i, j)` once for every unordered pair of distinct points at
-    /// Euclidean distance at most `r`, with `i < j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` exceeds the bucket side (`bucket_len`): the
-    /// half-neighborhood sweep would miss pairs. Build the index with
-    /// `bucket_size >= r` (e.g. via [`GridIndex::for_radius`]).
-    pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, r: f64, mut f: F) {
-        assert!(
-            r <= self.bucket_len * (1.0 + 1e-12),
-            "pair query radius {r} exceeds bucket side {}",
-            self.bucket_len
-        );
-        let r2 = r * r;
-        let m = self.m;
-        for cy in 0..m {
-            for cx in 0..m {
-                let b = cy * m + cx;
-                let lo = self.starts[b] as usize;
-                let hi = self.starts[b + 1] as usize;
-                let bucket = &self.entries[lo..hi];
-                // pairs inside the bucket
-                for (k, &(i, pi)) in bucket.iter().enumerate() {
-                    for &(j, pj) in &bucket[k + 1..] {
-                        if pi.euclid_sq(pj) <= r2 {
-                            emit(&mut f, i, j);
-                        }
-                    }
-                }
-                // half neighborhood: E, NW, N, NE — covers each bucket pair once
-                for (dx, dy) in [(1isize, 0isize), (-1, 1), (0, 1), (1, 1)] {
-                    let nx = cx as isize + dx;
-                    let ny = cy as isize + dy;
-                    if nx < 0 || ny < 0 || nx >= m as isize || ny >= m as isize {
-                        continue;
-                    }
-                    let nb = ny as usize * m + nx as usize;
-                    let nlo = self.starts[nb] as usize;
-                    let nhi = self.starts[nb + 1] as usize;
-                    for &(i, pi) in bucket {
-                        for &(j, pj) in &self.entries[nlo..nhi] {
-                            if pi.euclid_sq(pj) <= r2 {
-                                emit(&mut f, i, j);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        fn emit<F: FnMut(usize, usize)>(f: &mut F, a: u32, b: u32) {
-            let (a, b) = (a as usize, b as usize);
-            if a < b {
-                f(a, b);
-            } else {
-                f(b, a);
-            }
-        }
-    }
-}
-
 /// A reusable bucket-grid index with retained storage and SoA entries.
 ///
-/// Where [`GridIndex::build`] allocates fresh CSR vectors on every call,
-/// a `GridIndexBuffer` is rebuilt **in place**: bucket tables and entry
+/// Buckets have side at least the requested `bucket_size` on both axes
+/// (the grid is sized by the region's shorter side, and an integer
+/// number of buckets tiles it), so queries with radius
+/// `r ≤ bucket_size` touch at most a 3×3 block of buckets; larger radii
+/// scan proportionally more. The number of buckets per axis is capped
+/// near `2·√k` for `k` indexed points, so memory stays `O(k)` even for
+/// tiny bucket sizes.
+///
+/// The buffer is rebuilt **in place**: bucket tables and entry
 /// arrays keep their capacity across rebuilds, so a simulation loop that
 /// re-bins moving points every step performs no steady-state heap
 /// allocations. Entries are stored as parallel `ids`/`xs`/`ys` arrays
@@ -603,11 +325,18 @@ impl GridIndexBuffer {
         }
     }
 
-    /// Re-bins every position into the buffer (ids `0..positions.len()`).
+    /// Re-bins every position into the buffer (ids `0..positions.len()`)
+    /// with buckets of side at least `bucket_size`.
+    ///
+    /// Positions outside `region` are clamped into the border buckets (the
+    /// simulator keeps agents inside the region; clamping makes the index
+    /// total rather than partial).
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`].
+    /// * [`SpatialError::BadBucketSize`] — non-positive or non-finite size;
+    /// * [`SpatialError::NotFinite`] — a position with NaN/infinite
+    ///   coordinates.
     pub fn rebuild(
         &mut self,
         region: Rect,
@@ -622,7 +351,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_subset(
         &mut self,
@@ -662,7 +391,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_subset_shared(
         &mut self,
@@ -727,7 +456,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_incremental(
         &mut self,
@@ -1987,6 +1716,84 @@ impl GridIndexBuffer {
     pub fn any_within(&self, p: Point, r: f64) -> bool {
         !self.visit_within(p, r, |_| false)
     }
+
+    /// Calls `f(i, j)` once for every unordered pair of distinct indexed
+    /// points at Euclidean distance at most `r`, with `i < j` (original
+    /// ids): the edges of the indexed set's radius-`r` disk graph.
+    ///
+    /// The sweep pairs each occupied bucket with itself and with its E,
+    /// NW, N and NE neighbors, so every two touching buckets meet once.
+    /// It reads each row's live prefix, so slack layouts work too (on
+    /// their cached coordinates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` exceeds the bucket side on either axis and the grid
+    /// has more than one bucket: the half-neighborhood sweep would miss
+    /// pairs two buckets apart. Rebuild with `bucket_size >= r`, which
+    /// gives either buckets at least `r` wide on both axes or a single
+    /// bucket (a region side shorter than `2·r`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fastflood_geom::{Point, Rect};
+    /// use fastflood_spatial::GridIndexBuffer;
+    ///
+    /// // a wide strip: rows are sized by the shorter side, so the pair
+    /// // 5.5 apart across the strip's height is found
+    /// let region = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 10.0))?;
+    /// let pts = vec![Point::new(1.0, 1.0), Point::new(1.0, 6.5), Point::new(50.0, 5.0)];
+    /// let mut buf = GridIndexBuffer::new();
+    /// buf.rebuild(region, 6.0, &pts)?;
+    /// let mut pairs = Vec::new();
+    /// buf.for_each_pair_within(6.0, |i, j| pairs.push((i, j)));
+    /// assert_eq!(pairs, vec![(0, 1)]);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, r: f64, mut f: F) {
+        let side = self.bucket_len_x.min(self.bucket_len_y);
+        assert!(
+            self.m == 1 || r <= side * (1.0 + 1e-12),
+            "pair query radius {r} exceeds bucket side {side}"
+        );
+        let r2 = r * r;
+        let m = self.m;
+        // entry `e` against the live entries `lo..hi`
+        let scan = |e: usize, lo: usize, hi: usize, f: &mut F| {
+            let (x, y) = self.pts[e];
+            for (g, &(u, v)) in (lo..hi).zip(&self.pts[lo..hi]) {
+                let (dx, dy) = (x - u, y - v);
+                if dx * dx + dy * dy <= r2 {
+                    let (i, j) = (self.ids[e] as usize, self.ids[g] as usize);
+                    if i < j {
+                        f(i, j);
+                    } else {
+                        f(j, i);
+                    }
+                }
+            }
+        };
+        for &b in &self.occupied {
+            let b = b as usize;
+            let (cx, cy) = (b % m, b / m);
+            let (lo, hi) = (self.starts[b] as usize, self.ends[b] as usize);
+            for e in lo..hi {
+                scan(e, e + 1, hi, &mut f);
+            }
+            for (dx, dy) in [(1, 0), (-1, 1), (0, 1), (1, 1)] {
+                let (nx, ny) = (cx as isize + dx, cy + dy);
+                if nx < 0 || nx >= m as isize || ny >= m {
+                    continue;
+                }
+                let nb = ny * m + nx as usize;
+                let (nlo, nhi) = (self.starts[nb] as usize, self.ends[nb] as usize);
+                for e in lo..hi {
+                    scan(e, nlo, nhi, &mut f);
+                }
+            }
+        }
+    }
 }
 
 /// Slot capacity of a slack-layout row currently holding `count` live
@@ -2040,7 +1847,7 @@ impl Slice {
 }
 
 /// An `O(n)`-per-query reference index with the same semantics as
-/// [`GridIndex`].
+/// [`GridIndexBuffer`].
 ///
 /// Exists as the correctness oracle for property tests; not intended for
 /// production use.
@@ -2083,15 +1890,6 @@ impl BruteForceIndex {
     /// Number of points within distance `r` of `p`.
     pub fn count_within(&self, p: Point, r: f64) -> usize {
         self.indices_within(p, r).len()
-    }
-
-    /// The index and distance of the point nearest to `p`.
-    pub fn nearest(&self, p: Point) -> Option<(usize, f64)> {
-        self.positions
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (i, p.euclid(*q)))
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite"))
     }
 
     /// All unordered pairs `(i, j)`, `i < j`, within distance `r`.
@@ -2189,44 +1987,81 @@ mod tests {
         }
     }
 
+    /// Sorted ids within `r` of `p`.
+    fn hits(buf: &GridIndexBuffer, p: Point, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        buf.for_each_within(p, r, |i| out.push(i));
+        out.sort_unstable();
+        out
+    }
+
+    /// Sorted pairs within `r`.
+    fn pairs(buf: &GridIndexBuffer, r: f64) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        buf.for_each_pair_within(r, |i, j| out.push((i, j)));
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn build_validates() {
-        assert!(GridIndex::build(region(), 0.0, &[]).is_err());
-        assert!(GridIndex::build(region(), -1.0, &[]).is_err());
-        assert!(GridIndex::build(region(), f64::NAN, &[]).is_err());
-        let bad = [Point::new(f64::NAN, 0.0)];
-        assert!(matches!(
-            GridIndex::build(region(), 1.0, &bad),
-            Err(SpatialError::NotFinite { index: 0 })
-        ));
+        // every rebuild flavor rejects bad sizes, and a subset reports the
+        // original id of a non-finite position
+        let pts = [Point::new(1.0, 1.0), Point::new(f64::NAN, 0.0)];
+        let mut buf = GridIndexBuffer::new();
+        for size in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                buf.rebuild_subset(region(), size, &pts, &[0]),
+                Err(SpatialError::BadBucketSize(size))
+            );
+            assert!(buf
+                .rebuild_incremental(region(), size, &pts, &[0], 2, &[])
+                .is_err());
+        }
+        assert_eq!(
+            buf.rebuild_subset(region(), 5.0, &pts, &[0, 1]),
+            Err(SpatialError::NotFinite { index: 1 })
+        );
+        assert_eq!(
+            buf.rebuild_incremental(region(), 5.0, &pts, &[1], 2, &[]),
+            Err(SpatialError::NotFinite { index: 1 })
+        );
     }
 
     #[test]
     fn empty_index() {
-        let idx = GridIndex::build(region(), 5.0, &[]).unwrap();
-        assert!(idx.is_empty());
-        assert_eq!(idx.len(), 0);
-        assert_eq!(idx.count_within(Point::new(50.0, 50.0), 100.0), 0);
-        assert!(!idx.any_within(Point::new(0.0, 0.0), 100.0, |_| true));
+        // a buffer that was never rebuilt answers every query with nothing
+        let buf = GridIndexBuffer::new();
+        assert!(buf.is_empty());
+        assert!(hits(&buf, Point::new(0.5, 0.5), 100.0).is_empty());
+        assert!(!buf.any_within(Point::new(0.5, 0.5), 100.0));
+        assert!(pairs(&buf, 0.5).is_empty());
+        assert!(buf.occupied_buckets().is_empty());
     }
 
     #[test]
-    fn query_includes_boundary_distance() {
-        let pts = [Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
-        let idx = GridIndex::build(region(), 10.0, &pts).unwrap();
-        // exactly at distance 5: inclusive
-        assert_eq!(idx.count_within(Point::new(0.0, 0.0), 5.0), 2);
-        assert_eq!(idx.count_within(Point::new(0.0, 0.0), 4.999), 1);
-    }
-
-    #[test]
-    fn query_radius_larger_than_bucket() {
-        let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 10.0, 50.0)).collect();
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        // radius 25 spans several buckets
-        let mut hits = idx.indices_within(Point::new(45.0, 50.0), 25.0);
-        hits.sort();
-        assert_eq!(hits, vec![2, 3, 4, 5, 6, 7]);
+    fn visit_within_early_stop_reports() {
+        // six points over two buckets of a row: the scan crosses into the
+        // second bucket and stops exactly at the visitor's fourth hit
+        let pts: Vec<Point> = (0..6)
+            .map(|i| Point::new(2.0 + 5.0 * i as f64, 1.0))
+            .collect();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 5.0, &pts).unwrap();
+        let mut seen = Vec::new();
+        let completed = buf.visit_within(Point::new(14.0, 1.0), 30.0, |i| {
+            seen.push(i);
+            seen.len() < 4
+        });
+        assert!(!completed);
+        assert_eq!(buf.buckets_per_axis(), 6);
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        let mut all = 0;
+        assert!(buf.visit_within(Point::new(14.0, 1.0), 30.0, |_| {
+            all += 1;
+            true
+        }));
+        assert_eq!(all, 6);
     }
 
     #[test]
@@ -2236,28 +2071,41 @@ mod tests {
             Point::new(2.0, 1.0),
             Point::new(90.0, 90.0),
         ];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        assert!(idx.any_within(Point::new(0.0, 0.0), 3.0, |_| true));
-        // predicate filters
-        assert!(idx.any_within(Point::new(0.0, 0.0), 3.0, |i| i == 1));
-        assert!(!idx.any_within(Point::new(0.0, 0.0), 3.0, |i| i == 2));
-        // nothing near the far corner within 3
-        assert!(!idx.any_within(Point::new(60.0, 60.0), 3.0, |_| true));
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 5.0, &pts).unwrap();
+        assert!(buf.any_within(Point::new(0.0, 0.0), 3.0));
+        // a predicate search is a visit that stops at the first match
+        let any = |pred: &dyn Fn(usize) -> bool| {
+            !buf.visit_within(Point::new(0.0, 0.0), 3.0, |i| !pred(i))
+        };
+        assert!(any(&|i| i == 1));
+        assert!(!any(&|i| i == 2));
+        // nothing near the middle within 3
+        assert!(!buf.any_within(Point::new(60.0, 60.0), 3.0));
     }
 
     #[test]
-    fn visit_within_early_stop_reports() {
-        let pts = [Point::new(1.0, 1.0), Point::new(1.5, 1.0)];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        let mut seen = 0;
-        let completed = idx.visit_within(Point::new(1.0, 1.0), 2.0, |_, _| {
-            seen += 1;
-            false // stop immediately
-        });
-        assert!(!completed);
-        assert_eq!(seen, 1);
-        let completed = idx.visit_within(Point::new(1.0, 1.0), 2.0, |_, _| true);
-        assert!(completed);
+    fn query_includes_boundary_distance() {
+        let pts = [Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 10.0, &pts).unwrap();
+        // exactly at distance 5: inclusive
+        assert_eq!(hits(&buf, Point::new(0.0, 0.0), 5.0), vec![0, 1]);
+        assert_eq!(hits(&buf, Point::new(0.0, 0.0), 4.999), vec![0]);
+        assert_eq!(pairs(&buf, 5.0), vec![(0, 1)]);
+        assert!(pairs(&buf, 4.999).is_empty());
+    }
+
+    #[test]
+    fn query_radius_larger_than_bucket() {
+        let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 10.0, 50.0)).collect();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 5.0, &pts).unwrap();
+        // radius 25 spans several buckets
+        assert_eq!(
+            hits(&buf, Point::new(45.0, 50.0), 25.0),
+            vec![2, 3, 4, 5, 6, 7]
+        );
     }
 
     #[test]
@@ -2269,12 +2117,11 @@ mod tests {
             }
         }
         let r = 8.0;
-        let idx = GridIndex::for_radius(region(), r, &pts).unwrap();
-        let mut got = Vec::new();
-        idx.for_each_pair_within(r, |i, j| got.push((i, j)));
-        got.sort();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), r, &pts).unwrap();
+        let got = pairs(&buf, r);
         let mut expected = BruteForceIndex::build(&pts).pairs_within(r);
-        expected.sort();
+        expected.sort_unstable();
         assert_eq!(got, expected);
         assert!(!got.is_empty());
     }
@@ -2282,10 +2129,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds bucket side")]
     fn pair_query_radius_too_large_panics() {
-        let pts = [Point::new(1.0, 1.0)];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        // bucket_len is at least 5 but far below 1000
-        idx.for_each_pair_within(1000.0, |_, _| {});
+        // a 90×20 strip binned at 6 has 3×3 buckets of 30×6.67: a radius
+        // of 10 fits the long axis but not the short one
+        let strip = Rect::new(Point::new(0.0, 0.0), Point::new(90.0, 20.0)).unwrap();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(strip, 6.0, &[Point::new(1.0, 1.0)]).unwrap();
+        assert_eq!(buf.buckets_per_axis(), 3);
+        buf.for_each_pair_within(10.0, |_, _| {});
     }
 
     #[test]
@@ -2296,9 +2146,10 @@ mod tests {
             Point::new(100.0, 0.0),
             Point::new(0.0, 100.0),
         ];
-        let idx = GridIndex::build(region(), 7.0, &pts).unwrap();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 7.0, &pts).unwrap();
         for (i, &p) in pts.iter().enumerate() {
-            assert_eq!(idx.indices_within(p, 0.0), vec![i]);
+            assert_eq!(hits(&buf, p, 0.0), vec![i]);
         }
     }
 
@@ -2306,24 +2157,21 @@ mod tests {
     fn coincident_points_all_reported() {
         let p = Point::new(33.0, 66.0);
         let pts = [p, p, p];
-        let idx = GridIndex::build(region(), 4.0, &pts).unwrap();
-        let mut hits = idx.indices_within(p, 0.0);
-        hits.sort();
-        assert_eq!(hits, vec![0, 1, 2]);
-        let mut pairs = Vec::new();
-        idx.for_each_pair_within(4.0, |i, j| pairs.push((i, j)));
-        pairs.sort();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 4.0, &pts).unwrap();
+        assert_eq!(hits(&buf, p, 0.0), vec![0, 1, 2]);
+        assert_eq!(pairs(&buf, 4.0), vec![(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]
     fn bucket_cap_keeps_memory_reasonable() {
         // tiny radius over a big region: bucket count must stay near 2·√n
         let pts = [Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
-        let idx = GridIndex::build(region(), 1e-6, &pts).unwrap();
-        assert!(idx.buckets_per_axis() <= 4);
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 1e-6, &pts).unwrap();
+        assert!(buf.buckets_per_axis() <= 4);
         // queries still correct
-        assert_eq!(idx.count_within(Point::new(1.0, 1.0), 2.0), 2);
+        assert_eq!(hits(&buf, Point::new(1.0, 1.0), 2.0), vec![0, 1]);
     }
 
     #[test]
@@ -2338,43 +2186,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force() {
-        let pts = [
-            Point::new(10.0, 10.0),
-            Point::new(50.0, 50.0),
-            Point::new(90.0, 10.0),
-            Point::new(10.2, 10.1),
-        ];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        let brute = BruteForceIndex::build(&pts);
-        for q in [
-            Point::new(0.0, 0.0),
-            Point::new(49.0, 51.0),
-            Point::new(99.0, 1.0),
-            Point::new(10.1, 10.05),
-        ] {
-            let (gi, gd) = idx.nearest(q).unwrap();
-            let (bi, bd) = brute.nearest(q).unwrap();
-            assert_eq!(gi, bi, "nearest index at {q}");
-            assert!((gd - bd).abs() < 1e-12);
-        }
-        assert!(GridIndex::build(region(), 5.0, &[])
-            .unwrap()
-            .nearest(Point::ORIGIN)
-            .is_none());
-        assert!(BruteForceIndex::build(&[]).nearest(Point::ORIGIN).is_none());
-    }
-
-    #[test]
-    fn nearest_far_outside_region() {
-        let pts = [Point::new(1.0, 1.0)];
-        let idx = GridIndex::build(region(), 2.0, &pts).unwrap();
-        let (i, d) = idx.nearest(Point::new(500.0, 500.0)).unwrap();
-        assert_eq!(i, 0);
-        assert!((d - Point::new(500.0, 500.0).euclid(pts[0])).abs() < 1e-9);
-    }
-
-    #[test]
     fn error_display() {
         assert!(!SpatialError::BadBucketSize(0.0).to_string().is_empty());
         assert!(!SpatialError::NotFinite { index: 3 }.to_string().is_empty());
@@ -2382,31 +2193,31 @@ mod tests {
 
     #[test]
     fn buffer_matches_grid_index_queries() {
+        // a lattice has many points at exactly the query radius
         let mut pts = Vec::new();
         for i in 0..17 {
             for j in 0..17 {
-                pts.push(Point::new(i as f64 * 5.9 + 0.3, j as f64 * 5.7 + 0.9));
+                pts.push(Point::new(i as f64 * 5.0 + 0.5, j as f64 * 4.0 + 0.5));
             }
         }
-        let idx = GridIndex::build(region(), 6.0, &pts).unwrap();
+        let oracle = BruteForceIndex::build(&pts);
         let mut buf = GridIndexBuffer::new();
         buf.rebuild(region(), 6.0, &pts).unwrap();
         assert_eq!(buf.len(), pts.len());
         for q in [
             Point::new(0.0, 0.0),
-            Point::new(50.0, 50.0),
+            Point::new(50.5, 48.5),
             Point::new(99.0, 1.0),
             Point::new(33.3, 66.6),
         ] {
-            for r in [0.5, 4.0, 11.0, 30.0] {
-                let mut expected = idx.indices_within(q, r);
-                expected.sort();
-                let mut got = Vec::new();
-                buf.for_each_within(q, r, |i| got.push(i));
-                got.sort();
-                assert_eq!(got, expected, "query {q} r {r}");
+            for r in [0.5, 4.0, 5.0, 11.0, 30.0] {
+                let expected = oracle.indices_within(q, r);
+                assert_eq!(hits(&buf, q, r), expected, "query {q} r {r}");
                 assert_eq!(buf.any_within(q, r), !expected.is_empty());
             }
+        }
+        for r in [4.0, 5.0, 6.0] {
+            assert_eq!(pairs(&buf, r), oracle.pairs_within(r), "pairs r {r}");
         }
     }
 
@@ -2457,6 +2268,7 @@ mod tests {
     fn buffer_validates_input() {
         let mut buf = GridIndexBuffer::new();
         assert!(buf.rebuild(region(), 0.0, &[]).is_err());
+        assert!(buf.rebuild(region(), -1.0, &[]).is_err());
         assert!(buf.rebuild(region(), f64::NAN, &[]).is_err());
         let bad = [Point::new(0.0, f64::INFINITY)];
         assert!(matches!(
@@ -2467,6 +2279,7 @@ mod tests {
         buf.rebuild(region(), 5.0, &[]).unwrap();
         assert!(buf.is_empty());
         assert!(!buf.any_within(Point::new(1.0, 1.0), 50.0));
+        assert!(pairs(&buf, 5.0).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests: the grid index must agree with the brute-force oracle.
 
 use fastflood_geom::{Point, Rect};
-use fastflood_spatial::{BruteForceIndex, GridIndex, GridIndexBuffer};
+use fastflood_spatial::{BruteForceIndex, GridIndexBuffer};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -24,51 +24,44 @@ proptest! {
         bucket in 0.5..SIDE,
     ) {
         let region = Rect::square(SIDE).unwrap();
-        let grid = GridIndex::build(region, bucket, &pts).unwrap();
+        let mut grid = GridIndexBuffer::new();
+        grid.rebuild(region, bucket, &pts).unwrap();
         let oracle = BruteForceIndex::build(&pts);
         let q = Point::new(qx, qy);
-        let mut got = grid.indices_within(q, r);
+        let mut got = Vec::new();
+        grid.for_each_within(q, r, |i| got.push(i));
         got.sort();
         let mut expected = oracle.indices_within(q, r);
         expected.sort();
+        prop_assert_eq!(grid.any_within(q, r), !expected.is_empty());
         prop_assert_eq!(got, expected);
-        prop_assert_eq!(grid.count_within(q, r), oracle.count_within(q, r));
     }
 
+    /// Every pair within `r` on a (generally non-square) region, each
+    /// once and ordered, whatever the bucket size above `r`.
     #[test]
-    fn pair_queries_match_oracle(pts in points(80), r in 0.1..30.0) {
-        let region = Rect::square(SIDE).unwrap();
-        let grid = GridIndex::for_radius(region, r, &pts).unwrap();
+    fn pair_queries_match_oracle(
+        pts in points(80),
+        width in 5.0..SIDE,
+        height in 5.0..SIDE,
+        r in 0.1..30.0,
+        slack in 0.0..3.0,
+    ) {
+        let region = Rect::new(Point::ORIGIN, Point::new(width, height)).unwrap();
+        let pts: Vec<Point> = pts
+            .iter()
+            .map(|p| Point::new(p.x * width / SIDE, p.y * height / SIDE))
+            .collect();
+        let mut grid = GridIndexBuffer::new();
+        grid.rebuild(region, r * (1.0 + slack), &pts).unwrap();
         let oracle = BruteForceIndex::build(&pts);
         let mut got = Vec::new();
         grid.for_each_pair_within(r, |i, j| got.push((i, j)));
         prop_assert!(got.iter().all(|&(i, j)| i < j), "pairs must be ordered");
         got.sort();
-        got.dedup();
         let mut expected = oracle.pairs_within(r);
         expected.sort();
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn nearest_matches_oracle(
-        pts in points(80),
-        qx in -50.0..SIDE + 50.0,
-        qy in -50.0..SIDE + 50.0,
-        bucket in 0.5..SIDE,
-    ) {
-        let region = Rect::square(SIDE).unwrap();
-        let grid = GridIndex::build(region, bucket, &pts).unwrap();
-        let oracle = BruteForceIndex::build(&pts);
-        let q = Point::new(qx, qy);
-        match (grid.nearest(q), oracle.nearest(q)) {
-            (None, None) => {}
-            (Some((_, gd)), Some((_, bd))) => {
-                // ties can differ in index; distances must agree
-                prop_assert!((gd - bd).abs() < 1e-9, "{gd} vs {bd}");
-            }
-            (a, b) => prop_assert!(false, "mismatch: {a:?} vs {b:?}"),
-        }
     }
 
     /// The flooding transmit question — "which uninformed agents are
@@ -529,10 +522,12 @@ proptest! {
         r in 0.0..60.0,
     ) {
         let region = Rect::square(SIDE).unwrap();
-        let grid = GridIndex::build(region, 10.0, &pts).unwrap();
+        let mut grid = GridIndexBuffer::new();
+        grid.rebuild(region, 10.0, &pts).unwrap();
         let q = Point::new(qx, qy);
-        let any = grid.any_within(q, r, |_| true);
-        prop_assert_eq!(any, grid.count_within(q, r) > 0);
+        let mut count = 0;
+        grid.for_each_within(q, r, |_| count += 1);
+        prop_assert_eq!(grid.any_within(q, r), count > 0);
     }
 }
 
@@ -544,7 +539,8 @@ fn dense_random_cloud_matches_oracle_exactly() {
         .collect();
     let region = Rect::square(SIDE).unwrap();
     let r = 6.5;
-    let grid = GridIndex::for_radius(region, r, &pts).unwrap();
+    let mut grid = GridIndexBuffer::new();
+    grid.rebuild(region, r, &pts).unwrap();
     let oracle = BruteForceIndex::build(&pts);
 
     // pair sets agree
@@ -559,7 +555,8 @@ fn dense_random_cloud_matches_oracle_exactly() {
     // spot-check point queries across the region
     for k in 0..50 {
         let q = Point::new((k * 41 % 200) as f64, (k * 73 % 200) as f64);
-        let mut a = grid.indices_within(q, r);
+        let mut a = Vec::new();
+        grid.for_each_within(q, r, |i| a.push(i));
         a.sort();
         let mut b = oracle.indices_within(q, r);
         b.sort();

@@ -54,6 +54,8 @@ doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "r + slop_self + slop_other"
+doc_expect fastflood_spatial/struct.GridIndexBuffer.html for_each_pair_within
+doc_expect fastflood_spatial/struct.GridIndexBuffer.html "exceeds the bucket side on either axis"
 doc_expect fastflood_core/struct.FloodingSim.html "entries that were already indexed and were filed"
 doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps

@@ -14,7 +14,7 @@
 //! apparatus: the mobility models with exact stationary sampling, the
 //! closed-form stationary distributions (Theorems 1–2), the cell/zone
 //! machinery of §4, the flooding engine, disk-graph connectivity
-//! analytics, a statistics toolkit, and the `exp_all` runner regenerating
+//! thresholds, a statistics toolkit, and the `exp_all` runner regenerating
 //! every figure and theorem-level claim (see `crates/bench/src/experiments/`).
 //!
 //! This crate is the umbrella: it re-exports the public APIs of all
@@ -58,12 +58,14 @@ pub mod stats {
     pub use fastflood_stats::*;
 }
 
-/// Spatial indexing for radius-bounded neighbor queries.
+/// Spatial indexing: one bucket grid for radius queries, pair sweeps
+/// and the bucket join, plus a brute-force oracle.
 pub mod spatial {
     pub use fastflood_spatial::*;
 }
 
-/// Disk-graph snapshots: components, BFS, connectivity thresholds.
+/// Disk-graph snapshots: giant-component fraction, union-find,
+/// connectivity thresholds.
 pub mod graph {
     pub use fastflood_graph::*;
 }
