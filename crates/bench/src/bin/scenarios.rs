@@ -13,7 +13,8 @@
 //! `--parallelism` selects the intra-step engine per trial: `seq`
 //! (default) or `chunked`; `chunked` resolves its worker count from
 //! `FASTFLOOD_THREADS` / available parallelism. `--threads` stays
-//! trial-level (how many trials run concurrently).
+//! trial-level (how many trials run concurrently) and defaults to the
+//! same count.
 //!
 //! # Checkpointing
 //!
@@ -81,7 +82,7 @@ fn parse_args(it: impl Iterator<Item = String>) -> Args {
         parallelism: Parallelism::Sequential,
         seed: 0,
         trials: None,
-        threads: std::thread::available_parallelism().map_or(1, |t| t.get()),
+        threads: fastflood_parallel::default_threads(),
         n: None,
         checkpoint_every: 0,
         checkpoint_dir: None,

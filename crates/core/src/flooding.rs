@@ -223,11 +223,13 @@ impl std::str::FromStr for EngineMode {
 
 /// Intra-step parallelism of a [`FloodingSim`].
 ///
-/// The default, [`Parallelism::Sequential`], is the single-stream
-/// engine: every random draw comes from the sim's one generator, and
-/// trajectories are **bitwise identical to releases before the worker
-/// pool existed** — nothing in the sequential path reads the chunk
-/// machinery.
+/// Both classes run the one chunked move kernel,
+/// [`Mobility::step_batch`]; they differ in the chunk layout and its
+/// streams. The default, [`Parallelism::Sequential`], is the
+/// single-stream engine: the move pass is one chunk of all `n` agents
+/// on the sim's main stream, run inline, so every random draw comes
+/// from one generator and trajectories are **bitwise identical to
+/// releases before the worker pool existed**.
 ///
 /// [`Parallelism::Chunked`] runs the step's embarrassingly parallel
 /// phases on a retained [`WorkerPool`]: the move pass in the fixed
@@ -508,7 +510,12 @@ pub struct FloodingSim<M: Mobility> {
     /// so a restore into a differently-seeded run is rejected rather
     /// than silently mixing two random universes.
     seed: u64,
-    rng: SimRng,
+    /// The main stream (placement, coins, gossip sampling, source
+    /// moves) in a move-chunk context: the sequential class moves all
+    /// `n` agents as this one chunk, so its move draws interleave with
+    /// the others on one stream. Its event scratch is reserved only in
+    /// that class.
+    main: ChunkCtx<SimRng>,
     /// The population's trajectory state in the model's batched layout
     /// (hot/cold SoA for MRWP): the move pass is one
     /// [`Mobility::step_batch`] call over it.
@@ -565,27 +572,22 @@ pub struct FloodingSim<M: Mobility> {
     phase_timing: bool,
     /// Cumulative per-phase times (see [`StepPhases`]).
     phases: StepPhases,
-    /// The chunked-parallel machinery (`None` in the sequential
-    /// default): the retained worker pool plus one per-chunk context
-    /// (counter-derived RNG stream + move scratch) per [`MOVE_CHUNK`]
-    /// chunk of the population.
-    par: Option<ParState>,
+    /// The pool the move pass and the parallel stale join run on:
+    /// `shared_pool(threads)` in the chunked class, a workerless
+    /// one-thread pool in the sequential one. Shared so sim clones
+    /// reuse the threads (dispatches serialize; concurrent use from
+    /// clones degrades to inline execution, never to different
+    /// results).
+    pool: Arc<WorkerPool>,
+    /// The chunked class's move contexts, one per [`MOVE_CHUNK`] chunk
+    /// of the population, each on its counter-derived stream (`None`
+    /// in the sequential default). Streams continue across steps;
+    /// scratch keeps its capacity.
+    chunks: Option<Vec<ChunkCtx<BlockRng<SimRng>>>>,
     /// Cooperative cancellation checked by [`FloodingSim::run`] between
     /// steps (`None` = never cancelled). Not part of simulation state:
     /// snapshots ignore it and clones share the same token.
     cancel: Option<CancelToken>,
-}
-
-/// Retained state of [`Parallelism::Chunked`]: the worker pool and the
-/// per-chunk move contexts (streams continue across steps; scratch
-/// keeps its capacity).
-#[derive(Debug, Clone)]
-struct ParState {
-    /// Shared so sim clones reuse the threads (dispatches serialize;
-    /// concurrent use from clones degrades to inline execution, never
-    /// to different results).
-    pool: Arc<WorkerPool>,
-    chunks: Vec<ChunkCtx<SimRng>>,
 }
 
 /// Domain-separation salt of the per-chunk move streams: chunk `c` of a
@@ -682,8 +684,12 @@ impl<M: Mobility> FloodingSim<M> {
         let mut rank = vec![u32::MAX; config.n];
         rank[source] = 0;
 
-        let par = match config.parallelism {
-            Parallelism::Sequential => None,
+        // process-shared per thread count: many concurrent sims (a job
+        // runtime, repeated constructions in a server) reuse one set of
+        // worker threads; a busy pool runs late dispatches inline, so
+        // sharing never changes results
+        let (pool, chunks) = match config.parallelism {
+            Parallelism::Sequential => (shared_pool(1), None),
             Parallelism::Chunked { threads } => {
                 let threads = if threads == 0 {
                     default_threads()
@@ -693,26 +699,14 @@ impl<M: Mobility> FloodingSim<M> {
                 let chunks = (0..move_chunk_count(config.n))
                     .map(|c| {
                         let len = MOVE_CHUNK.min(config.n - c * MOVE_CHUNK);
-                        ChunkCtx::new(
-                            SimRng::seed_from_u64(derive_seed(
-                                config.seed ^ CHUNK_STREAM_SALT,
-                                c as u64,
-                            )),
-                            len,
-                        )
+                        let seed = derive_seed(config.seed ^ CHUNK_STREAM_SALT, c as u64);
+                        ChunkCtx::new(BlockRng::new(SimRng::seed_from_u64(seed)), len)
                     })
                     .collect();
-                Some(ParState {
-                    // process-shared per thread count: many concurrent
-                    // sims (a job runtime, repeated constructions in a
-                    // server) reuse one set of worker threads; a busy
-                    // pool runs late dispatches inline, so sharing
-                    // never changes results
-                    pool: shared_pool(threads),
-                    chunks,
-                })
+                (shared_pool(threads), Some(chunks))
             }
         };
+        let main_events = if chunks.is_some() { 0 } else { config.n };
 
         // only the Adaptive join of flooding and parsimonious sleeps;
         // every other sim keeps empty classification scratch
@@ -731,7 +725,7 @@ impl<M: Mobility> FloodingSim<M> {
             protocol: config.protocol,
             engine: config.engine,
             seed: config.seed,
-            rng,
+            main: ChunkCtx::new(rng, main_events),
             positions,
             informed,
             crashed: vec![false; config.n],
@@ -760,7 +754,7 @@ impl<M: Mobility> FloodingSim<M> {
                 // makes every later rebuild allocation-free
                 let mut g = GridIndexBuffer::new();
                 g.reserve(config.n);
-                if par.is_some() {
+                if chunks.is_some() {
                     g.reserve_parallel(config.n);
                 }
                 g
@@ -768,7 +762,7 @@ impl<M: Mobility> FloodingSim<M> {
             tx_grid: {
                 let mut g = GridIndexBuffer::new();
                 g.reserve(config.n);
-                if par.is_some() {
+                if chunks.is_some() {
                     g.reserve_parallel(config.n);
                 }
                 g
@@ -782,7 +776,8 @@ impl<M: Mobility> FloodingSim<M> {
             cand: Vec::with_capacity(config.n),
             phase_timing: false,
             phases: StepPhases::default(),
-            par,
+            pool,
+            chunks,
             cancel: None,
         })
     }
@@ -1091,7 +1086,7 @@ impl<M: Mobility> FloodingSim<M> {
                 "position lies outside the model's region",
             ));
         }
-        let st = self.model.init_at(pos, &mut self.rng);
+        let st = self.model.init_at(pos, self.main.stream_mut());
         self.positions[agent] = self.model.position(&st);
         self.model.batch_set_state(&mut self.batch, agent, st);
         self.inc.ready = false;
@@ -1124,7 +1119,10 @@ impl<M: Mobility> FloodingSim<M> {
         }
         let region = self.model.region();
         let new = match placement {
-            SourcePlacement::Random => self.rng.gen_range(0..self.n()),
+            SourcePlacement::Random => {
+                let n = self.n();
+                self.main.stream_mut().gen_range(0..n)
+            }
             SourcePlacement::Agent(i) => {
                 if i >= self.n() {
                     return Err(CoreError::BadParameter("source agent index out of range"));
@@ -1361,7 +1359,11 @@ impl<M: Mobility> FloodingSim<M> {
     /// ```
     #[inline]
     pub fn parallel_threads(&self) -> usize {
-        self.par.as_ref().map_or(0, |p| p.pool.threads())
+        if self.chunks.is_some() {
+            self.pool.threads()
+        } else {
+            0
+        }
     }
 
     /// Turns per-phase wall-clock accounting on or off (see
@@ -1419,23 +1421,23 @@ impl<M: Mobility> FloodingSim<M> {
                     }
                 }
             };
-            match self.par.as_mut() {
-                // parallel: chunks draw from their own streams on the
-                // retained pool; events are merged in canonical chunk
-                // order, so the recorder sees agent order either way
-                Some(par) => self.model.step_batch_chunked(
-                    &mut self.batch,
-                    &mut self.positions,
-                    &mut par.chunks,
-                    &par.pool,
-                    on_events,
-                ),
-                None => self.model.step_batch(
-                    &mut self.batch,
-                    &mut self.positions,
-                    &mut self.rng,
-                    on_events,
-                ),
+            // one move kernel, two chunk layouts (the stream types
+            // differ): Chunked runs MOVE_CHUNK chunks on their salted
+            // streams, Sequential one chunk of all n agents on the main
+            // stream, which a one-task dispatch runs inline. Events are
+            // merged in canonical chunk order, so the recorder sees
+            // agent order either way.
+            let n = self.positions.len();
+            let (batch, positions, pool) = (&mut self.batch, &mut self.positions, &self.pool);
+            match self.chunks.as_mut() {
+                Some(chunks) => self
+                    .model
+                    .step_batch(batch, positions, MOVE_CHUNK, chunks, pool, on_events),
+                None => {
+                    let main = std::slice::from_mut(&mut self.main);
+                    self.model
+                        .step_batch(batch, positions, n, main, pool, on_events)
+                }
             }
         };
         // the sleep epoch's reach bounds trust `speed()` to bound every
@@ -1587,7 +1589,7 @@ impl<M: Mobility> FloodingSim<M> {
         if let Some(p) = forward_probability {
             self.tx_scratch.clear();
             for &t in &self.transmitters {
-                if self.rng.gen::<f64>() < p {
+                if self.main.stream_mut().gen::<f64>() < p {
                     self.tx_scratch.push(t);
                 }
             }
@@ -1638,7 +1640,7 @@ impl<M: Mobility> FloodingSim<M> {
                     roster,
                     &mut self.newly,
                     self.phase_timing,
-                    self.par.as_ref().map(|p| &*p.pool),
+                    self.chunks.is_some().then(|| &*self.pool),
                 );
                 self.phases.refresh_ns += refresh_ns;
             }
@@ -1732,7 +1734,7 @@ impl<M: Mobility> FloodingSim<M> {
         let take = if self.cand.len() > k {
             debug_assert!(self.cand.windows(2).all(|w| w[0] < w[1]));
             for i in 0..k {
-                let j = self.rng.gen_range(i..self.cand.len());
+                let j = self.main.stream_mut().gen_range(i..self.cand.len());
                 self.cand.swap(i, j);
             }
             k
@@ -1891,8 +1893,8 @@ where
         meta.put_u8(engine_code(self.engine));
         // parallelism *class*, not exact mode: the thread count never
         // changes the trace, so a snapshot moves freely between pools
-        meta.put_u8(self.par.is_some() as u8);
-        meta.put_u32(self.par.as_ref().map_or(0, |p| p.chunks.len()) as u32);
+        meta.put_u8(self.chunks.is_some() as u8);
+        meta.put_u32(self.chunks.as_ref().map_or(0, Vec::len) as u32);
         // model fingerprint: per-agent layout tag + region + speed
         meta.put_u32(<M::State as SnapshotState>::STATE_TAG);
         let region = self.model.region();
@@ -1906,12 +1908,12 @@ where
         snap.push(TAG_META, meta.into_bytes());
 
         let mut mrng = ByteWriter::new();
-        mrng.put_block(&self.rng.state_bytes());
+        mrng.put_block(&self.main.stream().state_bytes());
         snap.push(TAG_MRNG, mrng.into_bytes());
 
-        if let Some(par) = &self.par {
+        if let Some(chunks) = &self.chunks {
             let mut w = ByteWriter::new();
-            for ctx in &par.chunks {
+            for ctx in chunks {
                 let (inner, buf, pos) = ctx.stream().snapshot_parts();
                 w.put_block(&inner.state_bytes());
                 for &b in buf {
@@ -2048,7 +2050,7 @@ where
         }
         // engine deliberately not enforced (see `engine_code`)
         let snap_class = r.get_u8().ok_or_else(meta_err)?;
-        let sim_class = self.par.is_some() as u8;
+        let sim_class = self.chunks.is_some() as u8;
         if snap_class > 1 {
             return Err(corrupt(TAG_META, "unknown parallelism class"));
         }
@@ -2060,7 +2062,7 @@ where
             )));
         }
         let snap_chunks = r.get_u32().ok_or_else(meta_err)? as usize;
-        let sim_chunks = self.par.as_ref().map_or(0, |p| p.chunks.len());
+        let sim_chunks = self.chunks.as_ref().map_or(0, Vec::len);
         if snap_chunks != sim_chunks {
             return Err(incompat(format!(
                 "move chunk count: snapshot {snap_chunks}, sim {sim_chunks}"
@@ -2115,7 +2117,7 @@ where
             return Err(corrupt(TAG_MRNG, "trailing bytes"));
         }
 
-        let chunk_streams = if self.par.is_some() {
+        let chunk_streams = if self.chunks.is_some() {
             let mut r = ByteReader::new(snap.require(TAG_CRNG)?);
             let mut streams = Vec::with_capacity(sim_chunks);
             for _ in 0..sim_chunks {
@@ -2257,10 +2259,10 @@ where
         };
 
         // ---- commit: everything validated, nothing can fail below ------
-        self.rng = rng;
-        if let Some(par) = &mut self.par {
-            for (ctx, stream) in par.chunks.iter_mut().zip(chunk_streams) {
-                ctx.set_stream(stream);
+        *self.main.stream_mut() = rng;
+        if let Some(chunks) = &mut self.chunks {
+            for (ctx, stream) in chunks.iter_mut().zip(chunk_streams) {
+                *ctx.stream_mut() = stream;
             }
         }
         self.batch = self.model.batch_from_states(states);

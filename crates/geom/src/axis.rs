@@ -185,7 +185,8 @@ mod tests {
 
     #[test]
     fn axis_units_are_orthonormal() {
-        assert_eq!(Axis::X.unit().dot(Axis::Y.unit()), 0.0);
+        let (x, y) = (Axis::X.unit(), Axis::Y.unit());
+        assert_eq!(x.x * y.x + x.y * y.y, 0.0);
         assert_eq!(Axis::X.unit().norm(), 1.0);
         assert_eq!(Axis::Y.unit().norm(), 1.0);
     }

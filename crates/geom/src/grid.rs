@@ -147,20 +147,6 @@ impl CellGrid {
         cell.row * self.m + cell.col
     }
 
-    /// The cell with flat index `index` (inverse of [`CellGrid::index_of`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= m²`.
-    #[inline]
-    pub fn cell_at(&self, index: usize) -> Cell {
-        assert!(index < self.num_cells(), "index {index} out of range");
-        Cell {
-            row: index / self.m,
-            col: index % self.m,
-        }
-    }
-
     /// The closed rectangle covered by `cell`.
     pub fn rect_of(&self, cell: Cell) -> Rect {
         let min = Point::new(
@@ -176,11 +162,6 @@ impl CellGrid {
         self.rect_of(cell)
             .shrink(self.cell_len / 3.0)
             .expect("ℓ/3 margin always fits inside the cell")
-    }
-
-    /// The south-west corner of `cell` (the `(x0, y0)` of Observation 5).
-    pub fn sw_corner_of(&self, cell: Cell) -> Point {
-        self.rect_of(cell).min()
     }
 
     /// Whether `cell` is valid for this grid.
@@ -307,12 +288,11 @@ mod tests {
     #[test]
     fn index_roundtrip() {
         let g = CellGrid::new(7.0, 3).unwrap();
-        for i in 0..g.num_cells() {
-            assert_eq!(g.index_of(g.cell_at(i)), i);
+        // `cells()` walks the flat index order
+        for (i, cell) in g.cells().enumerate() {
+            assert_eq!(g.index_of(cell), i);
         }
-        for cell in g.cells() {
-            assert_eq!(g.cell_at(g.index_of(cell)), cell);
-        }
+        assert_eq!(g.cells().count(), g.num_cells());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! the workspace: [`Point`]s and [`Vec2`]s in the plane, the three distance
 //! metrics relevant to the Manhattan Random Way-Point model
 //! ([`Point::euclid`], [`Point::manhattan`], [`Point::chebyshev`]),
-//! axis-aligned [`Rect`]angles and [`Segment`]s, the square [`CellGrid`]
-//! partition used by the paper's Central-Zone analysis, and the Manhattan
-//! [`LPath`] (the two-leg shortest path an MRWP agent follows between
-//! way-points).
+//! [`Axis`] and [`Cardinal`] directions, axis-aligned [`Rect`]angles,
+//! the square [`CellGrid`] partition used by the paper's Central-Zone
+//! analysis, and the Manhattan [`LPath`] (the two-leg shortest path an
+//! MRWP agent follows between way-points).
 //!
 //! Everything is plain `f64` geometry with no external dependencies.
 //!
@@ -32,14 +32,12 @@ mod grid;
 mod lpath;
 mod point;
 mod rect;
-mod segment;
 
 pub use axis::{Axis, Cardinal};
 pub use grid::{Cell, CellGrid, CellIter};
 pub use lpath::LPath;
 pub use point::{Point, Vec2};
 pub use rect::Rect;
-pub use segment::Segment;
 
 use std::error::Error;
 use std::fmt;

@@ -1,6 +1,6 @@
 //! Manhattan L-paths: the two-leg routes of the MRWP model.
 
-use crate::{Axis, Cardinal, Point, Segment};
+use crate::{Axis, Point};
 use std::fmt;
 
 /// A Manhattan shortest path from `start` to `dest` made of at most two
@@ -117,15 +117,6 @@ impl LPath {
         self.leg2
     }
 
-    /// The two legs as segments; either may be degenerate.
-    pub fn legs(&self) -> [Segment; 2] {
-        let c = self.corner();
-        [
-            Segment::new(self.start, c).expect("leg 1 is axis-aligned by construction"),
-            Segment::new(c, self.dest).expect("leg 2 is axis-aligned by construction"),
-        ]
-    }
-
     /// Whether the path actually turns (both legs have positive length).
     #[inline]
     pub fn has_turn(&self) -> bool {
@@ -158,23 +149,6 @@ impl LPath {
         } else {
             // s > leg1 implies a positive second leg
             self.corner.lerp(self.dest, (s - self.leg1) / self.leg2)
-        }
-    }
-
-    /// The travel direction at arc-length `s`, or `None` for an empty path.
-    ///
-    /// Exactly at the turn the direction of the *second* leg is reported
-    /// (the agent has finished the first leg).
-    pub fn direction_at(&self, s: f64) -> Option<Cardinal> {
-        if self.is_empty() {
-            return None;
-        }
-        let s = s.clamp(0.0, self.len());
-        let [leg1, leg2] = self.legs();
-        if s < self.leg1_len() || leg2.is_empty() {
-            leg1.direction()
-        } else {
-            leg2.direction()
         }
     }
 
@@ -229,22 +203,13 @@ mod tests {
         let path = LPath::new(p(0.0, 0.0), p(3.0, 4.0), Axis::Y);
         assert_eq!(path.point_at(0.0), p(0.0, 0.0));
         assert_eq!(path.point_at(4.0), p(0.0, 4.0)); // corner (leg1 = 4 up)
+        assert!(path.has_turn());
+        assert_eq!(path.turn_at(), Some(4.0));
         assert_eq!(path.point_at(5.5), p(1.5, 4.0));
         assert_eq!(path.point_at(7.0), p(3.0, 4.0));
         // clamped
         assert_eq!(path.point_at(-2.0), path.start());
         assert_eq!(path.point_at(100.0), path.dest());
-    }
-
-    #[test]
-    fn directions_change_at_turn() {
-        let path = LPath::new(p(0.0, 0.0), p(3.0, -4.0), Axis::Y);
-        assert_eq!(path.direction_at(0.0), Some(Cardinal::South));
-        assert_eq!(path.direction_at(3.9), Some(Cardinal::South));
-        assert_eq!(path.direction_at(4.0), Some(Cardinal::East)); // at turn: second leg
-        assert_eq!(path.direction_at(6.0), Some(Cardinal::East));
-        assert_eq!(path.turn_at(), Some(4.0));
-        assert!(path.has_turn());
     }
 
     #[test]
@@ -255,8 +220,6 @@ mod tests {
         assert_eq!(path.turn_at(), None);
         assert_eq!(path.len(), 5.0);
         assert_eq!(path.point_at(2.0), p(2.0, 1.0));
-        assert_eq!(path.direction_at(0.0), Some(Cardinal::East));
-        assert_eq!(path.direction_at(4.9), Some(Cardinal::East));
     }
 
     #[test]
@@ -266,7 +229,6 @@ mod tests {
         assert_eq!(path.len(), 0.0);
         assert!(!path.has_turn());
         assert_eq!(path.point_at(0.0), p(2.0, 2.0));
-        assert_eq!(path.direction_at(0.0), None);
     }
 
     #[test]
@@ -288,17 +250,6 @@ mod tests {
         assert_eq!(alt.len(), path.len());
         assert_ne!(alt.corner(), path.corner());
         assert_eq!(alt.alternate(), path);
-    }
-
-    #[test]
-    fn legs_are_consistent_with_point_at() {
-        let path = LPath::new(p(1.0, 1.0), p(-2.0, 5.0), Axis::Y);
-        let [l1, l2] = path.legs();
-        assert_eq!(l1.start(), path.start());
-        assert_eq!(l1.end(), path.corner());
-        assert_eq!(l2.start(), path.corner());
-        assert_eq!(l2.end(), path.dest());
-        assert_eq!(l1.len() + l2.len(), path.len());
     }
 
     #[test]

@@ -130,9 +130,6 @@ impl Point {
 }
 
 impl Vec2 {
-    /// The zero vector.
-    pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
-
     /// Creates a vector from its components.
     #[inline]
     pub const fn new(x: f64, y: f64) -> Self {
@@ -149,29 +146,6 @@ impl Vec2 {
     #[inline]
     pub fn norm_l1(self) -> f64 {
         self.x.abs() + self.y.abs()
-    }
-
-    /// L∞ norm (`max(|x|, |y|)`).
-    #[inline]
-    pub fn norm_linf(self) -> f64 {
-        self.x.abs().max(self.y.abs())
-    }
-
-    /// Dot product with `other`.
-    #[inline]
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// Returns the vector scaled to unit Euclidean norm, or `None` when the
-    /// norm is zero or not finite.
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n > 0.0 && n.is_finite() {
-            Some(self / n)
-        } else {
-            None
-        }
     }
 }
 
@@ -360,15 +334,10 @@ mod tests {
         let v = Vec2::new(3.0, -4.0);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm_l1(), 7.0);
-        assert_eq!(v.norm_linf(), 4.0);
         assert_eq!(-v, Vec2::new(-3.0, 4.0));
         assert_eq!(v * 2.0, Vec2::new(6.0, -8.0));
         assert_eq!(2.0 * v, v * 2.0);
         assert_eq!(v / 2.0, Vec2::new(1.5, -2.0));
-        assert_eq!(v.dot(Vec2::new(1.0, 1.0)), -1.0);
-        let u = v.normalized().unwrap();
-        assert!((u.norm() - 1.0).abs() < 1e-12);
-        assert!(Vec2::ZERO.normalized().is_none());
     }
 
     #[test]

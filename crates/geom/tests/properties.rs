@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use fastflood_geom::{Axis, CellGrid, LPath, Point, Rect, Segment, Vec2};
+use fastflood_geom::{Axis, CellGrid, LPath, Point, Rect, Vec2};
 use proptest::prelude::*;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -132,15 +132,11 @@ proptest! {
     #[test]
     fn lpath_legs_are_axis_aligned(s in point(), d in point(), ax in axis()) {
         let path = LPath::new(s, d, ax);
-        for leg in path.legs() {
-            if !leg.is_empty() {
-                let a = leg.axis().unwrap();
-                // a leg never moves along the other axis
-                match a {
-                    Axis::X => prop_assert_eq!(leg.start().y, leg.end().y),
-                    Axis::Y => prop_assert_eq!(leg.start().x, leg.end().x),
-                }
-            }
+        let (c, d) = (path.corner(), path.dest());
+        // the first leg moves only along `ax`, the second only along the other
+        match ax {
+            Axis::X => prop_assert!(s.y == c.y && c.x == d.x),
+            Axis::Y => prop_assert!(s.x == c.x && c.y == d.y),
         }
     }
 
@@ -157,17 +153,6 @@ proptest! {
         // and the L1 gap between the two equals the arc-length gap
         let gap = (hi - lo) * path.len();
         prop_assert!((p_lo.manhattan(p_hi) - gap).abs() < 1e-6 * (1.0 + path.len()));
-    }
-
-    // ---- segments ----
-
-    #[test]
-    fn segment_point_at_contains(
-        x0 in finite_coord(), y0 in finite_coord(), dx in finite_coord(), t in 0.0f64..1.0
-    ) {
-        let s = Segment::new(Point::new(x0, y0), Point::new(x0 + dx, y0)).unwrap();
-        let p = s.point_at(t * s.len());
-        prop_assert!(s.contains(Point::new(p.x, y0)));
     }
 
     // ---- grids ----

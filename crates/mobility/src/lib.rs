@@ -62,8 +62,8 @@ mod turns;
 pub use disk_walk::{DiskWalk, DiskWalkState};
 pub use mixture::{Mixture, MixtureState};
 pub use model::{
-    drain_chunks, move_chunk_count, step_batch_chunked_aos, step_batch_sequential, BlockRng,
-    ChunkCtx, Mobility, StepEvents, MOVE_CHUNK, RNG_BLOCK,
+    drain_chunks, move_chunk_count, step_batch_aos, BlockRng, ChunkCtx, Mobility, StepEvents,
+    MOVE_CHUNK, RNG_BLOCK,
 };
 pub use mrwp::{Mrwp, MrwpBatch, MrwpState};
 pub use rwp::{Rwp, RwpState};

@@ -39,8 +39,9 @@ impl StepEvents {
 /// memory traffic — measured: 1024-agent chunks cost the 1-thread
 /// parallel path ~8% at n = 100k, 4096 cuts that to ~2% — while still
 /// giving a wide pool tens of chunks to balance at the benchmark
-/// sizes. Changing this constant changes parallel-mode trajectories
-/// (never their statistics); the sequential path does not read it.
+/// sizes. Changing this constant changes chunked-class trajectories
+/// (never their statistics); the sequential class moves as one chunk
+/// of all `n` agents and does not read it.
 pub const MOVE_CHUNK: usize = 4096;
 
 /// Number of move-pass chunks for a population of `n` agents (at least
@@ -67,11 +68,14 @@ pub const RNG_BLOCK: usize = 8;
 /// wrapping a stream in `BlockRng` never changes any sampled value.
 /// The buffer is a fixed inline array: no heap allocation, ever.
 ///
-/// [`ChunkCtx`] wraps every per-chunk stream in one of these, which is
-/// how block-batched RNG reaches both the native MRWP chunked path and
-/// the AoS fallback without either knowing about it. Unconsumed words
-/// simply carry over to the next step of the same chunk; chunk streams
-/// feed nothing but the move pass, so carryover is unobservable.
+/// The chunked engine wraps every salted per-chunk stream in one of
+/// these, which is how block-batched RNG reaches both the native MRWP
+/// move and the AoS one without either knowing about it. Unconsumed
+/// words simply carry over to the next step of the same chunk; chunk
+/// streams feed nothing but the move pass, so carryover is
+/// unobservable. The sequential engine's main stream is never wrapped:
+/// it feeds later draws outside the move pass, whose values a prefetch
+/// would shift.
 #[derive(Debug, Clone)]
 pub struct BlockRng<R> {
     inner: R,
@@ -131,21 +135,25 @@ impl<R: RngCore> RngCore for BlockRng<R> {
     }
 }
 
-/// Per-chunk context of the parallel move pass: the chunk's private
-/// random stream plus the scratch its task writes (measured drift and
-/// deferred step events), merged by [`drain_chunks`] in canonical chunk
-/// order after the parallel region.
+/// Per-chunk context of the move pass: the chunk's random stream plus
+/// the scratch its task writes (measured drift and deferred step
+/// events), merged by [`drain_chunks`] in canonical chunk order after
+/// the pass.
+///
+/// The stream is held exactly as the caller passes it: the sequential
+/// engine's one chunk holds the sim's main stream, which later draws
+/// (protocol coins, gossip sampling, placement) continue, so it must
+/// not prefetch; the chunked engine wraps each salted chunk stream in a
+/// [`BlockRng`] itself.
 ///
 /// The driver retains one `ChunkCtx` per chunk across steps (streams
 /// must continue where they left off; the scratch keeps its capacity so
 /// steady-state steps stay allocation-free).
 #[derive(Debug, Clone)]
 pub struct ChunkCtx<R> {
-    /// The chunk's private random stream, advanced only by this chunk's
-    /// agents, buffered in [`RNG_BLOCK`]-word blocks (draw order — and
-    /// therefore every trajectory — is unchanged by the buffering; see
-    /// [`BlockRng`]).
-    pub(crate) rng: BlockRng<R>,
+    /// The chunk's random stream, advanced only by this chunk's agents
+    /// during a move pass.
+    pub(crate) rng: R,
     /// Measured maximum displacement of this chunk's agents this step.
     pub(crate) drift: f64,
     /// Events recorded this step, in agent order within the chunk.
@@ -159,11 +167,11 @@ pub struct ChunkCtx<R> {
 
 impl<R> ChunkCtx<R> {
     /// Creates the context for one chunk of up to `chunk_len` agents
-    /// with its private stream; the event scratch is fully reserved so
-    /// steps never grow it.
+    /// drawing from `rng`; the event scratch is fully reserved so steps
+    /// never grow it.
     pub fn new(rng: R, chunk_len: usize) -> ChunkCtx<R> {
         ChunkCtx {
-            rng: BlockRng::new(rng),
+            rng,
             drift: 0.0,
             events: Vec::with_capacity(chunk_len),
             kernel_ns: 0,
@@ -195,15 +203,15 @@ impl<R> ChunkCtx<R> {
         self.drift
     }
 
-    /// The chunk's private stream, for checkpointing (buffer included).
-    pub fn stream(&self) -> &BlockRng<R> {
+    /// The chunk's stream, for checkpointing.
+    pub fn stream(&self) -> &R {
         &self.rng
     }
 
-    /// Replaces the chunk's private stream on restore; the per-step
-    /// scratch is untouched (it is reset by [`ChunkCtx::begin`] anyway).
-    pub fn set_stream(&mut self, rng: BlockRng<R>) {
-        self.rng = rng;
+    /// The chunk's stream, for draws outside the move pass and for
+    /// restore.
+    pub fn stream_mut(&mut self) -> &mut R {
+        &mut self.rng
     }
 }
 
@@ -240,18 +248,24 @@ pub fn drain_chunks<R, F: FnMut(usize, StepEvents)>(
 /// # Batched stepping
 ///
 /// A driver that advances *every* agent each step (the flooding engine's
-/// move pass) should hold the population as one [`Mobility::Batch`] and
-/// call [`Mobility::step_batch`], which advances all agents in one pass
-/// and returns the **measured** maximum displacement of the step — a
+/// move pass) holds the population as one [`Mobility::Batch`] and calls
+/// [`Mobility::step_batch`], which advances all agents in one pass and
+/// returns the **measured** maximum displacement of the step — a
 /// per-step drift bound that is never looser than [`Mobility::speed`]
-/// and often much tighter (paused or slow agents). Models with a natural
-/// AoS state simply set `type Batch = Vec<Self::State>` and delegate to
-/// [`step_batch_sequential`]; models with a hot/cold state split (e.g.
-/// [`Mrwp`](crate::Mrwp)) pack the per-step-touched fields into
-/// cache-dense parallel arrays instead. Whatever the layout, a batch
-/// step must advance agents in index order and draw exactly the random
-/// numbers the equivalent [`Mobility::step_from`] loop would, so batched
-/// and scalar drivers stay in RNG lockstep.
+/// and often much tighter (paused or slow agents). The pass is split
+/// into fixed chunks of `chunk_len` agents, each drawing from its own
+/// stream and run as one pool task. The engine's two determinism
+/// classes are the two ways to call it: Sequential is one chunk of `n`
+/// agents on the main stream (a one-task dispatch runs inline), Chunked
+/// is [`MOVE_CHUNK`] chunks on salted per-chunk streams.
+///
+/// Models with a natural AoS state set `type Batch = Vec<Self::State>`
+/// and delegate to [`step_batch_aos`]; models with a hot/cold state
+/// split (e.g. [`Mrwp`](crate::Mrwp)) pack the per-step-touched fields
+/// into cache-dense parallel arrays instead. Whatever the layout, each
+/// chunk must advance its agents in index order and draw exactly the
+/// random numbers the equivalent [`Mobility::step_from`] loop would on
+/// its stream, so batched and scalar drivers stay in RNG lockstep.
 pub trait Mobility {
     /// Per-agent trajectory state.
     type State: Clone + std::fmt::Debug + Send;
@@ -337,38 +351,6 @@ pub trait Mobility {
     /// Implementations may panic when `agent` is out of range.
     fn batch_set_state(&self, batch: &mut Self::Batch, agent: usize, state: Self::State);
 
-    /// Advances every agent in the batch by one time unit, updating
-    /// `positions` in place (`positions[i]` must hold agent `i`'s
-    /// current position on entry, and holds the post-step position on
-    /// return).
-    ///
-    /// Returns the **measured drift** of the step: an upper bound on
-    /// every agent's Euclidean displacement between the two step
-    /// boundaries, computed from what actually happened rather than the
-    /// worst-case [`Mobility::speed`]. The flooding engine accrues its
-    /// spatial-index staleness budget from this value, so a step where
-    /// all agents pause (or move slowly) widens the deferred re-binning
-    /// window. The bound must be sound: no agent's actual displacement
-    /// may exceed it.
-    ///
-    /// `on_events` is invoked, in agent order, for every agent whose
-    /// step produced nonzero [`StepEvents`] (turns or arrivals).
-    ///
-    /// Semantically this is exactly a [`Mobility::step_from`] loop over
-    /// agents `0..n` — identical trajectories, events, and RNG draws.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `positions` and the batch disagree
-    /// on the population size.
-    fn step_batch<R: Rng + ?Sized, F: FnMut(usize, StepEvents)>(
-        &self,
-        batch: &mut Self::Batch,
-        positions: &mut [Point],
-        rng: &mut R,
-        on_events: F,
-    ) -> f64;
-
     /// Turns per-step move-phase split timing on or off for `batch`.
     ///
     /// Models whose move pass has an internal phase structure (e.g. the
@@ -388,58 +370,70 @@ pub trait Mobility {
         None
     }
 
-    /// Advances every agent by one time unit in the fixed
-    /// [`MOVE_CHUNK`] chunk geometry, each chunk drawing from **its own
-    /// stream** (`chunks[c].rng`) and chunks executing concurrently on
-    /// `pool` — the deterministic parallel move pass.
+    /// Advances every agent in the batch by one time unit, updating
+    /// `positions` in place (`positions[i]` must hold agent `i`'s
+    /// current position on entry, and holds the post-step position on
+    /// return).
     ///
-    /// Contract, on top of [`Mobility::step_batch`]'s semantics:
+    /// The population is split into chunks of `chunk_len` agents
+    /// (the last may be short): chunk `c` covers agents
+    /// `c·chunk_len ..`, steps them **in index order** using only
+    /// `chunks[c]`'s stream, and runs as one task on `pool`. The result
+    /// is therefore a pure function of `(batch, positions, chunk_len,
+    /// chunk streams)` — bitwise identical whatever the pool's thread
+    /// count or scheduling — and each chunk's trajectories, events and
+    /// draws are exactly those of a [`Mobility::step_from`] loop over
+    /// its agents on its stream.
     ///
-    /// * chunk `c` covers agents `c·MOVE_CHUNK ..` and steps them **in
-    ///   index order** using only `chunks[c].rng`, so the result is a
-    ///   pure function of `(batch, positions, chunk streams)` — bitwise
-    ///   identical whatever the pool's thread count or scheduling;
-    /// * trajectories *differ* from a [`Mobility::step_batch`] call on
-    ///   a single stream (different draws reach different agents) but
-    ///   are statistically the same process;
-    /// * `on_events` fires in global agent order after all chunks
-    ///   complete (see [`drain_chunks`]); the returned measured drift
-    ///   is the maximum over chunks and bounds every agent's
-    ///   displacement exactly as in `step_batch`.
+    /// Returns the **measured drift** of the step: an upper bound on
+    /// every agent's Euclidean displacement between the two step
+    /// boundaries, computed from what actually happened rather than the
+    /// worst-case [`Mobility::speed`]. The flooding engine accrues its
+    /// spatial-index staleness budget from this value, so a step where
+    /// all agents pause (or move slowly) widens the deferred re-binning
+    /// window. The bound must be sound: no agent's actual displacement
+    /// may exceed it.
     ///
-    /// The default implementation is the **sequential reference**: it
-    /// steps each chunk in order through the scalar state views
+    /// `on_events` is invoked after all chunks complete, in global
+    /// agent order (see [`drain_chunks`]), for every agent whose step
+    /// produced nonzero [`StepEvents`] (turns or arrivals).
+    ///
+    /// The default implementation is the **reference**: it steps each
+    /// chunk in order through the scalar state views
     /// ([`Mobility::batch_state`] / [`Mobility::batch_set_state`]) —
     /// correct, stream-identical to any conforming override, and the
     /// oracle the property tests compare real implementations against,
     /// but state-copying and single-threaded. Models override it:
-    /// AoS models via [`step_batch_chunked_aos`], [`Mrwp`](crate::Mrwp)
-    /// with a chunk-split of its hot/cold arrays.
+    /// AoS models via [`step_batch_aos`], [`Mrwp`](crate::Mrwp) with a
+    /// chunk-split of its hot/cold arrays.
     ///
     /// # Panics
     ///
     /// Implementations may panic when `positions` and the batch
-    /// disagree on the population size or `chunks` does not hold
-    /// exactly [`move_chunk_count`]`(n)` contexts.
-    fn step_batch_chunked<R: Rng + Send, F: FnMut(usize, StepEvents)>(
+    /// disagree on the population size, `chunk_len` is zero, or
+    /// `chunks` does not hold exactly `n.div_ceil(chunk_len).max(1)`
+    /// contexts.
+    fn step_batch<R: Rng + Send, F: FnMut(usize, StepEvents)>(
         &self,
         batch: &mut Self::Batch,
         positions: &mut [Point],
+        chunk_len: usize,
         chunks: &mut [ChunkCtx<R>],
         pool: &WorkerPool,
         on_events: F,
     ) -> f64 {
         let _ = pool;
         let n = positions.len();
+        assert!(chunk_len > 0, "chunk length must be positive");
         assert_eq!(
             chunks.len(),
-            move_chunk_count(n),
+            n.div_ceil(chunk_len).max(1),
             "one context per move chunk"
         );
         for (ci, ctx) in chunks.iter_mut().enumerate() {
             ctx.begin();
-            let lo = ci * MOVE_CHUNK;
-            let hi = ((ci + 1) * MOVE_CHUNK).min(n);
+            let lo = ci * chunk_len;
+            let hi = ((ci + 1) * chunk_len).min(n);
             let mut max_d2 = 0.0f64;
             for (k, pos) in positions[lo..hi].iter_mut().enumerate() {
                 let i = lo + k;
@@ -464,64 +458,20 @@ pub trait Mobility {
     }
 }
 
-/// The reference [`Mobility::step_batch`] implementation for models
-/// whose batch layout is a plain `Vec<State>`: a sequential
-/// [`Mobility::step_from`] loop that measures the step's maximum
-/// Euclidean displacement as it goes.
+/// The [`Mobility::step_batch`] implementation for models whose batch
+/// layout is a plain `Vec<State>`: chunks of the state and position
+/// arrays run as disjoint pool tasks, each stepping its agents in index
+/// order through [`Mobility::step_from`] on the chunk's stream.
 ///
 /// [`Rwp`](crate::Rwp), [`DiskWalk`](crate::DiskWalk),
-/// [`Static`](crate::Static) and [`StreetMrwp`](crate::StreetMrwp)
-/// delegate to this; it is also the behavioral oracle the batched-move
-/// property tests compare specialized implementations against.
-pub fn step_batch_sequential<M, R, F>(
-    model: &M,
-    states: &mut [M::State],
-    positions: &mut [Point],
-    rng: &mut R,
-    mut on_events: F,
-) -> f64
-where
-    M: Mobility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(usize, StepEvents),
-{
-    assert_eq!(
-        states.len(),
-        positions.len(),
-        "batch and position array must agree on the population size"
-    );
-    let mut max_d2 = 0.0f64;
-    for (i, state) in states.iter_mut().enumerate() {
-        let before = positions[i];
-        let (p, ev) = model.step_from(state, before, rng);
-        positions[i] = p;
-        let dx = p.x - before.x;
-        let dy = p.y - before.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 > max_d2 {
-            max_d2 = d2;
-        }
-        if ev.turns | ev.arrivals != 0 {
-            on_events(i, ev);
-        }
-    }
-    max_d2.sqrt()
-}
-
-/// The parallel [`Mobility::step_batch_chunked`] implementation for
-/// models whose batch layout is a plain `Vec<State>`: chunks of the
-/// state and position arrays run as disjoint pool tasks, each stepping
-/// its agents in index order through [`Mobility::step_from`] on the
-/// chunk's private stream.
-///
-/// [`Rwp`](crate::Rwp), [`DiskWalk`](crate::DiskWalk),
-/// [`Static`](crate::Static) and [`StreetMrwp`](crate::StreetMrwp)
+/// [`StreetMrwp`](crate::StreetMrwp) and [`Mixture`](crate::Mixture)
 /// delegate to this. Results are bitwise identical to the trait's
-/// sequential reference default whatever the pool's thread count.
-pub fn step_batch_chunked_aos<M, R, F>(
+/// reference default whatever the pool's thread count.
+pub fn step_batch_aos<M, R, F>(
     model: &M,
     states: &mut [M::State],
     positions: &mut [Point],
+    chunk_len: usize,
     chunks: &mut [ChunkCtx<R>],
     pool: &WorkerPool,
     on_events: F,
@@ -531,26 +481,20 @@ where
     R: Rng + Send,
     F: FnMut(usize, StepEvents),
 {
-    let n = positions.len();
     assert_eq!(
         states.len(),
-        n,
+        positions.len(),
         "batch and position array must agree on the population size"
-    );
-    assert_eq!(
-        chunks.len(),
-        move_chunk_count(n),
-        "one context per move chunk"
     );
     run_chunks2(
         pool,
-        MOVE_CHUNK,
+        chunk_len,
         states,
         positions,
         chunks,
         |ci, st_part, pos_part, ctx| {
             ctx.begin();
-            let base = ci * MOVE_CHUNK;
+            let base = ci * chunk_len;
             let ChunkCtx {
                 rng, drift, events, ..
             } = ctx;

@@ -1,7 +1,7 @@
 //! The Manhattan Random Way-Point mobility model (paper §2).
 
 use crate::distributions::{sample_spatial, sample_trip_length_biased};
-use crate::model::{drain_chunks, move_chunk_count, ChunkCtx, MOVE_CHUNK};
+use crate::model::{drain_chunks, ChunkCtx};
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotState};
 use crate::{Mobility, MobilityError, StepEvents};
 use fastflood_geom::{Axis, LPath, Point, Rect};
@@ -213,8 +213,9 @@ struct MrwpCold {
 /// # Examples
 ///
 /// ```
-/// use fastflood_mobility::{Mobility, Mrwp};
+/// use fastflood_mobility::{ChunkCtx, Mobility, Mrwp};
 /// use fastflood_geom::Point;
+/// use fastflood_parallel::WorkerPool;
 /// use rand::SeedableRng;
 ///
 /// let model = Mrwp::new(50.0, 0.5)?;
@@ -222,7 +223,10 @@ struct MrwpCold {
 /// let states: Vec<_> = (0..4).map(|_| model.init_stationary(&mut rng)).collect();
 /// let mut positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
 /// let mut batch = model.batch_from_states(states);
-/// let drift = model.step_batch(&mut batch, &mut positions, &mut rng, |_, _| {});
+/// // one chunk of all four agents on one stream, run inline
+/// let mut chunks = [ChunkCtx::new(&mut rng, 4)];
+/// let pool = WorkerPool::new(1);
+/// let drift = model.step_batch(&mut batch, &mut positions, 4, &mut chunks, &pool, |_, _| {});
 /// // the measured drift bounds every agent's step displacement
 /// assert!(drift <= 0.5 + 1e-12);
 /// # Ok::<(), fastflood_mobility::MobilityError>(())
@@ -466,37 +470,6 @@ impl Mobility for Mrwp {
         };
     }
 
-    fn step_batch<R: Rng + ?Sized, F: FnMut(usize, StepEvents)>(
-        &self,
-        batch: &mut MrwpBatch,
-        positions: &mut [Point],
-        rng: &mut R,
-        on_events: F,
-    ) -> f64 {
-        assert_eq!(
-            batch.s.len(),
-            positions.len(),
-            "batch and position array must agree on the population size"
-        );
-        debug_assert_eq!(batch.s.len(), batch.cold.len());
-        let MrwpBatch {
-            s,
-            leg_end,
-            dir,
-            flagged,
-            cold,
-            timing,
-            kernel_ns,
-            boundary_ns,
-        } = batch;
-        let (drift, k_ns, b_ns) = self.step_batch_slices(
-            s, leg_end, dir, flagged, cold, positions, 0, *timing, rng, on_events,
-        );
-        *kernel_ns = k_ns;
-        *boundary_ns = b_ns;
-        drift
-    }
-
     fn enable_move_timing(&self, batch: &mut MrwpBatch, on: bool) {
         batch.timing = on;
         if !on {
@@ -509,10 +482,11 @@ impl Mobility for Mrwp {
         batch.timing.then_some((batch.kernel_ns, batch.boundary_ns))
     }
 
-    fn step_batch_chunked<R: Rng + Send, F: FnMut(usize, StepEvents)>(
+    fn step_batch<R: Rng + Send, F: FnMut(usize, StepEvents)>(
         &self,
         batch: &mut MrwpBatch,
         positions: &mut [Point],
+        chunk_len: usize,
         chunks: &mut [ChunkCtx<R>],
         pool: &WorkerPool,
         on_events: F,
@@ -523,11 +497,6 @@ impl Mobility for Mrwp {
             "batch and position array must agree on the population size"
         );
         debug_assert_eq!(batch.s.len(), batch.cold.len());
-        assert_eq!(
-            chunks.len(),
-            move_chunk_count(positions.len()),
-            "one context per move chunk"
-        );
         let MrwpBatch {
             s,
             leg_end,
@@ -541,7 +510,7 @@ impl Mobility for Mrwp {
         let timing = *timing;
         run_chunks6(
             pool,
-            MOVE_CHUNK,
+            chunk_len,
             s,
             leg_end,
             dir,
@@ -551,7 +520,7 @@ impl Mobility for Mrwp {
             chunks,
             |ci, s_part, le_part, dir_part, fl_part, cold_part, pos_part, ctx| {
                 ctx.begin();
-                let base = ci * MOVE_CHUNK;
+                let base = ci * chunk_len;
                 let ChunkCtx {
                     rng,
                     drift,
@@ -628,12 +597,10 @@ fn advance_kernel(
 }
 
 impl Mrwp {
-    /// The batched move pass over a slice of the hot-lane/cold/position
-    /// arrays: the whole-population body of [`Mobility::step_batch`]
-    /// (`base == 0`, full slices) and the per-chunk task of
-    /// [`Mobility::step_batch_chunked`] (`base == chunk · MOVE_CHUNK`)
-    /// share this one function, so the two entry points can never drift
-    /// apart.
+    /// The batched move pass over one chunk of the hot-lane/cold/
+    /// position arrays: the per-chunk task of [`Mobility::step_batch`],
+    /// with `base` the chunk's first agent (`chunk · chunk_len`; 0 for
+    /// the sequential engine's one chunk of the whole population).
     ///
     /// Two sub-passes: the flat [`advance_kernel`] integrates every
     /// in-leg agent and compacts the indices of the rest into

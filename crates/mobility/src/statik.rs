@@ -147,26 +147,11 @@ impl Mobility for Static {
 
     /// Static agents never move, draw no randomness, and emit no events:
     /// the batch step is a no-op with measured drift exactly zero.
-    fn step_batch<R: Rng + ?Sized, F: FnMut(usize, StepEvents)>(
+    fn step_batch<R: Rng + Send, F: FnMut(usize, StepEvents)>(
         &self,
         batch: &mut Self::Batch,
         positions: &mut [Point],
-        _rng: &mut R,
-        _on_events: F,
-    ) -> f64 {
-        assert_eq!(
-            batch.len(),
-            positions.len(),
-            "batch and position array must agree on the population size"
-        );
-        0.0
-    }
-
-    /// Chunked form of the no-op: streams untouched, zero drift.
-    fn step_batch_chunked<R: Rng + Send, F: FnMut(usize, StepEvents)>(
-        &self,
-        batch: &mut Self::Batch,
-        positions: &mut [Point],
+        chunk_len: usize,
         chunks: &mut [ChunkCtx<R>],
         _pool: &WorkerPool,
         _on_events: F,
@@ -178,7 +163,7 @@ impl Mobility for Static {
         );
         assert_eq!(
             chunks.len(),
-            crate::model::move_chunk_count(positions.len()),
+            positions.len().div_ceil(chunk_len).max(1),
             "one context per move chunk"
         );
         0.0

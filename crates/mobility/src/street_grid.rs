@@ -11,7 +11,7 @@
 //! to the continuous [`Mrwp`](crate::Mrwp).
 
 use crate::distributions::sample_trip_length_biased;
-use crate::model::{step_batch_chunked_aos, step_batch_sequential, ChunkCtx};
+use crate::model::{step_batch_aos, ChunkCtx};
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotState};
 use crate::{Mobility, MobilityError, StepEvents};
 use fastflood_geom::{Axis, LPath, Point, Rect};
@@ -348,25 +348,16 @@ impl Mobility for StreetMrwp {
         batch[agent] = state;
     }
 
-    fn step_batch<R: Rng + ?Sized, F: FnMut(usize, StepEvents)>(
+    fn step_batch<R: Rng + Send, F: FnMut(usize, StepEvents)>(
         &self,
         batch: &mut Self::Batch,
         positions: &mut [Point],
-        rng: &mut R,
-        on_events: F,
-    ) -> f64 {
-        step_batch_sequential(self, batch, positions, rng, on_events)
-    }
-
-    fn step_batch_chunked<R: Rng + Send, F: FnMut(usize, StepEvents)>(
-        &self,
-        batch: &mut Self::Batch,
-        positions: &mut [Point],
+        chunk_len: usize,
         chunks: &mut [ChunkCtx<R>],
         pool: &WorkerPool,
         on_events: F,
     ) -> f64 {
-        step_batch_chunked_aos(self, batch, positions, chunks, pool, on_events)
+        step_batch_aos(self, batch, positions, chunk_len, chunks, pool, on_events)
     }
 }
 

@@ -191,9 +191,12 @@ where
     let mut batch = model.batch_from_states(states);
     let mut batch_rng = rng(seed ^ 0x9e37_79b9);
     let mut scalar_rng = rng(seed ^ 0x9e37_79b9);
+    // the sequential engine's shape: one chunk of all n agents, inline
+    let mut one = [ChunkCtx::new(&mut batch_rng, n)];
+    let pool = WorkerPool::new(1);
     for step in 0..steps {
         let mut batch_events = Vec::new();
-        let drift = model.step_batch(&mut batch, &mut positions, &mut batch_rng, |i, ev| {
+        let drift = model.step_batch(&mut batch, &mut positions, n, &mut one, &pool, |i, ev| {
             batch_events.push((i, ev))
         });
         let mut scalar_events = Vec::new();
@@ -345,8 +348,10 @@ proptest! {
         let mut positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
         let before = positions.clone();
         let mut batch = model.batch_from_states(states);
+        let mut one = [ChunkCtx::new(&mut r, n)];
+        let pool = WorkerPool::new(1);
         for _ in 0..10 {
-            let drift = model.step_batch(&mut batch, &mut positions, &mut r, |_, _| {
+            let drift = model.step_batch(&mut batch, &mut positions, n, &mut one, &pool, |_, _| {
                 panic!("static agents emit no events")
             });
             prop_assert_eq!(drift, 0.0);
@@ -357,9 +362,9 @@ proptest! {
 
 /// Forwards every required `Mobility` method (including the fused
 /// `step_from`) to the wrapped model but deliberately does **not**
-/// override `step_batch_chunked` — so calling it resolves to the
-/// trait's sequential reference default. The chunked-lockstep tests
-/// compare real overrides against this oracle.
+/// override `step_batch` — so calling it resolves to the trait's
+/// state-copying reference default. The chunked-lockstep tests compare
+/// real overrides against this oracle.
 #[derive(Clone, Debug)]
 struct RefModel<M>(M);
 
@@ -406,15 +411,6 @@ impl<M: Mobility> Mobility for RefModel<M> {
     fn batch_set_state(&self, batch: &mut Self::Batch, agent: usize, state: Self::State) {
         self.0.batch_set_state(batch, agent, state)
     }
-    fn step_batch<R: rand::Rng + ?Sized, F: FnMut(usize, fastflood_mobility::StepEvents)>(
-        &self,
-        batch: &mut Self::Batch,
-        positions: &mut [Point],
-        rng: &mut R,
-        on_events: F,
-    ) -> f64 {
-        self.0.step_batch(batch, positions, rng, on_events)
-    }
 }
 
 type StepLog = Vec<(
@@ -445,10 +441,16 @@ fn chunked_trace<M: Mobility>(
     let mut log = Vec::with_capacity(steps);
     for _ in 0..steps {
         let mut events = Vec::new();
-        let drift =
-            model.step_batch_chunked(&mut batch, &mut positions, &mut chunks, pool, |i, ev| {
+        let drift = model.step_batch(
+            &mut batch,
+            &mut positions,
+            MOVE_CHUNK,
+            &mut chunks,
+            pool,
+            |i, ev| {
                 events.push((i, ev));
-            });
+            },
+        );
         let bits: Vec<(u64, u64)> = positions
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
@@ -525,7 +527,7 @@ proptest! {
     }
 
     /// Pause-heavy chunked lockstep for the street grid, mirroring the
-    /// MRWP one: the AoS fallback path (`step_batch_chunked_aos`) must
+    /// MRWP one: the AoS path (`step_batch_aos`) must
     /// stay a pure function of `(states, chunk streams)` while pauses
     /// dominate the step mix.
     #[test]
@@ -556,11 +558,9 @@ proptest! {
     }
 }
 
-/// The split advance-kernel/boundary-pass `step_batch` at sizes around
-/// the chunk geometry: below one chunk, exactly one chunk, and a
-/// ragged multi-chunk tail. The sequential pass is chunk-agnostic, but
-/// these sizes exercise the kernel at every chunk alignment that
-/// matters.
+/// The split advance-kernel/boundary-pass `step_batch` as one chunk of
+/// `n` agents at sizes around the `MOVE_CHUNK` geometry: below one
+/// chunk, exactly one chunk, and a ragged multi-chunk tail.
 #[test]
 fn mrwp_batch_lockstep_at_chunk_tail_sizes() {
     for (i, n) in [MOVE_CHUNK - 1, MOVE_CHUNK, MOVE_CHUNK + 613]
@@ -605,8 +605,14 @@ fn mrwp_chunked_drift_is_sound() {
     let pool = WorkerPool::new(4);
     for step in 0..200 {
         let before = positions.clone();
-        let drift =
-            model.step_batch_chunked(&mut batch, &mut positions, &mut chunks, &pool, |_, _| {});
+        let drift = model.step_batch(
+            &mut batch,
+            &mut positions,
+            MOVE_CHUNK,
+            &mut chunks,
+            &pool,
+            |_, _| {},
+        );
         assert!(drift <= model.speed() + 1e-9, "step {step}: drift {drift}");
         let max_disp = before
             .iter()
@@ -632,10 +638,12 @@ fn mrwp_paused_steps_measure_drift_below_speed() {
     let states: Vec<_> = (0..n).map(|_| model.init_stationary(&mut r)).collect();
     let mut positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
     let mut batch = model.batch_from_states(states);
+    let mut one = [ChunkCtx::new(&mut r, n)];
+    let pool = WorkerPool::new(1);
     let mut below = 0u32;
     let mut exact = 0u32;
     for _ in 0..400 {
-        let drift = model.step_batch(&mut batch, &mut positions, &mut r, |_, _| {});
+        let drift = model.step_batch(&mut batch, &mut positions, n, &mut one, &pool, |_, _| {});
         assert!(drift <= model.speed() + 1e-9);
         if drift < model.speed() - 1e-9 {
             below += 1;

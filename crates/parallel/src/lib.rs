@@ -48,9 +48,9 @@ use std::thread::JoinHandle;
 /// [`std::thread::available_parallelism`].
 ///
 /// Everything that spins up parallelism by default — the engine's
-/// `Parallelism::Chunked { threads: 0 }`, the experiment CLI's
-/// `--threads` default — resolves through this one function, so one
-/// environment variable pins the whole process.
+/// `Parallelism::Chunked { threads: 0 }`, the `--threads` default of
+/// the experiment and `scenarios` CLIs — resolves through this one
+/// function, so one environment variable pins the whole process.
 pub fn default_threads() -> usize {
     let env = std::env::var("FASTFLOOD_THREADS").ok();
     threads_from_env(env.as_deref())
@@ -589,12 +589,6 @@ define_run_chunks!(
 );
 
 define_run_chunks!(
-    /// Three-slice variant of [`run_chunks2`] (states, positions, and a
-    /// side array — the AoS move-pass shape).
-    run_chunks3, A: a, B: b, C: c
-);
-
-define_run_chunks!(
     /// Six-slice variant of [`run_chunks2`]: the SoA move-pass shape —
     /// three hot lanes, the boundary-flag scratch lane, the cold array,
     /// and positions, all split with one chunk geometry.
@@ -784,37 +778,25 @@ mod tests {
         let n = 1000;
         let mut a = vec![0u32; n];
         let mut b = vec![0u64; n];
-        let mut c = vec![0u8; n];
         let chunk = 64;
         let chunks = n.div_ceil(chunk);
         let mut ctx = vec![0usize; chunks];
-        run_chunks3(
-            &pool,
-            chunk,
-            &mut a,
-            &mut b,
-            &mut c,
-            &mut ctx,
-            |i, ca, cb, cc, n_in| {
-                *n_in = ca.len();
-                for (k, x) in ca.iter_mut().enumerate() {
-                    *x = (i * chunk + k) as u32;
-                }
-                for x in cb.iter_mut() {
-                    *x = i as u64;
-                }
-                for x in cc.iter_mut() {
-                    *x = 1;
-                }
-            },
-        );
+        run_chunks2(&pool, chunk, &mut a, &mut b, &mut ctx, |i, ca, cb, n_in| {
+            *n_in = ca.len();
+            for (k, x) in ca.iter_mut().enumerate() {
+                *x = (i * chunk + k) as u32;
+            }
+            for x in cb.iter_mut() {
+                *x += i as u64 + 1;
+            }
+        });
         for (k, &x) in a.iter().enumerate() {
             assert_eq!(x, k as u32);
         }
+        // every element written exactly once, by its own chunk
         for (k, &x) in b.iter().enumerate() {
-            assert_eq!(x, (k / chunk) as u64);
+            assert_eq!(x, (k / chunk) as u64 + 1);
         }
-        assert_eq!(c.iter().map(|&x| x as usize).sum::<usize>(), n);
         assert_eq!(ctx.iter().sum::<usize>(), n, "chunk lengths cover n");
     }
 

@@ -191,18 +191,6 @@ impl Histogram1d {
         Ok(tv)
     }
 
-    /// Expected probability masses per bin for a distribution with CDF
-    /// `cdf`, suitable for [`Histogram1d::tv_distance`] and chi-square
-    /// tests.
-    pub fn expected_masses<F: Fn(f64) -> f64>(&self, cdf: F) -> Vec<f64> {
-        (0..self.bins())
-            .map(|i| {
-                let (a, b) = self.bin_range(i);
-                (cdf(b) - cdf(a)).max(0.0)
-            })
-            .collect()
-    }
-
     /// Merges another histogram with identical binning into this one.
     ///
     /// # Errors
@@ -491,17 +479,6 @@ mod tests {
         // half the mass misplaced: TV = (|0.5-1| + |0.5-0|)/2 = 0.5
         assert_eq!(h.tv_distance(&[1.0, 0.0]).unwrap(), 0.5);
         assert!(h.tv_distance(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn expected_masses_from_cdf() {
-        let h = Histogram1d::new(0.0, 1.0, 4).unwrap();
-        // uniform CDF
-        let masses = h.expected_masses(|x| x);
-        for m in &masses {
-            assert!((m - 0.25).abs() < 1e-12);
-        }
-        assert!((masses.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,11 +36,9 @@ pub mod ks;
 pub mod regression;
 pub mod seeds;
 pub mod special;
-mod streaming;
 mod summary;
 
 pub use histogram::{Histogram1d, Histogram2d};
-pub use streaming::Welford;
 pub use summary::Summary;
 
 use std::error::Error;

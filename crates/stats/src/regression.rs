@@ -21,13 +21,6 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 impl fmt::Display for LinearFit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -140,36 +133,6 @@ pub fn loglog_fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
     linear_fit(&lx, &ly)
 }
 
-/// Pearson correlation coefficient of two paired samples.
-///
-/// # Errors
-///
-/// As [`linear_fit`]; also fails when either sample is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, StatsError> {
-    if xs.len() != ys.len() {
-        return Err(StatsError::LengthMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(StatsError::EmptyData);
-    }
-    if xs.iter().chain(ys.iter()).any(|v| !v.is_finite()) {
-        return Err(StatsError::NotFinite);
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(StatsError::BadParameter("constant sample in correlation"));
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +145,6 @@ mod tests {
         assert!(linear_fit(&[1.0, f64::NAN], &[1.0, 2.0]).is_err());
         assert!(loglog_fit(&[0.0, 1.0], &[1.0, 1.0]).is_err());
         assert!(loglog_fit(&[1.0, 2.0], &[-1.0, 1.0]).is_err());
-        assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -191,7 +153,6 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-12);
         assert!(fit.intercept.abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -220,16 +181,6 @@ mod tests {
             assert!((fit.slope - e).abs() < 1e-9, "exponent {e}");
             assert!((fit.intercept.exp() - c).abs() < 1e-9, "prefactor {c}");
         }
-    }
-
-    #[test]
-    fn pearson_reference() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((pearson(&xs, &[2.0, 4.0, 6.0, 8.0]).unwrap() - 1.0).abs() < 1e-12);
-        assert!((pearson(&xs, &[8.0, 6.0, 4.0, 2.0]).unwrap() + 1.0).abs() < 1e-12);
-        // orthogonal-ish
-        let r = pearson(&[1.0, 2.0, 3.0, 4.0], &[1.0, -1.0, 1.0, -1.0]).unwrap();
-        assert!(r.abs() < 0.5);
     }
 
     #[test]

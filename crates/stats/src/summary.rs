@@ -154,11 +154,6 @@ impl Summary {
         let frac = pos - lo as f64;
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
-
-    /// The sorted sample values.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 impl fmt::Display for Summary {
@@ -257,12 +252,6 @@ mod tests {
         let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let b = Summary::from_slice(&v).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sorted_values_are_sorted() {
-        let s = Summary::from_slice(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s.sorted_values(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

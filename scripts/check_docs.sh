@@ -74,7 +74,8 @@ doc_expect fastflood_mobility/struct.MrwpBatch.html "hot/cold"
 doc_expect fastflood_mobility/struct.MrwpBatch.html "advance kernel"
 doc_expect fastflood_mobility/struct.BlockRng.html "draw order"
 doc_expect fastflood_mobility/constant.RNG_BLOCK.html refill
-doc_expect fastflood_mobility/fn.step_batch_sequential.html measures
+doc_expect fastflood_mobility/fn.step_batch_aos.html "disjoint pool tasks"
+doc_expect fastflood_mobility/trait.Mobility.html "agents on the main stream"
 doc_expect fastflood_core/struct.StepPhases.html boundary_ns
 
 # ---- scenario subsystem + fault-injection API ----
