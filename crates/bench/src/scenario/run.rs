@@ -577,7 +577,7 @@ impl<M: Mobility> Driver<M> {
     /// Applies every fault event scheduled for the current step, then
     /// reports whether the run is over: the step budget is spent, or
     /// every live agent is informed with no fault events left that could
-    /// re-open the worklist.
+    /// revive an uninformed agent.
     pub fn pump(&mut self) -> bool {
         let t = self.sim.time();
         while self.next_event < self.events.len() && self.events[self.next_event].0 == t {
@@ -954,10 +954,10 @@ where
     }
 }
 
-/// Applies one fault event through the batch crash and revive calls, one
-/// worklist pass per event. Every agent list built here is ascending, as
-/// those calls require: `sample` sorts its draw, and the other lists are
-/// filtered from agents in index order.
+/// Applies one fault event, crashing or reviving its agents one by one in
+/// list order (ascending: `sample` sorts its draw, and the other lists
+/// are filtered from agents in index order), which fixes the transmit
+/// roster's order.
 fn apply_event<M: Mobility>(
     sim: &mut FloodingSim<M>,
     event: &Event,
@@ -981,7 +981,7 @@ fn apply_event<M: Mobility>(
                 CountSpec::Abs(c) => *c,
             };
             let picked = sample(&mut eligible, wanted, fault_rng);
-            sim.crash_agents(&picked);
+            picked.iter().for_each(|&a| sim.crash_agent(a as usize));
             ("crash", picked)
         }
         Event::Silence { region, slot } => {
@@ -992,7 +992,7 @@ fn apply_event<M: Mobility>(
                     region.contains(side, p.x, p.y)
                 })
                 .collect();
-            sim.crash_agents(&picked);
+            picked.iter().for_each(|&a| sim.crash_agent(a as usize));
             partition_slots[*slot] = picked.clone();
             ("partition", picked)
         }
@@ -1001,7 +1001,7 @@ fn apply_event<M: Mobility>(
                 .into_iter()
                 .filter(|&i| sim.is_crashed(i as usize))
                 .collect();
-            sim.revive_agents(&healed);
+            healed.iter().for_each(|&a| sim.revive_agent(a as usize));
             ("heal", healed)
         }
         Event::Revive { count } => {
@@ -1010,7 +1010,7 @@ fn apply_event<M: Mobility>(
                 .collect();
             let wanted = if *count == 0 { eligible.len() } else { *count };
             let picked = sample(&mut eligible, wanted, fault_rng);
-            sim.revive_agents(&picked);
+            picked.iter().for_each(|&a| sim.revive_agent(a as usize));
             ("revive", picked)
         }
     }

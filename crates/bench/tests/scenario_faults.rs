@@ -186,7 +186,7 @@ fn all_crashed_at_step_zero_reports_extinction() {
     }
 }
 
-/// Healed agents that were never informed re-open the worklist: the
+/// Healed agents that were never informed re-open the flood: the
 /// partition scenario's spread curve is not monotone in the informed
 /// *fraction of live agents* — completion waits for the returnees.
 #[test]
@@ -233,10 +233,8 @@ const PINNED_TIME: u32 = 36;
 const PINNED_DIGEST: u64 = 0x64ac_38f1_5ef5_9dfd;
 
 /// Pins the churn burst's outcome, so a change to fault surgery (the
-/// crash and revive calls, their roster and worklist order) that moves
-/// any agent's inform time fails here. The values were recorded before
-/// the batch `crash_agents`/`revive_agents` calls replaced the
-/// one-agent-at-a-time loop.
+/// crash and revive calls and the transmit roster order they leave) that
+/// moves any agent's inform time fails here.
 #[test]
 fn churn_spike_digest_is_pinned() {
     let sc = scenario_by_name("churn-spike").unwrap().scaled(3_000);

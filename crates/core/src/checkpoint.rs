@@ -71,8 +71,10 @@ pub const TAG_AGNT: [u8; 4] = *b"AGNT";
 /// Per-agent positions as raw IEEE-754 bits (positions accumulate
 /// incrementally in the move kernel, so they are state, not derivable).
 pub const TAG_POSN: [u8; 4] = *b"POSN";
-/// Flood rosters and curve: uninformed worklist, transmitter roster (in
-/// roster order — coin order and gossip visitation depend on it), spread.
+/// Flood rosters and curve: the live uninformed agents ascending (derived
+/// from the flags, checked against them on restore), transmitter roster
+/// (in roster order — coin order and gossip visitation depend on it),
+/// spread.
 pub const TAG_FLOD: [u8; 4] = *b"FLOD";
 /// Turn-recorder timestamps (present iff turn recording is on).
 pub const TAG_TURN: [u8; 4] = *b"TURN";

@@ -6,11 +6,13 @@
 //! trials, so one [`FloodingSim::step`] is the hottest loop in the
 //! workspace. The engine keeps it allocation-free and output-sensitive:
 //!
-//! * **Shrinking uninformed worklist.** The simulator maintains the set
-//!   of live (non-crashed) uninformed agents as an explicit sorted
-//!   `Vec<u32>` (ordered compaction on removal), so the transmit phase
-//!   touches only agents that can still change state, iterates them in
-//!   memory order, and completion is an `O(1)` emptiness check.
+//! * **Flags plus a live count.** The flooding state is the per-agent
+//!   informed and crashed flags; the simulator keeps only the number of
+//!   live (non-crashed) uninformed agents beside them, so completion is
+//!   an `O(1)` test against zero and every crash, revival or out-of-band
+//!   inform is `O(1)` plus the transmit roster's swap. The join reads
+//!   the sleep epoch's awake lists, never a list of all uninformed
+//!   agents.
 //! * **One transmit path: the bucket join.** Full flooding needs
 //!   "which uninformed agents are within `R` of a transmitter?".
 //!   Per-agent probing is bound by scattered bucket lookups, so the
@@ -19,7 +21,7 @@
 //!   bucket-against-bucket ([`GridIndexBuffer::join_covered_by`]): each
 //!   occupied uninformed bucket resolves its ≤ 3×3 facing transmitter
 //!   CSR slices once (AABB-pruned) and streams dense slice-×-slice
-//!   distance loops, so the worklist is consumed in spatially sorted
+//!   distance loops, so the receivers are consumed in spatially sorted
 //!   memory order. The join runs on every flooding and parsimonious
 //!   step, from the first transmitter to the last uninformed agent.
 //! * **Temporally-coherent incremental re-binning.** In the MRWP speed
@@ -64,7 +66,7 @@
 //!   deferral budget. Trajectories, events, and RNG draws are identical
 //!   to the scalar [`Mobility::step_from`] loop (property-tested).
 //! * **Zero steady-state allocations.** All scratch (the spatial index,
-//!   worklists, candidate buffers, the newly-informed list) is retained
+//!   awake lists, candidate buffers, the newly-informed list) is retained
 //!   across steps; after warm-up a full-flooding step performs no heap
 //!   allocation (asserted by the `alloc_steady_state` test).
 //! * **One fast RNG.** Every stream of a `FloodingSim` (the main
@@ -74,11 +76,11 @@
 //!   `derive_seed`, so reports stay deterministic per
 //!   `(master_seed, trials)` whatever the thread count.
 //!
-//! Parsimonious flooding and push gossip ride the same machinery: the
-//! worklist doubles as the candidate set, and gossip's per-transmitter
-//! neighbor sampling runs on shared scratch with canonically sorted
-//! candidate lists so every [`EngineMode`] draws identical random
-//! streams.
+//! Parsimonious flooding and push gossip ride the same machinery:
+//! gossip's candidate set is the live uninformed agents read from the
+//! flags in ascending order, and its per-transmitter neighbor sampling
+//! runs on shared scratch with canonically sorted candidate lists so
+//! every [`EngineMode`] draws identical random streams.
 //!
 //! Complexity per step, with `T` awake transmitters and `U` awake
 //! uninformed agents: moving is `O(n)` (every agent moves, one fused
@@ -189,8 +191,8 @@ pub enum EngineMode {
     /// **incrementally maintained** across steps (deferred and diff
     /// re-bins exploiting temporal coherence, full slack rebuilds on
     /// churn spikes and crashes). Gossip instead gathers per-transmitter
-    /// candidates from a fine grid over the uninformed mass. Shrinking
-    /// sorted worklist, zero steady-state allocations.
+    /// candidates from a fine grid over the uninformed mass. Zero
+    /// steady-state allocations.
     #[default]
     Adaptive,
     /// The adaptive algorithm with every spatial query replaced by a
@@ -427,8 +429,8 @@ pub struct FloodingReport {
     /// Total number of agents in the simulation.
     pub n: u32,
     /// Live (non-crashed) agents at report time. When this is 0 the
-    /// population is extinct and `completed` is `false` regardless of
-    /// the worklist state — an all-crashed run is a well-defined
+    /// population is extinct and `completed` is `false` even though no
+    /// live agent is uninformed — an all-crashed run is a well-defined
     /// non-termination outcome, not a vacuous success.
     pub live: u32,
     /// Whether every live agent was informed within the step budget
@@ -534,10 +536,9 @@ pub struct FloodingSim<M: Mobility> {
     turns: Option<TurnRecorder>,
     source: usize,
     // ---- adaptive engine state (all retained across steps) ----
-    /// Live uninformed agents, kept **sorted ascending** (ordered
-    /// compaction on removal) so worklist iteration touches `positions`
-    /// in memory order.
-    uninformed: Vec<u32>,
+    /// Number of live (non-crashed) uninformed agents: the flags'
+    /// count, kept by every call that flips a flag.
+    uninformed_live: usize,
     /// Live informed agents in inform order (the transmit roster).
     transmitters: Vec<u32>,
     /// `rank[a]` = position of agent `a` in `transmitters`, `u32::MAX`
@@ -562,9 +563,10 @@ pub struct FloodingSim<M: Mobility> {
     /// clear: the step counter only moves forward).
     stamp: Vec<u32>,
     /// Parsimonious: transmitters whose coin came up heads this step.
+    /// Adaptive gossip: the live uninformed agents its grid indexes.
     tx_scratch: Vec<u32>,
     /// Gossip: one transmitter's candidate neighbors (bounded by the
-    /// worklist length, so gossip keeps the zero-allocation budget).
+    /// population, so gossip keeps the zero-allocation budget).
     cand: Vec<u32>,
     /// Whether [`FloodingSim::step`] accumulates per-phase wall-clock
     /// times into `phases` (off by default: two `Instant` reads per step
@@ -673,14 +675,8 @@ impl<M: Mobility> FloodingSim<M> {
         let mut inform_time = vec![u32::MAX; config.n];
         inform_time[source] = 0;
 
-        // worklist of live uninformed agents, ascending; the source is
+        // everyone but the source is live and uninformed; the source is
         // the sole transmitter
-        let mut uninformed = Vec::with_capacity(config.n);
-        for a in 0..config.n {
-            if a != source {
-                uninformed.push(a as u32);
-            }
-        }
         let mut rank = vec![u32::MAX; config.n];
         rank[source] = 0;
 
@@ -742,7 +738,7 @@ impl<M: Mobility> FloodingSim<M> {
                 None
             },
             source,
-            uninformed,
+            uninformed_live: config.n - 1,
             transmitters: {
                 let mut t = Vec::with_capacity(config.n);
                 t.push(source as u32);
@@ -819,100 +815,35 @@ impl<M: Mobility> FloodingSim<M> {
     /// fail-stop broadcast criterion. Vacuously `true` when *no* live
     /// agent remains; [`FloodingReport::completed`] additionally
     /// requires a nonempty live population, so extinction is never
-    /// reported as success. `O(1)`: the live-uninformed worklist is
-    /// maintained incrementally.
+    /// reported as success. `O(1)`: the count of live uninformed agents
+    /// is kept beside the flags.
     #[inline]
     pub fn all_informed(&self) -> bool {
-        self.uninformed.is_empty()
+        self.uninformed_live == 0
     }
 
-    /// Crashes `agent`: its radio goes silent both ways (it neither
-    /// transmits nor receives from now on), though it keeps moving. A
-    /// crashed source still counts as informed.
-    ///
-    /// An uninformed agent leaves the sorted worklist by binary search
-    /// and one ordered removal, which moves the worklist's tail: to crash
-    /// many agents at once, [`FloodingSim::crash_agents`] does it in one
-    /// pass.
+    /// Crashes `agent`, fail-stop: its radio goes silent both ways (it
+    /// neither transmits nor receives from now on), though it keeps
+    /// moving. A crashed source still counts as informed. No-op when
+    /// `agent` is already crashed. `O(1)`: an uninformed agent leaves the
+    /// live-uninformed count, an informed one is swap-removed from the
+    /// transmit roster. A fault event that crashes many agents calls this
+    /// once per agent.
     ///
     /// # Panics
     ///
     /// Panics if `agent` is out of range.
     pub fn crash_agent(&mut self, agent: usize) {
-        if self.crashed[agent] {
-            return;
-        }
-        // roster surgery below breaks the incremental grids' membership
-        // diff (and shrinks the live population their geometry is sized
-        // by): resync with full rebuilds on the next join step
-        self.inc.ready = false;
-        if !self.informed[agent] {
-            // ordered removal keeps the worklist sorted
-            let pos = self
-                .uninformed
-                .binary_search(&(agent as u32))
-                .expect("uninformed agent is on the worklist");
-            self.uninformed.remove(pos);
-        }
-        self.set_crashed(agent, true);
-    }
-
-    /// Crashes every agent of `agents`, an ascending, duplicate-free
-    /// list; agents already crashed are skipped. The result is the same,
-    /// bit for bit, as calling [`FloodingSim::crash_agent`] on each agent
-    /// in list order: the transmit roster sees the same sequence of
-    /// swap-removals. The worklist, though, is touched once, by one
-    /// ordered compaction of the crashed agents, so a fault event that
-    /// crashes `k` of `U` uninformed agents costs `O(k + U)` instead of
-    /// `k` binary searches and `k` tail moves of about `U / 2` entries.
-    /// Allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent is out of range or the list is not strictly
-    /// ascending.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fastflood_core::{FloodingSim, SimConfig, SourcePlacement};
-    /// use fastflood_mobility::Mrwp;
-    ///
-    /// let model = Mrwp::new(20.0, 0.5)?;
-    /// let config = SimConfig::new(50, 3.0).seed(1).source(SourcePlacement::Agent(0));
-    /// let mut sim = FloodingSim::new(model, config)?;
-    /// sim.crash_agents(&[3, 7, 40]);
-    /// assert!(sim.is_crashed(7) && !sim.is_crashed(8));
-    /// sim.revive_agents(&[3, 7, 40]);
-    /// assert!(!sim.is_crashed(7));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn crash_agents(&mut self, agents: &[u32]) {
-        assert_ascending(agents);
-        let mut changed = false;
-        for &a in agents {
-            let a = a as usize;
-            if !self.crashed[a] {
-                changed = true;
-                self.set_crashed(a, true);
-            }
-        }
-        if changed {
-            // the ordered compaction the step's apply loop uses
-            let crashed = &self.crashed;
-            self.uninformed.retain(|&u| !crashed[u as usize]);
-            // as in `crash_agent`: resync the join grids from scratch
-            self.inc.ready = false;
+        if !self.crashed[agent] {
+            self.set_crashed(agent, true);
         }
     }
 
     /// Revives a crashed agent: its radio comes back up with whatever
     /// knowledge it had when it crashed (an informed agent rejoins the
-    /// transmit roster; an uninformed one rejoins the worklist). The
-    /// heal half of a scenario partition window, and the recovery half
-    /// of churn bursts. No-op when `agent` is not crashed. To revive many
-    /// agents at once, [`FloodingSim::revive_agents`] merges them into
-    /// the worklist in one pass.
+    /// end of the transmit roster; an uninformed one can be informed
+    /// again). The heal half of a scenario partition window, and the
+    /// recovery half of churn bursts. No-op when `agent` is not crashed.
     ///
     /// # Panics
     ///
@@ -935,82 +866,28 @@ impl<M: Mobility> FloodingSim<M> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn revive_agent(&mut self, agent: usize) {
-        if !self.crashed[agent] {
-            return;
-        }
-        // the live population (grid geometry) and roster membership both
-        // change: resync the incremental grids from scratch
-        self.inc.ready = false;
-        if !self.informed[agent] {
-            let pos = self
-                .uninformed
-                .binary_search(&(agent as u32))
-                .expect_err("crashed uninformed agent left the worklist");
-            self.uninformed.insert(pos, agent as u32);
-        }
-        self.set_crashed(agent, false);
-    }
-
-    /// Revives every agent of `agents`, an ascending, duplicate-free
-    /// list; agents not crashed are skipped. The result is the same, bit
-    /// for bit, as calling [`FloodingSim::revive_agent`] on each agent in
-    /// list order: informed returnees are pushed onto the transmit roster
-    /// in list order. The uninformed returnees join the worklist in one
-    /// backward merge into its spare capacity, so reviving `k` agents
-    /// costs `O(k + U)`. A sim built by `new` or restored from a snapshot
-    /// keeps room for the whole population in the worklist and the
-    /// roster, so the call allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent is out of range or the list is not strictly
-    /// ascending.
-    pub fn revive_agents(&mut self, agents: &[u32]) {
-        assert_ascending(agents);
-        let (crashed, informed) = (&self.crashed, &self.informed);
-        let returnee = |a: u32| crashed[a as usize] && !informed[a as usize];
-        let back = agents.iter().filter(|&&a| returnee(a)).count();
-        if back > 0 {
-            // merge from the back: every worklist entry moves at most
-            // once, straight to its final slot
-            let list = &mut self.uninformed;
-            let mut kept = list.len();
-            list.resize(kept + back, 0);
-            let mut write = list.len();
-            for &a in agents.iter().rev().filter(|&&a| returnee(a)) {
-                while kept > 0 && list[kept - 1] > a {
-                    kept -= 1;
-                    write -= 1;
-                    list[write] = list[kept];
-                }
-                write -= 1;
-                list[write] = a;
-            }
-            debug_assert_eq!(write, kept, "the untouched prefix is already in place");
-        }
-        let mut changed = false;
-        for &a in agents {
-            let a = a as usize;
-            if self.crashed[a] {
-                changed = true;
-                self.set_crashed(a, false);
-            }
-        }
-        if changed {
-            // as in `revive_agent`: resync the join grids from scratch
-            self.inc.ready = false;
+        if self.crashed[agent] {
+            self.set_crashed(agent, false);
         }
     }
 
-    /// Flips `agent`'s crash flag and keeps the transmit roster in step:
-    /// an informed agent that crashes is swap-removed from the roster,
-    /// one that revives is pushed onto its end. The worklist is the
-    /// caller's: the one-agent calls edit it by binary search, the batch
-    /// calls in one ordered pass.
+    /// Flips `agent`'s crash flag and keeps the rest of the state in
+    /// step: an uninformed agent leaves (or rejoins) the live-uninformed
+    /// count, an informed one is swap-removed from the transmit roster
+    /// (or pushed onto its end).
     fn set_crashed(&mut self, agent: usize, crashed: bool) {
         debug_assert_ne!(self.crashed[agent], crashed);
         self.crashed[agent] = crashed;
+        // the live population (grid geometry) and the roster both change,
+        // outside the join's membership diff: resync the incremental
+        // grids with full rebuilds on the next join step
+        self.inc.ready = false;
         if !self.informed[agent] {
+            if crashed {
+                self.uninformed_live -= 1;
+            } else {
+                self.uninformed_live += 1;
+            }
             return;
         }
         if crashed {
@@ -1043,11 +920,7 @@ impl<M: Mobility> FloodingSim<M> {
             !self.crashed[agent],
             "crashed agents cannot be informed (agent {agent})"
         );
-        let pos = self
-            .uninformed
-            .binary_search(&(agent as u32))
-            .expect("live uninformed agent is on the worklist");
-        self.uninformed.remove(pos);
+        self.uninformed_live -= 1;
         self.informed[agent] = true;
         self.inform_time[agent] = self.time;
         self.rank[agent] = self.transmitters.len() as u32;
@@ -1135,22 +1008,12 @@ impl<M: Mobility> FloodingSim<M> {
         };
         if new != self.source {
             let old = self.source;
-            // demote the old source back onto the worklist…
+            // demote the old source and promote the new one: the live
+            // uninformed count is unchanged
             self.informed[old] = false;
             self.inform_time[old] = u32::MAX;
             self.rank[old] = u32::MAX;
             self.transmitters.clear();
-            let pos = self
-                .uninformed
-                .binary_search(&(old as u32))
-                .expect_err("the old source cannot be on the worklist");
-            self.uninformed.insert(pos, old as u32);
-            // …and promote the new one
-            let pos = self
-                .uninformed
-                .binary_search(&(new as u32))
-                .expect("the new source is uninformed and live");
-            self.uninformed.remove(pos);
             self.informed[new] = true;
             self.inform_time[new] = 0;
             self.rank[new] = 0;
@@ -1473,22 +1336,15 @@ impl<M: Mobility> FloodingSim<M> {
             self.rank[a] = self.transmitters.len() as u32;
             self.transmitters.push(a as u32);
         }
-        if !self.newly.is_empty() {
-            // ordered compaction: drop the newly informed in one
-            // sequential pass, preserving ascending order
-            self.uninformed.retain(|&u| {
-                let a = u as usize;
-                !(self.informed[a])
-            });
-            if self.inc.ready {
-                // the join informed awake receivers only: they stay
-                // awake as transmitters, which is the roster suffix the
-                // next join's membership diff reads
-                self.sleep.tx.extend_from_slice(&self.newly);
-                let informed = &self.informed;
-                self.sleep.rx.retain(|&u| !informed[u as usize]);
-            }
+        if !self.newly.is_empty() && self.inc.ready {
+            // the join informed awake receivers only: they stay awake as
+            // transmitters, which is the roster suffix the next join's
+            // membership diff reads
+            self.sleep.tx.extend_from_slice(&self.newly);
+            let informed = &self.informed;
+            self.sleep.rx.retain(|&u| !informed[u as usize]);
         }
+        self.uninformed_live -= self.newly.len();
         self.informed_count += self.newly.len();
         self.spread.push(self.informed_count as u32);
         if let Some(t1) = transmit_started {
@@ -1540,7 +1396,7 @@ impl<M: Mobility> FloodingSim<M> {
     /// The report for the steps executed so far.
     pub fn report(&self) -> FloodingReport {
         let live = (self.n() - self.crashed_count()) as u32;
-        // an empty worklist with zero survivors is extinction, not
+        // no live uninformed agent and zero survivors is extinction, not
         // completion: nobody is left to have been informed
         let completed = self.all_informed() && live > 0;
         FloodingReport {
@@ -1578,7 +1434,7 @@ impl<M: Mobility> FloodingSim<M> {
     /// slice hiding an in-range transmitter. Accrual is harmless when
     /// the chain is down (every resync resets it).
     fn transmit_flooding(&mut self, forward_probability: Option<f64>, max_move: f64) {
-        if self.uninformed.is_empty() {
+        if self.uninformed_live == 0 {
             self.inc.accrue(max_move, forward_probability.is_none());
             return;
         }
@@ -1633,7 +1489,7 @@ impl<M: Mobility> FloodingSim<M> {
                     &self.positions,
                     &sleep.rx,
                     &sleep.tx,
-                    self.uninformed.len() + self.transmitters.len(),
+                    self.uninformed_live + self.transmitters.len(),
                     churn,
                     epoch_due,
                     tx,
@@ -1651,7 +1507,7 @@ impl<M: Mobility> FloodingSim<M> {
                 } else {
                     &self.tx_scratch
                 };
-                for &u in &self.uninformed {
+                for u in live_uninformed(&self.informed, &self.crashed) {
                     let p = self.positions[u as usize];
                     if tx
                         .iter()
@@ -1671,7 +1527,7 @@ impl<M: Mobility> FloodingSim<M> {
     /// rosters are visited in inform order, so all engine modes draw
     /// identical random streams and inform identical sets.
     fn transmit_gossip(&mut self, k: usize) {
-        if self.uninformed.is_empty() || self.transmitters.is_empty() {
+        if self.uninformed_live == 0 || self.transmitters.is_empty() {
             return;
         }
         let radius = self.radius;
@@ -1686,8 +1542,11 @@ impl<M: Mobility> FloodingSim<M> {
                 // dense regimes and would break the
                 // zero-steady-state-allocation budget.
                 self.inc.ready = false;
+                self.tx_scratch.clear();
+                self.tx_scratch
+                    .extend(live_uninformed(&self.informed, &self.crashed));
                 self.grid
-                    .rebuild_subset(region, radius, &self.positions, &self.uninformed)
+                    .rebuild_subset(region, radius, &self.positions, &self.tx_scratch)
                     .expect("positions finite, radius validated");
                 for i in 0..self.transmitters.len() {
                     let t = self.transmitters[i];
@@ -1704,14 +1563,15 @@ impl<M: Mobility> FloodingSim<M> {
                 }
             }
             EngineMode::Oracle => {
-                // brute-force oracle: scan the worklist per transmitter
+                // brute-force oracle: scan the live uninformed agents per
+                // transmitter
                 for i in 0..self.transmitters.len() {
                     let t = self.transmitters[i];
                     let p = self.positions[t as usize];
                     self.cand.clear();
                     {
                         let cand = &mut self.cand;
-                        for &u in &self.uninformed {
+                        for u in live_uninformed(&self.informed, &self.crashed) {
                             if self.positions[u as usize].euclid_sq(p) <= r2 {
                                 cand.push(u);
                             }
@@ -1753,30 +1613,22 @@ impl<M: Mobility> FloodingSim<M> {
     /// Records the first times at which all agents currently located in
     /// the Central Zone (resp. Suburb) are informed.
     ///
-    /// Only the live-uninformed worklist is scanned: agents off the
-    /// worklist are informed or crashed, which satisfies the zone
+    /// Only live uninformed agents are tested, and only while a zone
+    /// time is unset: informed or crashed agents satisfy the zone
     /// criterion vacuously.
     fn update_zone_completion(&mut self) {
         let Some(zones) = &self.zones else {
             return;
         };
-        if self.central_zone_time.is_none() {
-            let done = self
-                .uninformed
-                .iter()
-                .all(|&u| zones.zone_of(self.positions[u as usize]) != Zone::Central);
-            if done {
-                self.central_zone_time = Some(self.time);
-            }
+        let in_zone = |zone| {
+            live_uninformed(&self.informed, &self.crashed)
+                .any(|u| zones.zone_of(self.positions[u as usize]) == zone)
+        };
+        if self.central_zone_time.is_none() && !in_zone(Zone::Central) {
+            self.central_zone_time = Some(self.time);
         }
-        if self.suburb_time.is_none() {
-            let done = self
-                .uninformed
-                .iter()
-                .all(|&u| zones.zone_of(self.positions[u as usize]) != Zone::Suburb);
-            if done {
-                self.suburb_time = Some(self.time);
-            }
+        if self.suburb_time.is_none() && !in_zone(Zone::Suburb) {
+            self.suburb_time = Some(self.time);
         }
     }
 }
@@ -1946,7 +1798,11 @@ where
         snap.push(TAG_POSN, po.into_bytes());
 
         let mut fl = ByteWriter::new();
-        fl.put_u32_list(&self.uninformed);
+        // the live-uninformed list, derived from the flags (restore
+        // checks it against them)
+        let uninformed: Vec<u32> = live_uninformed(&self.informed, &self.crashed).collect();
+        debug_assert_eq!(uninformed.len(), self.uninformed_live);
+        fl.put_u32_list(&uninformed);
         fl.put_u32_list(&self.transmitters);
         fl.put_u32_list(&self.spread);
         snap.push(TAG_FLOD, fl.into_bytes());
@@ -2199,12 +2055,12 @@ where
         if !r.is_empty() {
             return Err(corrupt(TAG_FLOD, "trailing bytes"));
         }
-        // the worklist must be exactly the live uninformed agents,
-        // ascending — the transmit paths rely on the sort order
+        // the list must be exactly the live uninformed agents, ascending:
+        // only its length is kept, as the live-uninformed count
         let mut expect = uninformed.iter();
         for a in 0..n {
             if !informed[a] && !crashed[a] && expect.next() != Some(&(a as u32)) {
-                return Err(corrupt(TAG_FLOD, "uninformed worklist mismatch"));
+                return Err(corrupt(TAG_FLOD, "uninformed list mismatch"));
             }
         }
         if expect.next().is_some()
@@ -2212,7 +2068,7 @@ where
                 .iter()
                 .any(|&u| (u as usize) >= n || informed[u as usize] || crashed[u as usize])
         {
-            return Err(corrupt(TAG_FLOD, "uninformed worklist mismatch"));
+            return Err(corrupt(TAG_FLOD, "uninformed list mismatch"));
         }
         // the transmitter roster is order-sensitive state (crash
         // compaction), so only set membership is checked
@@ -2278,10 +2134,9 @@ where
         self.turns = turns;
         self.source = source;
         self.join_steps = join_steps;
-        // into the retained, population-sized buffers, so that revivals
-        // (and steps) after a restore grow them without allocating
-        self.uninformed.clear();
-        self.uninformed.extend_from_slice(&uninformed);
+        self.uninformed_live = uninformed.len();
+        // into the retained, population-sized roster, so that revivals
+        // (and steps) after a restore grow it without allocating
         self.transmitters.clear();
         self.transmitters.extend_from_slice(&transmitters);
         // derived state: rank from the roster; caches cold; scratch clear
@@ -2798,13 +2653,13 @@ fn join_covered_incremental(
     refresh_ns
 }
 
-/// The precondition of the batch fault calls: a strictly ascending
-/// agent list (sorted, no duplicates).
-fn assert_ascending(agents: &[u32]) {
-    assert!(
-        agents.windows(2).all(|w| w[0] < w[1]),
-        "agent lists of batch fault calls must be strictly ascending"
-    );
+/// The live (non-crashed) uninformed agents, ascending, read from the
+/// flags.
+fn live_uninformed<'a>(
+    informed: &'a [bool],
+    crashed: &'a [bool],
+) -> impl Iterator<Item = u32> + 'a {
+    (0..informed.len() as u32).filter(|&a| !informed[a as usize] && !crashed[a as usize])
 }
 
 fn nearest_to(positions: &[Point], target: Point) -> usize {
@@ -3198,7 +3053,7 @@ mod tests {
 
     #[test]
     fn crashing_everyone_reports_extinction_not_completion() {
-        // regression: with zero survivors the worklist is empty, which
+        // regression: with zero survivors no live agent is uninformed, which
         // used to read as `completed = true` with a flooding time — an
         // all-crashed-at-step-0 scenario must be a well-defined
         // non-termination outcome instead

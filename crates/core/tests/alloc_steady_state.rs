@@ -2,7 +2,7 @@
 //! full-flooding step must not touch the heap.
 //!
 //! A counting global allocator wraps the system allocator; the test runs
-//! a sim mid-flood (worklist non-empty), warms the engine, then asserts
+//! a sim mid-flood (some agents uninformed), warms the engine, then asserts
 //! that further steps allocate nothing. The lib crate forbids unsafe
 //! code; the `GlobalAlloc` shim lives here in the test crate.
 //!
@@ -270,8 +270,8 @@ fn parallel_chunked_steps_do_not_allocate() {
 #[test]
 fn batch_crash_and_revive_do_not_allocate() {
     let _window = MEASURE.lock().unwrap();
-    // fault surgery edits the worklist in place: a crash batch compacts
-    // it, a revive batch merges back into the capacity it was built with,
+    // fault surgery flips flags and edits the transmit roster in place:
+    // a revival pushes back into the capacity the roster was built with,
     // which a restore keeps
     let mut sim = warm_sparse_sim(Protocol::Flooding);
     let n = sim.n() as u32;
@@ -292,23 +292,23 @@ fn batch_crash_and_revive_do_not_allocate() {
     for restored in [false, true] {
         let before = allocations();
         for b in &batches {
-            sim.crash_agents(b);
+            b.iter().for_each(|&a| sim.crash_agent(a as usize));
         }
         let mut spent = allocations() - before;
         if restored {
-            // the returnees must merge into the restored worklist
+            // the returnees must rejoin the restored roster
             let snap = sim.snapshot();
             sim.restore(&snap).unwrap();
         }
         let before = allocations();
         for b in batches.iter().rev() {
-            sim.revive_agents(b);
+            b.iter().for_each(|&a| sim.revive_agent(a as usize));
         }
         spent += allocations() - before;
         assert!((0..n as usize).all(|a| !sim.is_crashed(a)));
         assert_eq!(
             spent, 0,
-            "crash_agents/revive_agents must not allocate (restored = {restored})"
+            "crash_agent/revive_agent must not allocate (restored = {restored})"
         );
     }
 }

@@ -88,7 +88,7 @@ fn donor(cfg: &SimConfig, steps: u32) -> Snapshot {
     let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");
     for t in 0..steps {
         match t {
-            2 => sim.crash_agents(&[5, 9, 33]),
+            2 => [5, 9, 33].into_iter().for_each(|a| sim.crash_agent(a)),
             5 => sim.revive_agent(9),
             _ => {}
         }

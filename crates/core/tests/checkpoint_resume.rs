@@ -504,13 +504,32 @@ fn restore_rejects_corrupt_sections() {
     // a roster that disagrees with the informed flags
     let flod = snap.section(TAG_FLOD).expect("present").to_vec();
     let mut swapped = flod.clone();
-    // first worklist entry lives right after the u64 length prefix
+    // first live-uninformed entry lives right after the u64 length prefix
     swapped[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let bad = with_section(&snap, TAG_FLOD, swapped);
     assert!(matches!(
         sim.restore(&bad),
         Err(CheckpointError::Corrupt { section, .. }) if section == TAG_FLOD
     ));
+
+    // restore keeps only the live-uninformed list's length, as the count
+    // behind `all_informed`: a list that is not exactly the live
+    // uninformed agents, ascending, must not get that far
+    let len = u64::from_le_bytes(flod[..8].try_into().unwrap());
+    assert!(len >= 2, "the donor must leave two live uninformed agents");
+    // one live uninformed agent missing, the length prefix adjusted
+    let mut short = (len - 1).to_le_bytes().to_vec();
+    short.extend_from_slice(&flod[12..]);
+    // two entries out of order
+    let mut unordered = flod.clone();
+    unordered[8..16].copy_from_slice(&[&flod[12..16], &flod[8..12]].concat());
+    for mutated in [short, unordered] {
+        let bad = with_section(&snap, TAG_FLOD, mutated);
+        assert!(matches!(
+            sim.restore(&bad),
+            Err(CheckpointError::Corrupt { section, .. }) if section == TAG_FLOD
+        ));
+    }
 
     // a missing required section
     let mut partial = Snapshot::new();

@@ -1,7 +1,10 @@
 //! Property tests for the simulation core, centered on the paper's
 //! combinatorial lemmas.
 
-use fastflood_core::{FloodingSim, SimConfig, SimParams, SourcePlacement, ZoneMap};
+use fastflood_core::checkpoint::TAG_FLOD;
+use fastflood_core::{
+    EngineMode, FloodingSim, Protocol, SimConfig, SimParams, SourcePlacement, ZoneMap,
+};
 use fastflood_geom::Cell;
 use fastflood_mobility::Mrwp;
 use proptest::prelude::*;
@@ -201,5 +204,81 @@ fn source_in_suburb_vs_center_both_complete() {
         .unwrap();
         let report = sim.run(50_000);
         assert!(report.completed, "placement {placement:?} failed to flood");
+    }
+}
+
+/// Checks the sim's live-uninformed bookkeeping against a scan of the
+/// flags: `all_informed()` and the snapshot's `FLOD` list, which must be
+/// the live uninformed agents in ascending order.
+fn check_live_uninformed(sim: &FloodingSim<Mrwp>, after: &str) {
+    let live: Vec<u32> = (0..sim.n())
+        .filter(|&a| !sim.informed()[a] && !sim.is_crashed(a))
+        .map(|a| a as u32)
+        .collect();
+    assert_eq!(sim.all_informed(), live.is_empty(), "after {after}");
+    let snap = sim.snapshot();
+    let flod = snap.section(TAG_FLOD).expect("FLOD is always written");
+    let len = u64::from_le_bytes(flod[..8].try_into().unwrap()) as usize;
+    let listed: Vec<u32> = flod[8..8 + 4 * len]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    assert_eq!(listed, live, "FLOD list after {after}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The live-uninformed count moves in every call that flips an
+    /// informed or crashed flag; random sequences of those calls, with
+    /// snapshot/restore round trips into a fresh sim, must keep it equal
+    /// to the flags for both engines and for the gossip path.
+    #[test]
+    fn live_uninformed_count_tracks_the_flags(
+        n in 8usize..40,
+        mode in 0u8..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let (gossip, oracle) = (mode & 1 == 1, mode & 2 == 2);
+        let model = Mrwp::new(12.0, 0.5).unwrap();
+        let cfg = SimConfig::new(n, 2.5)
+            .seed(seed)
+            .protocol(if gossip { Protocol::Gossip { k: 2 } } else { Protocol::Flooding })
+            .engine(if oracle { EngineMode::Oracle } else { EngineMode::Adaptive });
+        let mut sim = FloodingSim::new(model.clone(), cfg.clone()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        check_live_uninformed(&sim, "new");
+        sim.reset_source(SourcePlacement::Agent(rng.gen_range(0..n))).unwrap();
+        check_live_uninformed(&sim, "reset_source");
+        for _ in 0..150 {
+            let a = rng.gen_range(0..n);
+            let after = match rng.gen_range(0..6) {
+                0 | 1 => {
+                    sim.step();
+                    "step"
+                }
+                2 => {
+                    sim.crash_agent(a);
+                    "crash_agent"
+                }
+                3 => {
+                    sim.revive_agent(a);
+                    "revive_agent"
+                }
+                4 => {
+                    if !sim.is_crashed(a) {
+                        sim.inform_agent(a);
+                    }
+                    "inform_agent"
+                }
+                _ => {
+                    let snap = sim.snapshot();
+                    sim = FloodingSim::new(model.clone(), cfg.clone()).unwrap();
+                    sim.restore(&snap).unwrap();
+                    "restore"
+                }
+            };
+            check_live_uninformed(&sim, after);
+        }
     }
 }

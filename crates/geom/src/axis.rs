@@ -81,7 +81,6 @@ impl fmt::Display for Axis {
 ///
 /// assert_eq!(Cardinal::North.axis(), Axis::Y);
 /// assert_eq!(Cardinal::West.sign(), -1.0);
-/// assert_eq!(Cardinal::East.opposite(), Cardinal::West);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -128,31 +127,6 @@ impl Cardinal {
     pub fn unit(self) -> Vec2 {
         self.axis().unit() * self.sign()
     }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn opposite(self) -> Cardinal {
-        match self {
-            Cardinal::North => Cardinal::South,
-            Cardinal::South => Cardinal::North,
-            Cardinal::East => Cardinal::West,
-            Cardinal::West => Cardinal::East,
-        }
-    }
-
-    /// Classifies a displacement along `axis`: positive deltas map to
-    /// North/East, negative to South/West. Returns `None` for a zero delta.
-    pub fn from_delta(axis: Axis, delta: f64) -> Option<Cardinal> {
-        if delta == 0.0 {
-            return None;
-        }
-        Some(match (axis, delta > 0.0) {
-            (Axis::X, true) => Cardinal::East,
-            (Axis::X, false) => Cardinal::West,
-            (Axis::Y, true) => Cardinal::North,
-            (Axis::Y, false) => Cardinal::South,
-        })
-    }
 }
 
 impl fmt::Display for Cardinal {
@@ -192,30 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn cardinal_opposite_is_involution_and_flips_sign() {
-        for c in Cardinal::ALL {
-            assert_eq!(c.opposite().opposite(), c);
-            assert_eq!(c.opposite().axis(), c.axis());
-            assert_eq!(c.opposite().sign(), -c.sign());
-        }
-    }
-
-    #[test]
     fn cardinal_units_match_sign_and_axis() {
         for c in Cardinal::ALL {
             let u = c.unit();
             assert_eq!(u.norm(), 1.0);
             assert_eq!(c.axis().of(u.x, u.y), c.sign());
         }
-    }
-
-    #[test]
-    fn from_delta_classifies() {
-        assert_eq!(Cardinal::from_delta(Axis::X, 2.0), Some(Cardinal::East));
-        assert_eq!(Cardinal::from_delta(Axis::X, -0.1), Some(Cardinal::West));
-        assert_eq!(Cardinal::from_delta(Axis::Y, 5.0), Some(Cardinal::North));
-        assert_eq!(Cardinal::from_delta(Axis::Y, -5.0), Some(Cardinal::South));
-        assert_eq!(Cardinal::from_delta(Axis::X, 0.0), None);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Kolmogorov–Smirnov goodness-of-fit tests.
 //!
 //! Experiment E3 validates the stationary marginal distribution of
-//! Theorem 1 with a one-sample KS test; the two-sample variant compares
-//! empirical flooding-time distributions across mobility models.
+//! Theorem 1 with a one-sample KS test.
 
 use crate::StatsError;
 
@@ -65,58 +64,6 @@ pub fn ks_one_sample<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> Result<KsResu
     })
 }
 
-/// Two-sample KS test of `a` against `b`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyData`] if either sample is empty and
-/// [`StatsError::NotFinite`] on NaN/infinite values.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_stats::ks::ks_two_sample;
-///
-/// let a: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
-/// let b: Vec<f64> = (0..400).map(|i| i as f64 / 400.0).collect();
-/// let r = ks_two_sample(&a, &b)?;
-/// assert!(r.accepts(0.01)); // same distribution
-/// # Ok::<(), fastflood_stats::StatsError>(())
-/// ```
-pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<KsResult, StatsError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(StatsError::EmptyData);
-    }
-    if a.iter().chain(b.iter()).any(|v| !v.is_finite()) {
-        return Err(StatsError::NotFinite);
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < sa.len() && j < sb.len() {
-        let xa = sa[i];
-        let xb = sb[j];
-        let x = xa.min(xb);
-        while i < sa.len() && sa[i] <= x {
-            i += 1;
-        }
-        while j < sb.len() && sb[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    let ne = (na * nb / (na + nb)).sqrt();
-    let p = kolmogorov_survival((ne + 0.12 + 0.11 / ne) * d);
-    Ok(KsResult {
-        statistic: d,
-        p_value: p,
-    })
-}
-
 /// Kolmogorov distribution survival function
 /// `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} exp(−2 k² λ²)`.
 ///
@@ -146,8 +93,6 @@ mod tests {
     fn rejects_bad_input() {
         assert!(ks_one_sample(&[], |x| x).is_err());
         assert!(ks_one_sample(&[f64::NAN], |x| x).is_err());
-        assert!(ks_two_sample(&[], &[1.0]).is_err());
-        assert!(ks_two_sample(&[1.0], &[f64::INFINITY]).is_err());
     }
 
     #[test]
@@ -192,25 +137,5 @@ mod tests {
         // but accepts its true CDF
         let r2 = ks_one_sample(&sample, |x: f64| x.clamp(0.0, 1.0).sqrt()).unwrap();
         assert!(r2.accepts(0.05));
-    }
-
-    #[test]
-    fn two_sample_same_vs_different() {
-        let a: Vec<f64> = (0..800).map(|i| (i as f64 + 0.5) / 800.0).collect();
-        let b: Vec<f64> = (0..600).map(|i| (i as f64 + 0.25) / 600.0).collect();
-        let same = ks_two_sample(&a, &b).unwrap();
-        assert!(same.accepts(0.01), "same distribution should accept");
-        let c: Vec<f64> = b.iter().map(|x| x * 0.5).collect();
-        let diff = ks_two_sample(&a, &c).unwrap();
-        assert!(!diff.accepts(0.01), "different distribution should reject");
-    }
-
-    #[test]
-    fn two_sample_is_symmetric() {
-        let a: Vec<f64> = (0..100).map(|i| (i as f64) * 0.7).collect();
-        let b: Vec<f64> = (0..150).map(|i| (i as f64) * 0.5 + 3.0).collect();
-        let r1 = ks_two_sample(&a, &b).unwrap();
-        let r2 = ks_two_sample(&b, &a).unwrap();
-        assert!((r1.statistic - r2.statistic).abs() < 1e-12);
     }
 }

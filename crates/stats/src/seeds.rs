@@ -44,28 +44,6 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     splitmix64(splitmix64(master) ^ splitmix64(index.wrapping_mul(0xA24B_AED4_963E_E407)))
 }
 
-/// Derives a named sub-seed, decorrelating different *roles* within one
-/// trial (e.g. "init" vs "source") even when they share a trial index.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_stats::seeds::derive_named_seed;
-///
-/// let init = derive_named_seed(7, "init");
-/// let src = derive_named_seed(7, "source");
-/// assert_ne!(init, src);
-/// ```
-pub fn derive_named_seed(master: u64, name: &str) -> u64 {
-    // FNV-1a over the name, then mixed with the master.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    derive_seed(master, h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +72,6 @@ mod tests {
         assert_eq!(derive_seed(42, 7), derive_seed(42, 7));
         assert_ne!(derive_seed(42, 7), derive_seed(43, 7));
         assert_ne!(derive_seed(42, 7), derive_seed(42, 8));
-    }
-
-    #[test]
-    fn named_seeds_differ_by_name() {
-        let names = ["init", "source", "mobility", "protocol", ""];
-        let mut seen = HashSet::new();
-        for n in names {
-            assert!(seen.insert(derive_named_seed(5, n)), "collision on {n:?}");
-        }
-        assert_eq!(derive_named_seed(5, "init"), derive_named_seed(5, "init"));
     }
 
     #[test]

@@ -45,38 +45,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     -tmp + (2.5066282746310005 * ser / x).ln()
 }
 
-/// Regularized lower incomplete gamma function `P(a, x)`, for `a > 0`,
-/// `x >= 0`.
-///
-/// `P(a, x)` rises from 0 at `x = 0` to 1 as `x → ∞`; it is the CDF of a
-/// Gamma(a, 1) random variable.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_stats::special::gamma_p;
-///
-/// assert_eq!(gamma_p(2.0, 0.0), 0.0);
-/// // P(1, x) = 1 - e^-x
-/// assert!((gamma_p(1.0, 2.0) - (1.0 - (-2.0f64).exp())).abs() < 1e-10);
-/// ```
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
-    assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
 ///
 /// This is the survival function of a Gamma(a, 1) variable; `Q(k/2, x/2)`
@@ -145,43 +113,6 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     ((-x + a * x.ln() - gln).exp() * h).clamp(0.0, 1.0)
 }
 
-/// Error function `erf(x)`, via `P(1/2, x²)`.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_stats::special::erf;
-///
-/// assert_eq!(erf(0.0), 0.0);
-/// assert!((erf(1.0) - 0.8427007929).abs() < 1e-8);
-/// assert!((erf(-1.0) + 0.8427007929).abs() < 1e-8);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// Standard normal CDF `Φ(x)`.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_stats::special::normal_cdf;
-///
-/// assert!((normal_cdf(0.0) - 0.5).abs() < 1e-12);
-/// assert!((normal_cdf(1.959963984540054) - 0.975).abs() < 1e-9);
-/// ```
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,33 +151,21 @@ mod tests {
     }
 
     #[test]
-    fn gamma_p_q_complement() {
-        for a in [0.5, 1.0, 2.5, 10.0, 50.0] {
-            for x in [0.0, 0.1, 1.0, 5.0, 25.0, 100.0] {
-                let p = gamma_p(a, x);
-                let q = gamma_q(a, x);
-                assert!((p + q - 1.0).abs() < 1e-10, "P+Q != 1 at a={a} x={x}");
-                assert!((0.0..=1.0).contains(&p));
-            }
-        }
-    }
-
-    #[test]
-    fn gamma_p_is_exponential_cdf_for_a1() {
+    fn gamma_q_is_exponential_survival_for_a1() {
         for x in [0.0f64, 0.5, 1.0, 3.0, 10.0] {
-            let expected = 1.0 - (-x).exp();
-            assert!((gamma_p(1.0, x) - expected).abs() < 1e-10);
+            assert!((gamma_q(1.0, x) - (-x).exp()).abs() < 1e-10);
         }
     }
 
     #[test]
-    fn gamma_p_monotone_in_x() {
-        let mut prev = -1.0;
+    fn gamma_q_monotone_in_x() {
+        // crosses the series / continued-fraction switch at x = a + 1
+        let mut prev = 2.0;
         for i in 0..100 {
             let x = i as f64 * 0.3;
-            let p = gamma_p(3.7, x);
-            assert!(p >= prev);
-            prev = p;
+            let q = gamma_q(3.7, x);
+            assert!(q <= prev && (0.0..=1.0).contains(&q));
+            prev = q;
         }
     }
 
@@ -259,21 +178,5 @@ mod tests {
         assert!((gamma_q(2.5, 11.070 / 2.0) - 0.05).abs() < 1e-3);
         // chi2 with 10 dof at x = 18.307 -> p ≈ 0.05
         assert!((gamma_q(5.0, 18.307 / 2.0) - 0.05).abs() < 1e-3);
-    }
-
-    #[test]
-    fn erf_symmetry_and_range() {
-        for x in [0.1, 0.5, 1.0, 2.0, 3.0] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-12);
-            assert!(erf(x) > 0.0 && erf(x) < 1.0);
-        }
-        assert!(erf(6.0) > 0.999999);
-    }
-
-    #[test]
-    fn normal_cdf_reference() {
-        assert!((normal_cdf(1.0) - 0.8413447460685429).abs() < 1e-9);
-        assert!((normal_cdf(-1.0) - 0.15865525393145707).abs() < 1e-9);
-        assert!((normal_cdf(2.326347874040841) - 0.99).abs() < 1e-9);
     }
 }

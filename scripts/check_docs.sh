@@ -80,8 +80,9 @@ doc_expect fastflood_core/struct.StepPhases.html boundary_ns
 
 # ---- scenario subsystem + fault-injection API ----
 doc_expect fastflood_core/struct.FloodingSim.html revive_agent
-doc_expect fastflood_core/struct.FloodingSim.html crash_agents
-doc_expect fastflood_core/struct.FloodingSim.html revive_agents
+doc_expect fastflood_core/struct.FloodingSim.html crash_agent
+doc_expect fastflood_core/struct.FloodingSim.html "fail-stop"
+doc_expect fastflood_core/struct.FloodingSim.html "live-uninformed count"
 doc_expect fastflood_graph/fn.disk_giant_fraction.html UnionFind
 doc_expect fastflood_core/struct.FloodingSim.html inform_agent
 doc_expect fastflood_core/struct.FloodingSim.html place_agent_at
