@@ -1,14 +1,16 @@
-//! Runs the in-tree scenario library (or one named scenario) and emits
+//! Runs the in-tree scenario library (or one scenario) and emits
 //! per-scenario flooding/evacuation-time JSON to stdout.
 //!
 //! Usage:
 //! `cargo run --release -p fastflood-bench --bin scenarios -- \
-//!   [--quick] [--scenario NAME] [--engine MODE] [--parallelism P] \
+//!   [--quick] [--scenario NAME|FILE.toml] [--engine MODE] [--parallelism P] \
 //!   [--seed N] [--trials N] [--threads N] [--n N] \
 //!   [--checkpoint-every N] [--checkpoint-dir DIR] [--resume DIR]`
 //!
-//! `--quick` rescales every scenario to a tiny population (density
-//! preserved) and runs 2 trials — the tier-1 smoke configuration.
+//! `--scenario` takes a library name, or else the path of a scenario
+//! file in the format of `docs/SCENARIOS.md`. `--quick` rescales every
+//! scenario to a tiny population (density preserved) and runs 2 trials
+//! — the tier-1 smoke configuration.
 //!
 //! `--parallelism` selects the intra-step engine per trial: `seq`
 //! (default) or `chunked`; `chunked` resolves its worker count from
@@ -33,17 +35,24 @@
 //!
 //! # Bisection
 //!
-//! `scenarios bisect --scenario NAME --engine-a A --parallelism-a PA \
+//! `scenarios bisect --scenario NAME|FILE.toml --engine-a A --parallelism-a PA \
 //! --engine-b B --parallelism-b PB [--seed N] [--every N] [--n N|--quick]`
 //! replays one trial under both configurations and isolates the first
 //! step at which their state digests diverge (see
 //! [`bisect_divergence`]), printing a one-step JSON report.
+//!
+//! # Paper quantities
+//!
+//! `scenarios bounds [--n 4000] [--c1 3.0] [--vfrac 0.3]` prints the
+//! Central Zone / Suburb census and every derived quantity of the paper
+//! (thresholds, Ineqs. 7–8, the Theorem 3, 10 and 18 bounds) for the
+//! standard square `L = √n`, `R = c1·L·√(ln n / n)` and `v = vfrac·R`.
 
 use fastflood_bench::scenario::{
-    bisect_divergence, library, run_scenario_checkpointed, run_scenario_trials, trace_digest,
-    BisectSide, CheckpointOpts, Outcome, Scenario, ScenarioRun,
+    bisect_divergence, library, parse_scenario, run_scenario_checkpointed, run_scenario_trials,
+    scenario_by_name, trace_digest, BisectSide, CheckpointOpts, Outcome, Scenario, ScenarioRun,
 };
-use fastflood_core::{EngineMode, Parallelism};
+use fastflood_core::{EngineMode, Parallelism, SimParams, ZoneMap};
 use fastflood_stats::seeds::derive_seed;
 use std::path::PathBuf;
 
@@ -147,6 +156,27 @@ fn parse_args(it: impl Iterator<Item = String>) -> Args {
 
 /// Tiny but still-connected population for `--quick` smoke runs.
 const QUICK_N: usize = 220;
+
+/// Resolves a `--scenario` value: a library name selects that
+/// scenario, anything else is read as the path of a scenario file.
+fn resolve_scenario(value: &str) -> Scenario {
+    if let Some(sc) = scenario_by_name(value) {
+        return sc;
+    }
+    let text = std::fs::read_to_string(value).unwrap_or_else(|e| {
+        panic!("{value:?} is neither a library scenario nor a readable scenario file: {e}")
+    });
+    parse_scenario(&text).unwrap_or_else(|e| panic!("{value}: {e}"))
+}
+
+/// `--n` rescales to that population, `--quick` to [`QUICK_N`].
+fn rescaled(args: &Args, sc: Scenario) -> Scenario {
+    match (args.n, args.quick) {
+        (Some(n), _) => sc.scaled(n),
+        (None, true) => sc.scaled(QUICK_N),
+        (None, false) => sc,
+    }
+}
 
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -282,16 +312,8 @@ fn main_bisect(args: &Args) {
     let name = args
         .scenario
         .as_deref()
-        .expect("bisect requires --scenario NAME");
-    let sc = library()
-        .into_iter()
-        .find(|sc| sc.name == name)
-        .unwrap_or_else(|| panic!("no scenario named {name:?} in the library"));
-    let sc = match (args.n, args.quick) {
-        (Some(n), _) => sc.scaled(n),
-        (None, true) => sc.scaled(QUICK_N),
-        (None, false) => sc,
-    };
+        .expect("bisect requires --scenario NAME|FILE.toml");
+    let sc = rescaled(args, resolve_scenario(name));
     let seed = derive_seed(args.seed ^ sc.seed, 0);
     let report = bisect_divergence(
         &sc,
@@ -337,33 +359,115 @@ fn main_bisect(args: &Args) {
     }
 }
 
+fn main_bounds(mut it: impl Iterator<Item = String>) {
+    let (mut n, mut c1, mut vfrac) = (4_000usize, 3.0f64, 0.3f64);
+    while let Some(flag) = it.next() {
+        let value = it
+            .next()
+            .unwrap_or_else(|| panic!("{flag} requires a value"));
+        match flag.as_str() {
+            "--n" => n = value.parse().expect("--n takes a count"),
+            "--c1" => c1 = value.parse().expect("--c1 takes a number"),
+            "--vfrac" => vfrac = value.parse().expect("--vfrac takes a number"),
+            other => panic!("unknown bounds flag {other:?} (--n, --c1, --vfrac)"),
+        }
+    }
+    let params = SimParams::standard(n, 1.0, 0.0)
+        .and_then(|unit| {
+            let radius = c1 * unit.radius_scale();
+            SimParams::standard(n, radius, vfrac * radius)
+        })
+        .unwrap_or_else(|e| panic!("bounds: {e}"));
+    let zones = ZoneMap::new(&params).unwrap_or_else(|e| panic!("bounds: {e}"));
+    println!("{params}");
+    println!("{zones}");
+    println!("  cell side ℓ        : {:.4}", zones.grid().cell_len());
+    println!("  Def. 4 threshold   : {:.3e}", zones.threshold());
+    println!("  central mass       : {:.4}", zones.central_mass());
+    println!("  suburb mass        : {:.4}", zones.suburb_mass());
+    println!(
+        "  central rows (L6)  : {} of {} (bound m/√2 = {:.1})",
+        zones.central_rows(),
+        zones.grid().m(),
+        zones.grid().m() as f64 / std::f64::consts::SQRT_2
+    );
+    println!(
+        "  SW suburb extent   : {:.3} (Lemma 15 bound S = {:.3})",
+        zones.suburb_extent_sw(),
+        params.suburb_diameter_bound()
+    );
+    println!(
+        "  radius scale L·√(ln n/n)     : {:.4}",
+        params.radius_scale()
+    );
+    println!(
+        "  paper min radius (Ineq. 7)   : {:.4}",
+        params.paper_min_radius()
+    );
+    println!(
+        "  paper max speed (Ineq. 8)    : {:.4}",
+        params.paper_max_speed()
+    );
+    println!(
+        "  assumptions satisfied        : {}",
+        params.satisfies_paper_assumptions()
+    );
+    println!(
+        "  Def. 4 CZ threshold          : {:.3e}",
+        params.central_zone_threshold()
+    );
+    println!(
+        "  Cor. 12 large-R threshold    : {:.4}",
+        params.large_radius_threshold()
+    );
+    println!(
+        "  suburb diameter bound S      : {:.4}",
+        params.suburb_diameter_bound()
+    );
+    println!(
+        "  Thm 3 bound shape L/R + S/v  : {:.4}",
+        params.flooding_time_bound()
+    );
+    println!(
+        "  Thm 10 CZ bound 18·L/R       : {:.4}",
+        params.central_zone_time_bound()
+    );
+    println!(
+        "  Thm 18 regime (R ≤ L/n^(1/3)): {}",
+        params.in_theorem18_regime()
+    );
+    println!(
+        "  Thm 18 lower bound L/(v·n^(1/3)): {:.4}",
+        params.theorem18_lower_bound()
+    );
+}
+
 fn main() {
     let mut cli = std::env::args().skip(1).peekable();
-    if cli.peek().map(String::as_str) == Some("bisect") {
-        cli.next();
-        let args = parse_args(cli);
-        main_bisect(&args);
-        return;
+    match cli.peek().map(String::as_str) {
+        Some("bisect") => {
+            cli.next();
+            main_bisect(&parse_args(cli));
+            return;
+        }
+        Some("bounds") => {
+            cli.next();
+            main_bounds(cli);
+            return;
+        }
+        _ => {}
     }
     let args = parse_args(cli);
-    let mut scenarios: Vec<Scenario> = library();
-    if let Some(name) = &args.scenario {
-        scenarios.retain(|sc| &sc.name == name);
-        assert!(
-            !scenarios.is_empty(),
-            "no scenario named {name:?} in the library"
-        );
-    }
+    let scenarios = match &args.scenario {
+        Some(value) => vec![resolve_scenario(value)],
+        None => library(),
+    };
 
     let checkpointed = args.checkpoint_every > 0 || args.resume;
     let started = std::time::Instant::now();
     let mut rows = Vec::new();
-    for sc in &scenarios {
-        let sc = match (args.n, args.quick) {
-            (Some(n), _) => sc.scaled(n),
-            (None, true) => sc.scaled(QUICK_N),
-            (None, false) => sc.clone(),
-        };
+    for sc in scenarios {
+        let sc = rescaled(&args, sc);
         let trials = args
             .trials
             .unwrap_or(if args.quick { 2 } else { sc.trials });

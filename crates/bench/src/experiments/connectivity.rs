@@ -8,8 +8,8 @@
 
 use crate::table::{fmt_f64, Table};
 use fastflood_geom::{Point, Rect};
-use fastflood_graph::{connectivity_threshold, ThresholdSearch};
 use fastflood_mobility::distributions::sample_spatial;
+use fastflood_spatial::{connectivity_threshold, ThresholdSearch};
 use fastflood_stats::regression::loglog_fit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

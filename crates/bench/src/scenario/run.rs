@@ -25,11 +25,11 @@ use fastflood_core::{
     Protocol, SimConfig, SimRng, SourcePlacement,
 };
 use fastflood_geom::Point;
-use fastflood_graph::disk_giant_fraction;
 use fastflood_mobility::{
     ByteReader, ByteWriter, DiskWalk, Mixture, Mobility, Mrwp, Placement, Rwp, SnapshotState,
     Static, StreetMrwp,
 };
+use fastflood_spatial::disk_giant_fraction;
 use fastflood_stats::seeds::derive_seed;
 use rand::{Rng, SeedableRng, SnapshotRng};
 

@@ -119,15 +119,6 @@ impl SimParams {
         SimParams::new(self.n, self.side, radius, self.speed)
     }
 
-    /// Returns a copy with a different speed.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimParams::new`].
-    pub fn with_speed(&self, speed: f64) -> Result<SimParams, CoreError> {
-        SimParams::new(self.n, self.side, self.radius, speed)
-    }
-
     /// `ln n` (natural log; at least `ln 2` so thresholds stay positive
     /// for the degenerate `n = 1`).
     pub fn ln_n(&self) -> f64 {

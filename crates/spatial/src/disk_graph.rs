@@ -1,9 +1,9 @@
 //! The symmetric disk graph of a MANET snapshot, seen through its giant
 //! component.
 
-use crate::UnionFind;
+use crate::union_find::UnionFind;
+use crate::{GridIndexBuffer, SpatialError};
 use fastflood_geom::{Point, Rect};
-use fastflood_spatial::{GridIndexBuffer, SpatialError};
 
 /// The fraction of `positions` in the largest connected component of
 /// their disk graph with radius `radius` over `region` (0 when empty).
@@ -11,7 +11,7 @@ use fastflood_spatial::{GridIndexBuffer, SpatialError};
 /// The disk graph joins two agents iff their Euclidean distance is at
 /// most `radius`. It is never built: each pair within `radius` goes
 /// straight from [`GridIndexBuffer::for_each_pair_within`] into a
-/// [`UnionFind`], so there is no pair list and no adjacency.
+/// union-find forest, so there is no pair list and no adjacency.
 ///
 /// # Errors
 ///
@@ -22,7 +22,7 @@ use fastflood_spatial::{GridIndexBuffer, SpatialError};
 ///
 /// ```
 /// use fastflood_geom::{Point, Rect};
-/// use fastflood_graph::disk_giant_fraction;
+/// use fastflood_spatial::disk_giant_fraction;
 ///
 /// let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(5.0, 5.0)];
 /// assert_eq!(disk_giant_fraction(Rect::square(10.0)?, 1.5, &pts)?, 2.0 / 3.0);
@@ -48,7 +48,7 @@ pub fn disk_giant_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastflood_spatial::BruteForceIndex;
+    use crate::BruteForceIndex;
 
     fn square() -> Rect {
         Rect::square(100.0).unwrap()

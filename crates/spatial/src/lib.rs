@@ -1,4 +1,5 @@
-//! Uniform-grid spatial index for radius-bounded neighbor queries.
+//! Uniform-grid spatial index for radius-bounded neighbor queries, and
+//! the disk-graph connectivity of a snapshot built on it.
 //!
 //! The flooding simulator asks, every time step and for every non-informed
 //! agent, "is any informed agent within Euclidean distance `R`?". With `n`
@@ -37,7 +38,17 @@
 //!   engine's dense large-`n` regime (cf. Clementi–Monti–Silvestri,
 //!   *Fast Flooding over Manhattan*, PODC 2010);
 //! * [`BruteForceIndex`] — a deliberately naive `O(n)`-per-query oracle
-//!   used for correctness tests.
+//!   used for correctness tests;
+//! * **snapshot connectivity** — at every step the agents and radius `R`
+//!   induce the disk graph `G_t` (an edge iff two agents are within
+//!   `R`). The paper contrasts flooding far below the connectivity
+//!   threshold of the MRWP snapshot (a *root of n*) with the
+//!   `Θ(√log n)` threshold of uniform-like clouds; experiment E11
+//!   measures both with [`disk_giant_fraction`], the giant-component
+//!   fraction fed straight from the pair sweep into a union-find
+//!   forest, and [`connectivity_threshold`], a bisection for the
+//!   critical radius of a point-cloud sampler configured by
+//!   [`ThresholdSearch`].
 //!
 //! # Examples
 //!
@@ -63,6 +74,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod disk_graph;
+mod threshold;
+mod union_find;
+
+pub use disk_graph::disk_giant_fraction;
+pub use threshold::{connectivity_threshold, ThresholdSearch};
 
 use fastflood_geom::{Point, Rect};
 use fastflood_parallel::{run_ctx, WorkerPool};

@@ -58,7 +58,7 @@ impl Default for ThresholdSearch {
 ///
 /// ```
 /// use fastflood_geom::{Point, Rect};
-/// use fastflood_graph::{connectivity_threshold, ThresholdSearch};
+/// use fastflood_spatial::{connectivity_threshold, ThresholdSearch};
 ///
 /// // A deterministic 10-point chain with spacing 1: the threshold is 1.
 /// let region = Rect::square(10.0)?;

@@ -3,31 +3,17 @@
 /// A disjoint-set (union-find) structure over `0..len`.
 ///
 /// Uses union-by-size and path-halving, giving effectively constant
-/// amortized operations. This is the workhorse behind connected-component
-/// counting on disk-graph snapshots.
-///
-/// # Examples
-///
-/// ```
-/// use fastflood_graph::UnionFind;
-///
-/// let mut uf = UnionFind::new(4);
-/// uf.union(0, 1);
-/// uf.union(2, 3);
-/// assert!(uf.connected(0, 1));
-/// assert!(!uf.connected(1, 2));
-/// assert_eq!(uf.num_sets(), 2);
-/// ```
+/// amortized operations. This is the workhorse behind the giant
+/// component of a disk-graph snapshot.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    num_sets: usize,
 }
 
 impl UnionFind {
     /// Creates `len` singleton sets.
-    pub fn new(len: usize) -> UnionFind {
+    pub(crate) fn new(len: usize) -> UnionFind {
         assert!(
             len <= u32::MAX as usize,
             "UnionFind supports up to 2^32 - 1 elements"
@@ -35,26 +21,7 @@ impl UnionFind {
         UnionFind {
             parent: (0..len as u32).collect(),
             size: vec![1; len],
-            num_sets: len,
         }
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets.
-    #[inline]
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
     }
 
     /// The representative of `x`'s set.
@@ -62,7 +29,7 @@ impl UnionFind {
     /// # Panics
     ///
     /// Panics if `x >= len`.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut x = x as u32;
         while self.parent[x as usize] != x {
             // path halving
@@ -78,7 +45,7 @@ impl UnionFind {
     /// # Panics
     ///
     /// Panics if `a` or `b` is out of range.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let mut ra = self.find(a);
         let mut rb = self.find(b);
         if ra == rb {
@@ -89,24 +56,12 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.num_sets -= 1;
         true
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Size of the largest set (0 for an empty structure).
-    pub fn largest_set(&mut self) -> usize {
-        (0..self.len())
+    pub(crate) fn largest_set(&mut self) -> usize {
+        (0..self.parent.len())
             .map(|i| {
                 let r = self.find(i);
                 self.size[r] as usize
@@ -123,14 +78,11 @@ mod tests {
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(3);
-        assert_eq!(uf.len(), 3);
-        assert_eq!(uf.num_sets(), 3);
         for i in 0..3 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.set_size(i), 1);
         }
-        assert!(!uf.connected(0, 2));
-        assert!(UnionFind::new(0).is_empty());
+        assert_eq!(uf.largest_set(), 1);
+        assert_eq!(UnionFind::new(0).largest_set(), 0);
     }
 
     #[test]
@@ -139,11 +91,9 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0), "already merged");
         assert!(uf.union(1, 2));
-        assert_eq!(uf.num_sets(), 3);
-        assert_eq!(uf.set_size(0), 3);
-        assert_eq!(uf.set_size(2), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 4));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(4));
+        assert_ne!(uf.find(3), uf.find(4));
         assert_eq!(uf.largest_set(), 3);
     }
 
@@ -154,9 +104,8 @@ mod tests {
         for i in 0..n - 1 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.num_sets(), 1);
         assert_eq!(uf.largest_set(), n);
-        assert!(uf.connected(0, n - 1));
+        assert_eq!(uf.find(0), uf.find(n - 1));
     }
 
     #[test]

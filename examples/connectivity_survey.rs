@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example connectivity_survey`
 
 use fastflood::geom::Rect;
-use fastflood::graph::{connectivity_threshold, disk_giant_fraction, ThresholdSearch};
 use fastflood::mobility::distributions::sample_spatial;
+use fastflood::spatial::{connectivity_threshold, disk_giant_fraction, ThresholdSearch};
 use fastflood::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -83,7 +83,7 @@ doc_expect fastflood_core/struct.FloodingSim.html revive_agent
 doc_expect fastflood_core/struct.FloodingSim.html crash_agent
 doc_expect fastflood_core/struct.FloodingSim.html "fail-stop"
 doc_expect fastflood_core/struct.FloodingSim.html "live-uninformed count"
-doc_expect fastflood_graph/fn.disk_giant_fraction.html UnionFind
+doc_expect fastflood_spatial/fn.disk_giant_fraction.html for_each_pair_within
 doc_expect fastflood_core/struct.FloodingSim.html inform_agent
 doc_expect fastflood_core/struct.FloodingSim.html place_agent_at
 doc_expect fastflood_core/struct.FloodingSim.html reset_source

@@ -18,7 +18,10 @@
 //! every figure and theorem-level claim (see `crates/bench/src/experiments/`).
 //!
 //! This crate is the umbrella: it re-exports the public APIs of all
-//! member crates so applications can depend on `fastflood` alone.
+//! member crates so applications can depend on `fastflood` alone. It
+//! has no binary; the command line is `fastflood-bench`'s `scenarios`
+//! (floods of library scenarios or scenario files, and `scenarios
+//! bounds` for the paper's derived quantities) beside `exp_all`.
 //!
 //! ## Quickstart
 //!
@@ -59,15 +62,11 @@ pub mod stats {
 }
 
 /// Spatial indexing: one bucket grid for radius queries, pair sweeps
-/// and the bucket join, plus a brute-force oracle.
+/// and the bucket join, plus a brute-force oracle; and the disk-graph
+/// connectivity of a snapshot (giant-component fraction, connectivity
+/// thresholds).
 pub mod spatial {
     pub use fastflood_spatial::*;
-}
-
-/// Disk-graph snapshots: giant-component fraction, union-find,
-/// connectivity thresholds.
-pub mod graph {
-    pub use fastflood_graph::*;
 }
 
 /// Mobility models: MRWP (+ exact stationary distributions), RWP,
