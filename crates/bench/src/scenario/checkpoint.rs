@@ -22,7 +22,8 @@ use fastflood_core::checkpoint::{
 use fastflood_core::{CancelToken, EngineMode, Parallelism};
 use fastflood_mobility::{Mobility, SnapshotState};
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// How a checkpointed run writes and resumes snapshots.
@@ -83,16 +84,50 @@ pub struct CheckpointSummary {
     /// Candidates rejected during resume, newest first, each with the
     /// precise reason (decode failure or restore incompatibility).
     pub rejected: Vec<(PathBuf, String)>,
-    /// Checkpoint files written by this run, in write order.
+    /// Checkpoint files written by this run, in write order. Only the
+    /// newest [`KEEP_CHECKPOINTS`] of the label's files stay on disk.
     pub written: Vec<PathBuf>,
+    /// Size in bytes of the largest checkpoint file this run wrote,
+    /// taken right after its write (0 when none was written).
+    pub largest_bytes: u64,
     /// The run stopped early because its [`CheckpointOpts::cancel`]
     /// token was cancelled; the returned [`ScenarioRun`] is partial and
     /// (with `every > 0`) the last entry of `written` restores it.
     pub interrupted: bool,
 }
 
+/// Checkpoint files a run keeps on disk: the newest, and one fallback
+/// rung for a resume that finds the newest unreadable.
+pub const KEEP_CHECKPOINTS: usize = 2;
+
 fn ckpt_err(e: CheckpointError) -> ScenarioError {
     ScenarioError::Invalid(format!("checkpoint: {e}"))
+}
+
+fn io_err(what: &str, path: &Path, e: &io::Error) -> ScenarioError {
+    ScenarioError::Invalid(format!("checkpoint {what} {}: {e}", path.display()))
+}
+
+/// Deletes `label`'s checkpoint files in `dir` beyond the newest
+/// [`KEEP_CHECKPOINTS`], earlier attempts' included (a file already
+/// gone is no error).
+fn prune_checkpoints(dir: &Path, label: &str) -> Result<(), ScenarioError> {
+    let prefix = format!("{label}-step");
+    let files = checkpoint_files_newest_first(dir).map_err(|e| io_err("dir", dir, &e))?;
+    let ours = files.iter().filter(|p| {
+        p.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with(&prefix))
+    });
+    for old in ours.skip(KEEP_CHECKPOINTS) {
+        match fs::remove_file(old) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                return Err(io_err("prune", old, &e));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Runs one scenario trial like
@@ -102,12 +137,14 @@ fn ckpt_err(e: CheckpointError) -> ScenarioError {
 /// the directory's fallback ladder and continues from the newest
 /// checkpoint that decodes *and* restores. By the bitwise-resume
 /// contract the result is identical to the uninterrupted run, whether
-/// the run resumed or not.
+/// the run resumed or not. After each write the label's files older
+/// than the newest [`KEEP_CHECKPOINTS`] are deleted.
 ///
 /// # Errors
 ///
 /// [`ScenarioError::Invalid`] when the scenario cannot be compiled, the
-/// checkpoint directory cannot be created, or a checkpoint write fails.
+/// checkpoint directory cannot be created, or a checkpoint write or
+/// prune fails.
 /// Resume failures are **not** errors: they land in
 /// [`CheckpointSummary::rejected`] and the run starts fresh.
 pub fn run_scenario_checkpointed(
@@ -172,7 +209,12 @@ pub fn run_scenario_checkpointed(
                         self.opts.label, t, CKPT_EXTENSION
                     ));
                     d.snapshot().write_atomic(&path).map_err(ckpt_err)?;
+                    let bytes = fs::metadata(&path)
+                        .map_err(|e| io_err("stat", &path, &e))?
+                        .len();
+                    summary.largest_bytes = summary.largest_bytes.max(bytes);
                     summary.written.push(path);
+                    prune_checkpoints(&self.opts.dir, &self.opts.label)?;
                 }
                 if cancelled {
                     summary.interrupted = true;
@@ -482,7 +524,15 @@ mod tests {
         assert_eq!(run, reference, "checkpoint writes must not perturb the run");
         assert!(summary.resumed_from.is_none());
         assert!(summary.written.len() >= 2, "{:?}", summary.written);
-        assert!(summary.written.iter().all(|p| p.exists()));
+        // the newest files stay on disk, every older one is pruned
+        let (pruned, kept) = summary
+            .written
+            .split_at(summary.written.len() - KEEP_CHECKPOINTS);
+        assert!(kept.iter().all(|p| p.exists()));
+        assert!(pruned.iter().all(|p| !p.exists()));
+        let mut on_disk = checkpoint_files_newest_first(&dir).unwrap();
+        on_disk.reverse();
+        assert_eq!(on_disk, kept);
 
         opts.resume = true;
         let (resumed, summary) =
@@ -501,6 +551,37 @@ mod tests {
     }
 
     #[test]
+    fn writes_prune_the_labels_older_checkpoints() {
+        let sc = faulted(80);
+        let dir = tmp_dir("prune");
+        // another label's file and a file of an earlier attempt
+        fs::write(
+            dir.join(format!("other-step00000001.{CKPT_EXTENSION}")),
+            b"x",
+        )
+        .unwrap();
+        fs::write(dir.join(format!("run-step00000001.{CKPT_EXTENSION}")), b"x").unwrap();
+        let opts = CheckpointOpts::new(&dir, 2);
+        let (_, summary) =
+            run_scenario_checkpointed(&sc, EngineMode::Adaptive, Parallelism::Sequential, 7, &opts)
+                .unwrap();
+        assert!(
+            summary.written.len() > KEEP_CHECKPOINTS,
+            "{:?}",
+            summary.written
+        );
+        let kept = &summary.written[summary.written.len() - KEEP_CHECKPOINTS..];
+        let mut want: Vec<PathBuf> = kept.to_vec();
+        want.push(dir.join(format!("other-step00000001.{CKPT_EXTENSION}")));
+        want.sort();
+        want.reverse();
+        assert_eq!(checkpoint_files_newest_first(&dir).unwrap(), want);
+        let largest = kept.iter().map(|p| fs::metadata(p).unwrap().len()).max();
+        assert!(summary.largest_bytes >= largest.unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_ladder_falls_past_bitflip_and_truncation() {
         let sc = faulted(80);
         let dir = tmp_dir("ladder");
@@ -510,6 +591,15 @@ mod tests {
         run_scenario_checkpointed(&sc, EngineMode::Adaptive, Parallelism::Sequential, 9, &opts)
             .unwrap();
 
+        // the run keeps two rungs; a copy of the older one named one
+        // step later becomes the middle rung (truncated below)
+        let kept = checkpoint_files_newest_first(&dir).unwrap();
+        assert_eq!(kept.len(), KEEP_CHECKPOINTS, "{kept:?}");
+        let older: u32 = kept[1].file_stem().unwrap().to_str().unwrap()["run-step".len()..]
+            .parse()
+            .unwrap();
+        let middle = dir.join(format!("run-step{:08}.{CKPT_EXTENSION}", older + 1));
+        fs::copy(&kept[1], middle).unwrap();
         let files = checkpoint_files_newest_first(&dir).unwrap();
         assert!(files.len() >= 3, "need a ladder: {files:?}");
         // bit-flip the newest, truncate the second newest

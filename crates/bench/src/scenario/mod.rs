@@ -56,7 +56,7 @@ mod run;
 
 pub use checkpoint::{
     bisect_divergence, run_scenario_checkpointed, BisectReport, BisectSide, CheckpointOpts,
-    CheckpointSummary,
+    CheckpointSummary, KEEP_CHECKPOINTS,
 };
 pub use config::parse_scenario;
 pub use library::{library, scenario_by_name, SCENARIO_SOURCES};

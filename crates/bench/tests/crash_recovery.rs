@@ -8,7 +8,7 @@
 //! per-trial `trace_digest` the binary prints, checked against the same
 //! digest computed in-process from an uninterrupted reference run.
 
-use fastflood_bench::scenario::{run_scenario, scenario_by_name, trace_digest};
+use fastflood_bench::scenario::{run_scenario, scenario_by_name, trace_digest, KEEP_CHECKPOINTS};
 use fastflood_core::{EngineMode, Parallelism};
 use fastflood_stats::seeds::derive_seed;
 use std::path::{Path, PathBuf};
@@ -119,10 +119,10 @@ fn killed_run_resumes_bitwise_and_falls_past_corruption() {
         .spawn()
         .expect("checkpointing child spawns");
     let deadline = Instant::now() + Duration::from_secs(60);
-    while ckpt_files_newest_first(&trial_dir).len() < 3 {
+    while ckpt_files_newest_first(&trial_dir).len() < KEEP_CHECKPOINTS {
         assert!(
             Instant::now() < deadline,
-            "child never wrote 3 checkpoints under {}",
+            "child never wrote {KEEP_CHECKPOINTS} checkpoints under {}",
             trial_dir.display()
         );
         if child.try_wait().expect("child pollable").is_some() {
@@ -133,7 +133,10 @@ fn killed_run_resumes_bitwise_and_falls_past_corruption() {
     child.kill().expect("SIGKILL delivered");
     child.wait().expect("child reaped");
     let files = ckpt_files_newest_first(&trial_dir);
-    assert!(files.len() >= 3, "kill left a checkpoint ladder: {files:?}");
+    assert!(
+        files.len() >= KEEP_CHECKPOINTS,
+        "kill left a checkpoint ladder: {files:?}"
+    );
 
     // -- phase 2: resume finishes with the uninterrupted digest --
     let (digest, resumed_from, rejected) = resume(&base);
@@ -142,8 +145,17 @@ fn killed_run_resumes_bitwise_and_falls_past_corruption() {
     assert_eq!(digest, want, "resumed trace != uninterrupted trace");
 
     // -- phase 3: bit-flip the newest, truncate the second-newest; the
-    // ladder falls back to the third and still agrees --
+    // ladder falls back to the third and still agrees. The run keeps
+    // two files, so a copy of the older one named one step later is the
+    // second-newest (the copy is the rung that gets truncated) --
+    let kept = ckpt_files_newest_first(&trial_dir);
+    let older: u32 = kept[1].file_stem().unwrap().to_str().unwrap()["run-step".len()..]
+        .parse()
+        .expect("a step number");
+    let middle = trial_dir.join(format!("run-step{:08}.ckpt", older + 1));
+    std::fs::copy(&kept[1], middle).expect("middle rung copied");
     let files = ckpt_files_newest_first(&trial_dir);
+    assert!(files.len() >= 3, "a three-rung ladder: {files:?}");
     let mut bytes = std::fs::read(&files[0]).expect("newest checkpoint readable");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;

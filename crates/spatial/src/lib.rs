@@ -9,13 +9,10 @@
 //!   form: retained CSR storage re-binned in place every rebuild, entries
 //!   split into parallel `ids` / packed-coordinate arrays so the inner
 //!   distance loop streams dense 16-byte pairs. Radius queries scan only
-//!   the buckets overlapping the query disk, and
-//!   [`GridIndexBuffer::for_each_pair_within`] sweeps every close pair
-//!   once (the disk-graph connectivity of a snapshot). It can index an
-//!   arbitrary *subset* of an agent population (the flooding
-//!   simulator's gossip path bins the shrinking uninformed set) without
-//!   copying positions, and after warm-up a rebuild performs **zero
-//!   heap allocations**;
+//!   the buckets overlapping the query disk. It can index an arbitrary
+//!   *subset* of an agent population (the flooding simulator's gossip
+//!   path bins the shrinking uninformed set) without copying positions,
+//!   and after warm-up a rebuild performs **zero heap allocations**;
 //! * **incremental maintenance** — a buffer built with
 //!   [`GridIndexBuffer::rebuild_incremental`] lays its CSR rows out with
 //!   *slack capacity* and keeps an id→slot map, so
@@ -45,16 +42,17 @@
 //!   threshold of the MRWP snapshot (a *root of n*) with the
 //!   `Θ(√log n)` threshold of uniform-like clouds; experiment E11
 //!   measures both with [`disk_giant_fraction`], the giant-component
-//!   fraction fed straight from the pair sweep into a union-find
-//!   forest, and [`connectivity_threshold`], a bisection for the
-//!   critical radius of a point-cloud sampler configured by
-//!   [`ThresholdSearch`].
+//!   fraction of an exact cell union (cells of side just under R/√2 are
+//!   cliques, so each joins one union-find set untested, and
+//!   neighbouring cells merge at their first close pair), and
+//!   [`connectivity_threshold`], a bisection for the critical radius of
+//!   a point-cloud sampler configured by [`ThresholdSearch`].
 //!
 //! # Examples
 //!
 //! ```
 //! use fastflood_geom::{Point, Rect};
-//! use fastflood_spatial::GridIndexBuffer;
+//! use fastflood_spatial::{disk_giant_fraction, GridIndexBuffer};
 //!
 //! let region = Rect::square(100.0)?;
 //! let pts = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0), Point::new(50.0, 50.0)];
@@ -66,9 +64,8 @@
 //! hits.sort();
 //! assert_eq!(hits, vec![0, 1]);
 //!
-//! let mut pairs = Vec::new();
-//! index.for_each_pair_within(5.0, |i, j| pairs.push((i, j)));
-//! assert_eq!(pairs, vec![(0, 1)]);
+//! // the disk graph at R = 5 joins the first two points only
+//! assert_eq!(disk_giant_fraction(region, 5.0, &pts)?, 2.0 / 3.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -1734,84 +1731,6 @@ impl GridIndexBuffer {
     pub fn any_within(&self, p: Point, r: f64) -> bool {
         !self.visit_within(p, r, |_| false)
     }
-
-    /// Calls `f(i, j)` once for every unordered pair of distinct indexed
-    /// points at Euclidean distance at most `r`, with `i < j` (original
-    /// ids): the edges of the indexed set's radius-`r` disk graph.
-    ///
-    /// The sweep pairs each occupied bucket with itself and with its E,
-    /// NW, N and NE neighbors, so every two touching buckets meet once.
-    /// It reads each row's live prefix, so slack layouts work too (on
-    /// their cached coordinates).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` exceeds the bucket side on either axis and the grid
-    /// has more than one bucket: the half-neighborhood sweep would miss
-    /// pairs two buckets apart. Rebuild with `bucket_size >= r`, which
-    /// gives either buckets at least `r` wide on both axes or a single
-    /// bucket (a region side shorter than `2·r`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fastflood_geom::{Point, Rect};
-    /// use fastflood_spatial::GridIndexBuffer;
-    ///
-    /// // a wide strip: rows are sized by the shorter side, so the pair
-    /// // 5.5 apart across the strip's height is found
-    /// let region = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 10.0))?;
-    /// let pts = vec![Point::new(1.0, 1.0), Point::new(1.0, 6.5), Point::new(50.0, 5.0)];
-    /// let mut buf = GridIndexBuffer::new();
-    /// buf.rebuild(region, 6.0, &pts)?;
-    /// let mut pairs = Vec::new();
-    /// buf.for_each_pair_within(6.0, |i, j| pairs.push((i, j)));
-    /// assert_eq!(pairs, vec![(0, 1)]);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, r: f64, mut f: F) {
-        let side = self.bucket_len_x.min(self.bucket_len_y);
-        assert!(
-            self.m == 1 || r <= side * (1.0 + 1e-12),
-            "pair query radius {r} exceeds bucket side {side}"
-        );
-        let r2 = r * r;
-        let m = self.m;
-        // entry `e` against the live entries `lo..hi`
-        let scan = |e: usize, lo: usize, hi: usize, f: &mut F| {
-            let (x, y) = self.pts[e];
-            for (g, &(u, v)) in (lo..hi).zip(&self.pts[lo..hi]) {
-                let (dx, dy) = (x - u, y - v);
-                if dx * dx + dy * dy <= r2 {
-                    let (i, j) = (self.ids[e] as usize, self.ids[g] as usize);
-                    if i < j {
-                        f(i, j);
-                    } else {
-                        f(j, i);
-                    }
-                }
-            }
-        };
-        for &b in &self.occupied {
-            let b = b as usize;
-            let (cx, cy) = (b % m, b / m);
-            let (lo, hi) = (self.starts[b] as usize, self.ends[b] as usize);
-            for e in lo..hi {
-                scan(e, e + 1, hi, &mut f);
-            }
-            for (dx, dy) in [(1, 0), (-1, 1), (0, 1), (1, 1)] {
-                let (nx, ny) = (cx as isize + dx, cy + dy);
-                if nx < 0 || nx >= m as isize || ny >= m {
-                    continue;
-                }
-                let nb = ny * m + nx as usize;
-                let (nlo, nhi) = (self.starts[nb] as usize, self.ends[nb] as usize);
-                for e in lo..hi {
-                    scan(e, nlo, nhi, &mut f);
-                }
-            }
-        }
-    }
 }
 
 /// Slot capacity of a slack-layout row currently holding `count` live
@@ -2013,14 +1932,6 @@ mod tests {
         out
     }
 
-    /// Sorted pairs within `r`.
-    fn pairs(buf: &GridIndexBuffer, r: f64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        buf.for_each_pair_within(r, |i, j| out.push((i, j)));
-        out.sort_unstable();
-        out
-    }
-
     #[test]
     fn build_validates() {
         // every rebuild flavor rejects bad sizes, and a subset reports the
@@ -2053,7 +1964,6 @@ mod tests {
         assert!(buf.is_empty());
         assert!(hits(&buf, Point::new(0.5, 0.5), 100.0).is_empty());
         assert!(!buf.any_within(Point::new(0.5, 0.5), 100.0));
-        assert!(pairs(&buf, 0.5).is_empty());
         assert!(buf.occupied_buckets().is_empty());
     }
 
@@ -2110,8 +2020,6 @@ mod tests {
         // exactly at distance 5: inclusive
         assert_eq!(hits(&buf, Point::new(0.0, 0.0), 5.0), vec![0, 1]);
         assert_eq!(hits(&buf, Point::new(0.0, 0.0), 4.999), vec![0]);
-        assert_eq!(pairs(&buf, 5.0), vec![(0, 1)]);
-        assert!(pairs(&buf, 4.999).is_empty());
     }
 
     #[test]
@@ -2124,36 +2032,6 @@ mod tests {
             hits(&buf, Point::new(45.0, 50.0), 25.0),
             vec![2, 3, 4, 5, 6, 7]
         );
-    }
-
-    #[test]
-    fn pairs_match_brute_force_on_grid_pattern() {
-        let mut pts = Vec::new();
-        for i in 0..10 {
-            for j in 0..10 {
-                pts.push(Point::new(i as f64 * 7.3 + 1.0, j as f64 * 6.1 + 2.0));
-            }
-        }
-        let r = 8.0;
-        let mut buf = GridIndexBuffer::new();
-        buf.rebuild(region(), r, &pts).unwrap();
-        let got = pairs(&buf, r);
-        let mut expected = BruteForceIndex::build(&pts).pairs_within(r);
-        expected.sort_unstable();
-        assert_eq!(got, expected);
-        assert!(!got.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds bucket side")]
-    fn pair_query_radius_too_large_panics() {
-        // a 90×20 strip binned at 6 has 3×3 buckets of 30×6.67: a radius
-        // of 10 fits the long axis but not the short one
-        let strip = Rect::new(Point::new(0.0, 0.0), Point::new(90.0, 20.0)).unwrap();
-        let mut buf = GridIndexBuffer::new();
-        buf.rebuild(strip, 6.0, &[Point::new(1.0, 1.0)]).unwrap();
-        assert_eq!(buf.buckets_per_axis(), 3);
-        buf.for_each_pair_within(10.0, |_, _| {});
     }
 
     #[test]
@@ -2178,7 +2056,6 @@ mod tests {
         let mut buf = GridIndexBuffer::new();
         buf.rebuild(region(), 4.0, &pts).unwrap();
         assert_eq!(hits(&buf, p, 0.0), vec![0, 1, 2]);
-        assert_eq!(pairs(&buf, 4.0), vec![(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]
@@ -2233,9 +2110,6 @@ mod tests {
                 assert_eq!(hits(&buf, q, r), expected, "query {q} r {r}");
                 assert_eq!(buf.any_within(q, r), !expected.is_empty());
             }
-        }
-        for r in [4.0, 5.0, 6.0] {
-            assert_eq!(pairs(&buf, r), oracle.pairs_within(r), "pairs r {r}");
         }
     }
 
@@ -2297,7 +2171,6 @@ mod tests {
         buf.rebuild(region(), 5.0, &[]).unwrap();
         assert!(buf.is_empty());
         assert!(!buf.any_within(Point::new(1.0, 1.0), 50.0));
-        assert!(pairs(&buf, 5.0).is_empty());
     }
 
     #[test]

@@ -24,6 +24,15 @@ impl UnionFind {
         }
     }
 
+    /// Creates one singleton set per entry of `size`, each weighing its
+    /// entry: [`UnionFind::largest_set`] then sums weights, not counts.
+    pub(crate) fn with_sizes(size: Vec<u32>) -> UnionFind {
+        UnionFind {
+            parent: (0..size.len() as u32).collect(),
+            size,
+        }
+    }
+
     /// The representative of `x`'s set.
     ///
     /// # Panics
@@ -60,12 +69,10 @@ impl UnionFind {
     }
 
     /// Size of the largest set (0 for an empty structure).
-    pub(crate) fn largest_set(&mut self) -> usize {
+    pub(crate) fn largest_set(&self) -> usize {
         (0..self.parent.len())
-            .map(|i| {
-                let r = self.find(i);
-                self.size[r] as usize
-            })
+            .filter(|&i| self.parent[i] as usize == i)
+            .map(|i| self.size[i] as usize)
             .max()
             .unwrap_or(0)
     }
@@ -95,6 +102,17 @@ mod tests {
         assert_ne!(uf.find(0), uf.find(4));
         assert_ne!(uf.find(3), uf.find(4));
         assert_eq!(uf.largest_set(), 3);
+    }
+
+    #[test]
+    fn weighted_sets_sum_their_weights() {
+        let mut uf = UnionFind::with_sizes(vec![3, 0, 2, 4]);
+        assert_eq!(uf.largest_set(), 4);
+        uf.union(0, 1);
+        uf.union(1, 2);
+        assert_eq!(uf.find(2), uf.find(0));
+        assert_eq!(uf.largest_set(), 5);
+        assert_eq!(UnionFind::with_sizes(Vec::new()).largest_set(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests: the grid index must agree with the brute-force oracle.
 
 use fastflood_geom::{Point, Rect};
-use fastflood_spatial::{BruteForceIndex, GridIndexBuffer};
+use fastflood_spatial::{disk_giant_fraction, BruteForceIndex, GridIndexBuffer, SpatialError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -37,31 +37,27 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Every pair within `r` on a (generally non-square) region, each
-    /// once and ordered, whatever the bucket size above `r`.
+    /// The giant fraction of the cell union equals, bit for bit, the one
+    /// of a union-find over every brute-force pair: clique cells and
+    /// widened (distance-tested) cells, on non-square regions off the
+    /// origin, with clustered, coincident, edge, lattice and stray
+    /// points.
     #[test]
-    fn pair_queries_match_oracle(
-        pts in points(80),
+    fn giant_fraction_matches_union_find_over_brute_force_pairs(
+        n in prop_oneof![0usize..24, 0usize..2001],
         width in 5.0..SIDE,
         height in 5.0..SIDE,
-        r in 0.1..30.0,
-        slack in 0.0..3.0,
+        origin in (-1000.0..1000.0, -1000.0..1000.0),
+        r in 0.05..8.0,
+        layout in 0usize..6,
+        seed in 0u64..u64::MAX,
     ) {
-        let region = Rect::new(Point::ORIGIN, Point::new(width, height)).unwrap();
-        let pts: Vec<Point> = pts
-            .iter()
-            .map(|p| Point::new(p.x * width / SIDE, p.y * height / SIDE))
-            .collect();
-        let mut grid = GridIndexBuffer::new();
-        grid.rebuild(region, r * (1.0 + slack), &pts).unwrap();
-        let oracle = BruteForceIndex::build(&pts);
-        let mut got = Vec::new();
-        grid.for_each_pair_within(r, |i, j| got.push((i, j)));
-        prop_assert!(got.iter().all(|&(i, j)| i < j), "pairs must be ordered");
-        got.sort();
-        let mut expected = oracle.pairs_within(r);
-        expected.sort();
-        prop_assert_eq!(got, expected);
+        let min = Point::new(origin.0, origin.1);
+        let region = Rect::new(min, Point::new(min.x + width, min.y + height)).unwrap();
+        let pts = layout_points(region, r, n, layout, seed);
+        let got = disk_giant_fraction(region, r, &pts).unwrap();
+        let want = brute_force_giant_fraction(&pts, r);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} r {} layout {}", n, r, layout);
     }
 
     /// The flooding transmit question — "which uninformed agents are
@@ -543,14 +539,14 @@ fn dense_random_cloud_matches_oracle_exactly() {
     grid.rebuild(region, r, &pts).unwrap();
     let oracle = BruteForceIndex::build(&pts);
 
-    // pair sets agree
-    let mut got = Vec::new();
-    grid.for_each_pair_within(r, |i, j| got.push((i, j)));
-    got.sort();
-    let mut expected = oracle.pairs_within(r);
-    expected.sort();
-    assert_eq!(got.len(), expected.len());
-    assert_eq!(got, expected);
+    // giant fractions agree, below, at and above the grid's radius
+    for radius in [0.5, 2.0, r, 9.0] {
+        assert_eq!(
+            disk_giant_fraction(region, radius, &pts).unwrap().to_bits(),
+            brute_force_giant_fraction(&pts, radius).to_bits(),
+            "R = {radius}"
+        );
+    }
 
     // spot-check point queries across the region
     for k in 0..50 {
@@ -562,6 +558,99 @@ fn dense_random_cloud_matches_oracle_exactly() {
         b.sort();
         assert_eq!(a, b, "query at {q}");
     }
+}
+
+/// `n` points of `region` in one of six layouts: uniform, a few tight
+/// clusters, draws from a handful of coincident points, points snapped
+/// onto the region's edges (max edges included), a lattice whose
+/// spacing is a multiple of `r`, and a cloud reaching past the region.
+fn layout_points(region: Rect, r: f64, n: usize, layout: usize, seed: u64) -> Vec<Point> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (min, max) = (region.min(), region.max());
+    let (w, h) = (region.width(), region.height());
+    let centers: Vec<Point> = (0..rng.gen_range(1..8))
+        .map(|_| Point::new(rng.gen_range(min.x..max.x), rng.gen_range(min.y..max.y)))
+        .collect();
+    let spacing = r * [0.5, std::f64::consts::FRAC_1_SQRT_2, 1.0, 2.0][rng.gen_range(0..4usize)];
+    let cols = ((w / spacing) as usize).max(1);
+    (0..n)
+        .map(|i| match layout {
+            0 => Point::new(rng.gen_range(min.x..max.x), rng.gen_range(min.y..max.y)),
+            1 => {
+                let c = centers[rng.gen_range(0..centers.len())];
+                region.clamp(Point::new(
+                    c.x + rng.gen_range(-2.0 * r..2.0 * r),
+                    c.y + rng.gen_range(-2.0 * r..2.0 * r),
+                ))
+            }
+            2 => centers[rng.gen_range(0..centers.len())],
+            3 => {
+                let x = [min.x, max.x, rng.gen_range(min.x..max.x)][rng.gen_range(0..3usize)];
+                let y = [min.y, max.y, rng.gen_range(min.y..max.y)][rng.gen_range(0..3usize)];
+                Point::new(x, y)
+            }
+            4 => region.clamp(Point::new(
+                min.x + (i % cols) as f64 * spacing,
+                min.y + (i / cols) as f64 * spacing,
+            )),
+            _ => Point::new(
+                rng.gen_range(min.x - 0.2 * w..max.x + 0.2 * w),
+                rng.gen_range(min.y - 0.2 * h..max.y + 0.2 * h),
+            ),
+        })
+        .collect()
+}
+
+/// Largest-component fraction of a union-find over every pair that
+/// [`BruteForceIndex::pairs_within`] reports (0 for no points).
+fn brute_force_giant_fraction(pts: &[Point], r: f64) -> f64 {
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..pts.len()).collect();
+    for (i, j) in BruteForceIndex::build(pts).pairs_within(r) {
+        let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+        parent[a] = b;
+    }
+    let mut size = vec![0usize; pts.len()];
+    for i in 0..pts.len() {
+        size[root(&mut parent, i)] += 1;
+    }
+    size.iter()
+        .max()
+        .map_or(0.0, |&m| m as f64 / pts.len() as f64)
+}
+
+#[test]
+fn giant_fraction_rejects_bad_radii_and_non_finite_points() {
+    let region = Rect::new(Point::new(-3.0, 2.0), Point::new(40.0, 9.0)).unwrap();
+    let pts = [Point::new(0.0, 3.0), Point::new(1.0, 4.0)];
+    for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(
+            matches!(disk_giant_fraction(region, r, &pts), Err(SpatialError::BadBucketSize(v)) if v.to_bits() == r.to_bits()),
+            "R = {r}"
+        );
+        // the radius is checked before the (empty) positions
+        assert!(disk_giant_fraction(region, r, &[]).is_err());
+    }
+    // the first non-finite position is named, whatever follows it
+    let bad = [
+        Point::new(0.0, 3.0),
+        Point::new(f64::NAN, 4.0),
+        Point::new(1.0, f64::INFINITY),
+    ];
+    assert_eq!(
+        disk_giant_fraction(region, 1.0, &bad),
+        Err(SpatialError::NotFinite { index: 1 })
+    );
+    assert_eq!(
+        disk_giant_fraction(region, 1.0, &bad[2..]),
+        Err(SpatialError::NotFinite { index: 0 })
+    );
 }
 
 /// Ids that are neither members nor removed this round and lie within

@@ -54,8 +54,8 @@ doc_expect fastflood_spatial/struct.GridIndexBuffer.html rebuild_incremental
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html join_covered_by_stale
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "Frontier-band iteration"
 doc_expect fastflood_spatial/struct.GridIndexBuffer.html "r + slop_self + slop_other"
-doc_expect fastflood_spatial/struct.GridIndexBuffer.html for_each_pair_within
-doc_expect fastflood_spatial/struct.GridIndexBuffer.html "exceeds the bucket side on either axis"
+doc_expect fastflood_spatial/index.html "R/√2"
+doc_expect fastflood_spatial/fn.disk_giant_fraction.html "four table"
 doc_expect fastflood_core/struct.FloodingSim.html "entries that were already indexed and were filed"
 doc_expect fastflood_core/struct.FloodingSim.html incremental_diff_steps
 doc_expect fastflood_core/struct.FloodingSim.html incremental_deferred_steps
@@ -83,7 +83,7 @@ doc_expect fastflood_core/struct.FloodingSim.html revive_agent
 doc_expect fastflood_core/struct.FloodingSim.html crash_agent
 doc_expect fastflood_core/struct.FloodingSim.html "fail-stop"
 doc_expect fastflood_core/struct.FloodingSim.html "live-uninformed count"
-doc_expect fastflood_spatial/fn.disk_giant_fraction.html for_each_pair_within
+doc_expect fastflood_spatial/fn.disk_giant_fraction.html "R/√2"
 doc_expect fastflood_core/struct.FloodingSim.html inform_agent
 doc_expect fastflood_core/struct.FloodingSim.html place_agent_at
 doc_expect fastflood_core/struct.FloodingSim.html reset_source

@@ -61,10 +61,9 @@ pub mod stats {
     pub use fastflood_stats::*;
 }
 
-/// Spatial indexing: one bucket grid for radius queries, pair sweeps
-/// and the bucket join, plus a brute-force oracle; and the disk-graph
-/// connectivity of a snapshot (giant-component fraction, connectivity
-/// thresholds).
+/// Spatial indexing: one bucket grid for radius queries and the bucket
+/// join, plus a brute-force oracle; and the disk-graph connectivity of
+/// a snapshot (giant-component fraction, connectivity thresholds).
 pub mod spatial {
     pub use fastflood_spatial::*;
 }
