@@ -2035,6 +2035,29 @@ mod tests {
     }
 
     #[test]
+    fn pairs_match_brute_force_on_grid_pattern() {
+        // every close pair of a 10×10 lattice, gathered from one radius
+        // query per point, is exactly the brute-force pair set
+        let mut pts = Vec::new();
+        for i in 0..10 {
+            for j in 0..10 {
+                pts.push(Point::new(i as f64 * 7.3 + 1.0, j as f64 * 6.1 + 2.0));
+            }
+        }
+        let r = 8.0;
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), r, &pts).unwrap();
+        let mut got = Vec::new();
+        for (i, &p) in pts.iter().enumerate() {
+            got.extend(hits(&buf, p, r).into_iter().filter(|&j| j > i).map(|j| (i, j)));
+        }
+        let mut expected = BruteForceIndex::build(&pts).pairs_within(r);
+        expected.sort_unstable();
+        assert_eq!(got, expected);
+        assert!(!got.is_empty());
+    }
+
+    #[test]
     fn points_on_region_border_are_indexed() {
         let pts = [
             Point::new(0.0, 0.0),
