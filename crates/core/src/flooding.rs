@@ -559,8 +559,9 @@ pub struct FloodingSim<M: Mobility> {
     sleep: SleepEpoch,
     /// Agents informed during the current step (sorted before applying).
     newly: Vec<u32>,
-    /// `stamp[a] == time` marks agent `a` as chosen this step (O(1)
-    /// clear: the step counter only moves forward).
+    /// Gossip: `stamp[a] == time` marks agent `a` as chosen this step
+    /// (O(1) clear: the step counter only moves forward). Empty for
+    /// every other protocol.
     stamp: Vec<u32>,
     /// Parsimonious: transmitters whose coin came up heads this step.
     /// Adaptive gossip: the live uninformed agents its grid indexes.
@@ -645,8 +646,12 @@ impl<M: Mobility> FloodingSim<M> {
         config.validate()?;
         let mut rng = SimRng::seed_from_u64(config.seed);
         let region = model.region();
-        let mut states = Vec::with_capacity(config.n);
-        for _ in 0..config.n {
+        // each state goes straight from the main stream into the batch
+        // and its position: the population is never held as a Vec of
+        // states (positions are pure, so the draws are those of
+        // drawing every state first)
+        let mut positions = Vec::with_capacity(config.n);
+        let batch = model.batch_from_states((0..config.n).map(|_| {
             let st = match config.init {
                 InitMode::Stationary => model.init_stationary(&mut rng),
                 InitMode::ColdUniform => {
@@ -657,9 +662,9 @@ impl<M: Mobility> FloodingSim<M> {
                     model.init_at(p, &mut rng)
                 }
             };
-            states.push(st);
-        }
-        let positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
+            positions.push(model.position(&st));
+            st
+        }));
 
         let source = match config.source {
             SourcePlacement::Random => rng.gen_range(0..config.n),
@@ -715,7 +720,7 @@ impl<M: Mobility> FloodingSim<M> {
             if sleeps { config.n } else { 0 },
         );
         Ok(FloodingSim {
-            batch: model.batch_from_states(states),
+            batch,
             model,
             radius: config.radius,
             protocol: config.protocol,
@@ -767,7 +772,12 @@ impl<M: Mobility> FloodingSim<M> {
             inc: IncrementalSync::default(),
             sleep,
             newly: Vec::with_capacity(config.n),
-            stamp: vec![u32::MAX; config.n],
+            // only gossip's sampling marks agents chosen
+            stamp: if matches!(config.protocol, Protocol::Gossip { .. }) {
+                vec![u32::MAX; config.n]
+            } else {
+                Vec::new()
+            },
             tx_scratch: Vec::with_capacity(config.n),
             cand: Vec::with_capacity(config.n),
             phase_timing: false,
@@ -2005,23 +2015,28 @@ where
 
         // ---- AGNT / POSN: the population ------------------------------
         let mut r = ByteReader::new(snap.require(TAG_AGNT)?);
-        let mut states = Vec::with_capacity(n);
         let mut informed = Vec::with_capacity(n);
         let mut crashed = Vec::with_capacity(n);
         let mut inform_time = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(
-                <M::State as SnapshotState>::read_state(&mut r)
-                    .ok_or(corrupt(TAG_AGNT, "invalid trajectory state"))?,
-            );
-            let inf = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
-            let cra = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
-            if inf > 1 || cra > 1 {
-                return Err(corrupt(TAG_AGNT, "malformed informed/crashed flag"));
+        let mut agnt_err = None;
+        // each record decodes straight into the new batch; the first
+        // bad one ends the stream and is reported below
+        let batch = self.model.batch_from_states((0..n).map_while(|_| {
+            match read_agent::<M::State>(&mut r) {
+                Ok((st, inf, cra, t)) => {
+                    informed.push(inf);
+                    crashed.push(cra);
+                    inform_time.push(t);
+                    Some(st)
+                }
+                Err(e) => {
+                    agnt_err = Some(e);
+                    None
+                }
             }
-            informed.push(inf == 1);
-            crashed.push(cra == 1);
-            inform_time.push(r.get_u32().ok_or(corrupt(TAG_AGNT, "truncated"))?);
+        }));
+        if let Some(e) = agnt_err {
+            return Err(e);
         }
         if !r.is_empty() {
             return Err(corrupt(TAG_AGNT, "trailing bytes"));
@@ -2121,7 +2136,7 @@ where
                 *ctx.stream_mut() = stream;
             }
         }
-        self.batch = self.model.batch_from_states(states);
+        self.batch = batch;
         self.positions = positions;
         self.informed = informed;
         self.crashed = crashed;
@@ -2152,6 +2167,21 @@ where
         self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
         Ok(())
     }
+}
+
+/// Decodes one AGNT record: the trajectory state, the informed and
+/// crashed flags, and the inform time.
+fn read_agent<S: SnapshotState>(
+    r: &mut ByteReader<'_>,
+) -> Result<(S, bool, bool, u32), CheckpointError> {
+    let st = S::read_state(r).ok_or(corrupt(TAG_AGNT, "invalid trajectory state"))?;
+    let inf = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
+    let cra = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
+    if inf > 1 || cra > 1 {
+        return Err(corrupt(TAG_AGNT, "malformed informed/crashed flag"));
+    }
+    let t = r.get_u32().ok_or(corrupt(TAG_AGNT, "truncated"))?;
+    Ok((st, inf == 1, cra == 1, t))
 }
 
 /// Human name of a parallelism determinism class in error messages.
@@ -3366,6 +3396,23 @@ mod tests {
         assert!(fresh.awake_agent_steps() > 0);
         assert_eq!(stepped.awake_agent_steps(), fresh.awake_agent_steps());
         assert_eq!(stepped.sleep.epoch_end, fresh.sleep.epoch_end);
+    }
+
+    #[test]
+    fn only_gossip_sims_allocate_the_chosen_stamps() {
+        for protocol in [
+            Protocol::Flooding,
+            Protocol::Parsimonious { p: 0.5 },
+            Protocol::Gossip { k: 2 },
+        ] {
+            for engine in [EngineMode::Adaptive, EngineMode::Oracle] {
+                let model = Mrwp::new(100.0, 0.5).unwrap();
+                let config = SimConfig::new(500, 1.0).protocol(protocol).engine(engine);
+                let sim = FloodingSim::new(model, config).unwrap();
+                let gossip = matches!(protocol, Protocol::Gossip { .. });
+                assert_eq!(sim.stamp.len(), if gossip { 500 } else { 0 });
+            }
+        }
     }
 
     /// Only the sims that classify allocate the classification scratch.

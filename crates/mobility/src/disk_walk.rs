@@ -204,8 +204,8 @@ impl Mobility for DiskWalk {
         events
     }
 
-    fn batch_from_states(&self, states: Vec<DiskWalkState>) -> Self::Batch {
-        states
+    fn batch_from_states<I: IntoIterator<Item = DiskWalkState>>(&self, states: I) -> Self::Batch {
+        states.into_iter().collect()
     }
 
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> DiskWalkState {

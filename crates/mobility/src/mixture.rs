@@ -184,8 +184,8 @@ impl<M: Mobility + Sync> Mobility for Mixture<M> {
         self.models[state.class as usize].step_from(&mut state.inner, current, rng)
     }
 
-    fn batch_from_states(&self, states: Vec<Self::State>) -> Self::Batch {
-        states
+    fn batch_from_states<I: IntoIterator<Item = Self::State>>(&self, states: I) -> Self::Batch {
+        states.into_iter().collect()
     }
 
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> Self::State {

@@ -331,10 +331,17 @@ pub trait Mobility {
         (self.position(state), ev)
     }
 
-    /// Packs per-agent states into the model's batch layout (agent `i`
-    /// of the batch is `states[i]`). The inverse views are
+    /// Builds the model's batch layout from per-agent states (agent `i`
+    /// of the batch is the `i`-th state yielded). The inverse views are
     /// [`Mobility::batch_state`] / [`Mobility::batch_set_state`].
-    fn batch_from_states(&self, states: Vec<Self::State>) -> Self::Batch;
+    ///
+    /// The batch is built from an iterator, not a slice, so a caller
+    /// that draws or decodes states one at a time (the engine's
+    /// construction and restore) streams each one straight into the
+    /// batch and never holds the population in a second, whole-`Vec`
+    /// representation. A `Vec<Self::State>` still works as the argument.
+    /// AoS models simply `collect()`.
+    fn batch_from_states<I: IntoIterator<Item = Self::State>>(&self, states: I) -> Self::Batch;
 
     /// Reconstructs agent `agent`'s scalar state from the batch.
     ///

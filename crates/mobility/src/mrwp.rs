@@ -183,14 +183,36 @@ fn dir_code(vx: f64, vy: f64) -> u32 {
     }
 }
 
-/// Cold per-agent state: the trip geometry and pause counter, touched
-/// only at leg boundaries, way-point rollovers, and pauses — a few
-/// agents per step in the MRWP speed regime.
+/// Cold per-agent state: the trip's defining data and the pause
+/// counter, touched only at leg boundaries, way-point rollovers, and
+/// pauses — a few agents per step in the MRWP speed regime.
+///
+/// Only the fields that define the trip are kept (40 bytes), the same
+/// ones a snapshot stores: [`MrwpCold::path`] rebuilds the corner and
+/// leg lengths an [`LPath`] caches, bit for bit.
 #[derive(Debug, Clone, Copy)]
 struct MrwpCold {
-    path: LPath,
+    start: Point,
+    dest: Point,
     /// Remaining pause steps at the current way-point (0 = traveling).
     pause_left: u32,
+    first_axis: Axis,
+}
+
+impl MrwpCold {
+    fn new(path: &LPath, pause_left: u32) -> MrwpCold {
+        MrwpCold {
+            start: path.start(),
+            dest: path.dest(),
+            pause_left,
+            first_axis: path.first_axis(),
+        }
+    }
+
+    /// The trip's L-path, rebuilt from its defining fields.
+    fn path(&self) -> LPath {
+        LPath::new(self.start, self.dest, self.first_axis)
+    }
 }
 
 /// The whole MRWP population in the batched hot/cold split-layout form
@@ -200,15 +222,21 @@ struct MrwpCold {
 /// agent, cold trip geometry in a side array) is here taken to full
 /// structure-of-arrays form: three dense hot **lanes** (`s`, `leg_end`,
 /// `dir` — progress, fused leg-cache guard, direction code) plus a
-/// per-step boundary-index scratch lane, and the cold side array (trip
-/// geometry, pause counter) read only when an agent hits a leg
-/// boundary. The common full-leg step therefore streams flat `f64`/
-/// `u32` lanes instead of the ~100-byte [`MrwpState`], which is what
-/// makes the dense-regime move pass cache-bound rather than
-/// stride-bound — and, since PR 6, lets the advance kernel stream the
-/// hot lanes in one flat pass that compacts all leg-boundary work out
-/// into an index list for the scalar boundary pass (see
-/// `docs/ARCHITECTURE.md`, "Move pass & state layout").
+/// per-step boundary-index scratch lane, and the cold side array read
+/// only when an agent hits a leg boundary. The common full-leg step
+/// therefore streams flat `f64`/`u32` lanes instead of the 120-byte
+/// [`MrwpState`], which is what makes the dense-regime move pass
+/// cache-bound rather than stride-bound — and, since PR 6, lets the
+/// advance kernel stream the hot lanes in one flat pass that compacts
+/// all leg-boundary work out into an index list for the scalar boundary
+/// pass (see `docs/ARCHITECTURE.md`, "Move pass & state layout").
+///
+/// The cold record keeps only the trip's endpoints, first axis and pause
+/// counter (40 bytes per agent). The boundary pass and
+/// [`Mobility::batch_state`] rebuild the trip's [`LPath`] from them with
+/// [`LPath::new`], a pure function of those fields, so the derived
+/// corner and leg lengths cost no memory and every bit is unchanged.
+/// A batched agent is 68 bytes: 24 hot, 4 scratch and 40 cold.
 ///
 /// # Examples
 ///
@@ -220,9 +248,13 @@ struct MrwpCold {
 ///
 /// let model = Mrwp::new(50.0, 0.5)?;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let states: Vec<_> = (0..4).map(|_| model.init_stationary(&mut rng)).collect();
-/// let mut positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
-/// let mut batch = model.batch_from_states(states);
+/// // stream each state into the batch as it is drawn: no Vec of states
+/// let mut positions = Vec::new();
+/// let mut batch = model.batch_from_states((0..4).map(|_| {
+///     let st = model.init_stationary(&mut rng);
+///     positions.push(model.position(&st));
+///     st
+/// }));
 /// // one chunk of all four agents on one stream, run inline
 /// let mut chunks = [ChunkCtx::new(&mut rng, 4)];
 /// let pool = WorkerPool::new(1);
@@ -423,14 +455,20 @@ impl Mobility for Mrwp {
         (self.position(state), ev)
     }
 
-    fn batch_from_states(&self, states: Vec<MrwpState>) -> MrwpBatch {
-        let n = states.len();
+    fn batch_from_states<I: IntoIterator<Item = MrwpState>>(&self, states: I) -> MrwpBatch {
+        let states = states.into_iter();
+        // reserve the upper bound when there is one: a fallible decode
+        // (`map_while`) reports no lower bound, yet nearly always yields
+        // every agent, and growing the lanes by doubling would cost the
+        // transient this streaming build exists to avoid
+        let (lo, hi) = states.size_hint();
+        let cap = hi.unwrap_or(lo);
         let mut batch = MrwpBatch {
-            s: Vec::with_capacity(n),
-            leg_end: Vec::with_capacity(n),
-            dir: Vec::with_capacity(n),
-            flagged: vec![0; n],
-            cold: Vec::with_capacity(n),
+            s: Vec::with_capacity(cap),
+            leg_end: Vec::with_capacity(cap),
+            dir: Vec::with_capacity(cap),
+            flagged: Vec::new(),
+            cold: Vec::with_capacity(cap),
             timing: false,
             kernel_ns: 0,
             boundary_ns: 0,
@@ -439,11 +477,9 @@ impl Mobility for Mrwp {
             batch.s.push(st.s);
             batch.leg_end.push(st.leg_end);
             batch.dir.push(dir_code(st.vx, st.vy));
-            batch.cold.push(MrwpCold {
-                path: st.path,
-                pause_left: st.pause_left,
-            });
+            batch.cold.push(MrwpCold::new(&st.path, st.pause_left));
         }
+        batch.flagged = vec![0; batch.s.len()];
         batch
     }
 
@@ -451,7 +487,7 @@ impl Mobility for Mrwp {
         let c = batch.cold[agent];
         let (ux, uy) = DIR_STEPS[batch.dir[agent] as usize];
         MrwpState {
-            path: c.path,
+            path: c.path(),
             s: batch.s[agent],
             pause_left: c.pause_left,
             leg_end: batch.leg_end[agent],
@@ -464,10 +500,7 @@ impl Mobility for Mrwp {
         batch.s[agent] = state.s;
         batch.leg_end[agent] = state.leg_end;
         batch.dir[agent] = dir_code(state.vx, state.vy);
-        batch.cold[agent] = MrwpCold {
-            path: state.path,
-            pause_left: state.pause_left,
-        };
+        batch.cold[agent] = MrwpCold::new(&state.path, state.pause_left);
     }
 
     fn enable_move_timing(&self, batch: &mut MrwpBatch, on: bool) {
@@ -648,12 +681,14 @@ impl Mrwp {
             // step logic on the cold state, leg-cache refill,
             // arc-length-to-point conversion
             let c = &mut cold[i];
-            let ev = self.step_core(&mut c.path, &mut s[i], &mut c.pause_left, rng);
-            let (le, vx, vy) = self.leg_cache(&c.path, s[i], c.pause_left);
+            let mut path = c.path();
+            let ev = self.step_core(&mut path, &mut s[i], &mut c.pause_left, rng);
+            let (le, vx, vy) = self.leg_cache(&path, s[i], c.pause_left);
+            *c = MrwpCold::new(&path, c.pause_left);
             leg_end[i] = le;
             dir[i] = dir_code(vx, vy);
             let before = positions[i];
-            let p = c.path.point_at(s[i]);
+            let p = path.point_at(s[i]);
             positions[i] = p;
             let dx = p.x - before.x;
             let dy = p.y - before.y;
@@ -1064,6 +1099,82 @@ mod tests {
             a.step(&mut s1, &mut r1);
             b.step(&mut s2, &mut r2);
             assert_eq!(a.position(&s1), b.position(&s2));
+        }
+    }
+
+    /// Every bit of a state, the rebuilt path's derived geometry and the
+    /// leg cache included.
+    fn state_bits(st: &MrwpState) -> Vec<u64> {
+        let p = &st.path;
+        let mut bits = Vec::new();
+        for q in [p.start(), p.dest(), p.corner()] {
+            bits.extend([q.x.to_bits(), q.y.to_bits()]);
+        }
+        bits.extend([p.leg1_len(), p.leg2_len(), p.len()].map(f64::to_bits));
+        bits.extend([st.s, st.leg_end, st.vx, st.vy].map(f64::to_bits));
+        bits.push((p.first_axis() == Axis::X) as u64);
+        bits.push(st.pause_left as u64);
+        bits
+    }
+
+    #[test]
+    fn cold_record_holds_only_the_trip_definition() {
+        assert_eq!(std::mem::size_of::<MrwpCold>(), 40);
+    }
+
+    #[test]
+    fn batch_round_trip_is_bitwise() {
+        // the cold record drops the path's corner and leg lengths; the
+        // rebuilt `LPath` must reproduce them, and the whole state, bit
+        // for bit
+        let model = Mrwp::new(L, 1.5).unwrap().with_pause(4);
+        let mut r = rng(30);
+        let point = |r: &mut rand::rngs::StdRng| Point::new(L * r.gen::<f64>(), L * r.gen::<f64>());
+        let mut states = Vec::new();
+        for k in 0..400u32 {
+            let (a, b) = (point(&mut r), point(&mut r));
+            let axis = if r.gen_bool(0.5) { Axis::X } else { Axis::Y };
+            let (start, dest) = match k % 4 {
+                0 => (a, b),                    // random L-path
+                1 => (a, a),                    // start == dest
+                2 => (a, Point::new(a.x, b.y)), // one leg, along y
+                _ => (a, Point::new(b.x, a.y)), // one leg, along x
+            };
+            let path = LPath::new(start, dest, axis);
+            let s = r.gen::<f64>() * path.len();
+            // paused at a way-point, or traveling
+            let pause_left = if k.is_multiple_of(3) {
+                r.gen_range(1..=4)
+            } else {
+                0
+            };
+            let mut st = MrwpState::new(path, s, pause_left);
+            if k.is_multiple_of(2) {
+                // a warm leg cache as well as a cold one
+                model.refresh_leg_cache(&mut st);
+            }
+            states.push(st);
+        }
+        // and states the model itself produced, mid-trip and paused
+        for _ in 0..200 {
+            let mut st = model.init_stationary(&mut r);
+            let p = model.position(&st);
+            model.step_from(&mut st, p, &mut r);
+            states.push(st);
+        }
+        let mut batch = model.batch_from_states(states.iter().cloned());
+        for (i, st) in states.iter().enumerate() {
+            assert_eq!(
+                state_bits(&model.batch_state(&batch, i)),
+                state_bits(st),
+                "agent {i}"
+            );
+            model.batch_set_state(&mut batch, 0, st.clone());
+            assert_eq!(
+                state_bits(&model.batch_state(&batch, 0)),
+                state_bits(st),
+                "agent {i}"
+            );
         }
     }
 

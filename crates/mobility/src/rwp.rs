@@ -195,8 +195,8 @@ impl Mobility for Rwp {
         events
     }
 
-    fn batch_from_states(&self, states: Vec<RwpState>) -> Self::Batch {
-        states
+    fn batch_from_states<I: IntoIterator<Item = RwpState>>(&self, states: I) -> Self::Batch {
+        states.into_iter().collect()
     }
 
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> RwpState {

@@ -133,8 +133,8 @@ impl Mobility for Static {
         StepEvents::default()
     }
 
-    fn batch_from_states(&self, states: Vec<StaticState>) -> Self::Batch {
-        states
+    fn batch_from_states<I: IntoIterator<Item = StaticState>>(&self, states: I) -> Self::Batch {
+        states.into_iter().collect()
     }
 
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> StaticState {

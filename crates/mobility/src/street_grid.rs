@@ -336,8 +336,8 @@ impl Mobility for StreetMrwp {
         events
     }
 
-    fn batch_from_states(&self, states: Vec<StreetMrwpState>) -> Self::Batch {
-        states
+    fn batch_from_states<I: IntoIterator<Item = StreetMrwpState>>(&self, states: I) -> Self::Batch {
+        states.into_iter().collect()
     }
 
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> StreetMrwpState {

@@ -402,7 +402,7 @@ impl<M: Mobility> Mobility for RefModel<M> {
     ) -> (Point, fastflood_mobility::StepEvents) {
         self.0.step_from(state, current, rng)
     }
-    fn batch_from_states(&self, states: Vec<Self::State>) -> Self::Batch {
+    fn batch_from_states<I: IntoIterator<Item = Self::State>>(&self, states: I) -> Self::Batch {
         self.0.batch_from_states(states)
     }
     fn batch_state(&self, batch: &Self::Batch, agent: usize) -> Self::State {
@@ -668,5 +668,58 @@ proptest! {
     fn static_step_batch_matches_scalar_loop(seed in 0u64..1000, n in 1usize..40) {
         let model = Static::new(50.0, Placement::MrwpStationary).unwrap();
         assert_batch_lockstep(&model, n, 10, seed);
+    }
+}
+
+/// `batch_from_states` must not depend on how its input is held: a
+/// batch streamed from a lazy iterator (how the engine builds and
+/// restores its population), one from an iterator with no exact length
+/// (a fallible decode's `map_while`, an unbounded `from_fn`) and one
+/// from a `Vec` are the same batch. Half the agents take one fused step
+/// first, so warm leg caches and pauses are in the mix.
+fn assert_iter_batch_matches_vec<M: Mobility>(model: &M, n: usize, seed: u64) {
+    let draw = |r: &mut rand::rngs::StdRng, i: usize| {
+        let mut st = model.init_stationary(r);
+        if i.is_multiple_of(2) {
+            let p = model.position(&st);
+            model.step_from(&mut st, p, r);
+        }
+        st
+    };
+    let mut r = rng(seed);
+    let states: Vec<M::State> = (0..n).map(|i| draw(&mut r, i)).collect();
+    let from_vec = format!("{:?}", model.batch_from_states(states.clone()));
+    let mut r = rng(seed);
+    let lazy = model.batch_from_states((0..n).map(|i| draw(&mut r, i)));
+    assert_eq!(format!("{lazy:?}"), from_vec, "lazy iterator, n = {n}");
+    let bounded = model.batch_from_states(states.clone().into_iter().map_while(Some));
+    assert_eq!(format!("{bounded:?}"), from_vec, "map_while, n = {n}");
+    let mut it = states.into_iter();
+    let unbounded = model.batch_from_states(std::iter::from_fn(|| it.next()));
+    assert_eq!(format!("{unbounded:?}"), from_vec, "from_fn, n = {n}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn batches_from_iterators_match_batches_from_vecs(seed in 0u64..1000, n in 0usize..40) {
+        let side = 60.0;
+        assert_iter_batch_matches_vec(&Mrwp::new(side, 1.5).unwrap(), n, seed);
+        assert_iter_batch_matches_vec(&Mrwp::new(side, 0.3 * side).unwrap().with_pause(4), n, seed);
+        assert_iter_batch_matches_vec(&Rwp::new(side, 2.5).unwrap(), n, seed);
+        assert_iter_batch_matches_vec(&DiskWalk::new(side, 2.0, 9.0).unwrap(), n, seed);
+        assert_iter_batch_matches_vec(&Static::new(side, Placement::Uniform).unwrap(), n, seed);
+        let street = fastflood_mobility::StreetMrwp::new(side, 1.5, 8).unwrap().with_pause(3);
+        assert_iter_batch_matches_vec(&street, n, seed);
+        let mix = fastflood_mobility::Mixture::new(
+            vec![
+                Mrwp::new(side, 0.02 * side).unwrap(),
+                Mrwp::new(side, 0.25 * side).unwrap().with_pause(2),
+            ],
+            vec![0.6, 0.4],
+        )
+        .unwrap();
+        assert_iter_batch_matches_vec(&mix, n, seed);
     }
 }

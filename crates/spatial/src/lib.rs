@@ -2049,7 +2049,12 @@ mod tests {
         buf.rebuild(region(), r, &pts).unwrap();
         let mut got = Vec::new();
         for (i, &p) in pts.iter().enumerate() {
-            got.extend(hits(&buf, p, r).into_iter().filter(|&j| j > i).map(|j| (i, j)));
+            got.extend(
+                hits(&buf, p, r)
+                    .into_iter()
+                    .filter(|&j| j > i)
+                    .map(|j| (i, j)),
+            );
         }
         let mut expected = BruteForceIndex::build(&pts).pairs_within(r);
         expected.sort_unstable();

@@ -68,6 +68,8 @@ doc_expect fastflood_core/struct.FloodingSim.html phase_times
 doc_expect fastflood_core/struct.StepPhases.html refresh_ns
 doc_expect fastflood_mobility/trait.Mobility.html step_batch
 doc_expect fastflood_mobility/trait.Mobility.html batch_from_states
+doc_expect fastflood_mobility/trait.Mobility.html "streams each one straight into the"
+doc_expect fastflood_mobility/struct.MrwpBatch.html "endpoints, first axis and pause"
 doc_expect fastflood_mobility/trait.Mobility.html move_split_nanos
 doc_expect fastflood_mobility/trait.Mobility.html enable_move_timing
 doc_expect fastflood_mobility/struct.MrwpBatch.html "hot/cold"
