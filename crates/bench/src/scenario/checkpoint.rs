@@ -451,7 +451,7 @@ pub fn bisect_divergence(
 
 #[cfg(test)]
 mod tests {
-    use super::super::run_scenario;
+    use super::super::{run_scenario, trace_digest};
     use super::super::{CountSpec, Fault, FaultKind, InitSpec, MetricSpec, ModelSpec};
     use super::super::{ProtocolSpec, SourceSpec};
     use super::*;
@@ -653,6 +653,54 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint in the previous format (version 1) is not decoded:
+    /// the ladder records why and passes over it, and with nothing else
+    /// to resume from the run starts fresh and ends as an uninterrupted
+    /// one.
+    #[test]
+    fn resume_skips_a_version_one_file_and_starts_fresh() {
+        let sc = faulted(70);
+        let dir = tmp_dir("v1");
+        let reference =
+            run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, 13).unwrap();
+        let opts = CheckpointOpts::new(&dir, 6);
+        run_scenario_checkpointed(
+            &sc,
+            EngineMode::Adaptive,
+            Parallelism::Sequential,
+            13,
+            &opts,
+        )
+        .unwrap();
+        let files = checkpoint_files_newest_first(&dir).unwrap();
+        // rewrite the newest as version 1 and drop the rest
+        let mut bytes = fs::read(&files[0]).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&files[0], bytes).unwrap();
+        for older in &files[1..] {
+            fs::remove_file(older).unwrap();
+        }
+
+        let mut opts = CheckpointOpts::new(&dir, 0);
+        opts.resume = true;
+        let (run, summary) = run_scenario_checkpointed(
+            &sc,
+            EngineMode::Adaptive,
+            Parallelism::Sequential,
+            13,
+            &opts,
+        )
+        .unwrap();
+        assert!(summary.resumed_from.is_none());
+        assert_eq!(summary.rejected.len(), 1, "{:?}", summary.rejected);
+        let (path, why) = &summary.rejected[0];
+        assert_eq!(path, &files[0]);
+        assert!(why.contains("unsupported snapshot version 1"), "{why}");
+        assert_same_run(&run, &reference);
+        assert_eq!(trace_digest(&run.trace), trace_digest(&reference.trace));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn resume_from_missing_directory_is_a_fresh_start() {
         let sc = faulted(60);
@@ -849,9 +897,12 @@ mod tests {
         // first move step — the fine replay must pin exactly that
         assert_eq!(report.first_divergent, Some(1), "{report:?}");
         assert_eq!(report.replay_from, 0);
+        // at step 1 every agent takes the boundary pass, so both sides'
+        // positions equal their trajectory points and POSN's deltas are
+        // all zero: the trajectories themselves differ
         assert!(
-            report.differing_sections.iter().any(|s| s == "POSN"),
-            "positions are where cross-class runs visibly part ways: {report:?}"
+            report.differing_sections.iter().any(|s| s == "AGNT"),
+            "trajectories are where cross-class runs visibly part ways: {report:?}"
         );
     }
 }

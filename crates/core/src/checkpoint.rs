@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! "FFCP"  magic (4 bytes)
-//! u32 LE  format version (currently 1)
+//! u32 LE  format version (currently 2)
 //! u32 LE  section count
 //! then per section:
 //!   [u8; 4]  tag
@@ -21,10 +21,20 @@
 //! bytes, duplicate tags, wrong magic, and unsupported versions — a
 //! snapshot either decodes completely or not at all.
 //!
-//! The checksum is a slicing-by-16 CRC-32: sixteen input bytes per
-//! step through sixteen lookup tables built at compile time, where the
-//! textbook loop chains one dependent lookup per byte. Writes and
-//! resumes share it.
+//! The checksum is a four-lane slicing-by-16 CRC-32: sixteen input
+//! bytes per step through sixteen lookup tables built at compile time,
+//! where the textbook loop chains one dependent lookup per byte, on
+//! four quarters of the payload at once, whose registers are then
+//! joined in GF(2) as zlib's `crc32_combine` joins two CRCs. The value
+//! is the plain CRC-32 of the payload. Writes and resumes share it.
+//!
+//! Version 2 (the current one) stores the same engine state as version
+//! 1 in about half the bytes: positions as varint deltas from each
+//! agent's trajectory point, the MRWP leg cache as one bit, and no
+//! live-uninformed list (see `docs/ARCHITECTURE.md`, "Checkpoint &
+//! recovery contract", for the table). A version-1 file is
+//! [`CheckpointError::UnsupportedVersion`], so a resume ladder passes
+//! over it and the run starts fresh.
 //!
 //! Durability is layered on top: [`Snapshot::write_atomic`] streams the
 //! header and then each section's frame and payload straight into a
@@ -52,7 +62,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 4] = *b"FFCP";
 
 /// Current format version; decoders reject anything else.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File extension checkpoint files use (without the dot).
 pub const CKPT_EXTENSION: &str = "ckpt";
@@ -66,15 +76,16 @@ pub const TAG_META: [u8; 4] = *b"META";
 pub const TAG_MRNG: [u8; 4] = *b"MRNG";
 /// Per-chunk move streams (chunked-parallelism class only).
 pub const TAG_CRNG: [u8; 4] = *b"CRNG";
-/// Per-agent trajectory states plus informed/crashed/inform-time lanes.
+/// Per-agent trajectory states plus an informed/crashed flags byte and
+/// the inform time.
 pub const TAG_AGNT: [u8; 4] = *b"AGNT";
-/// Per-agent positions as raw IEEE-754 bits (positions accumulate
-/// incrementally in the move kernel, so they are state, not derivable).
+/// Per-agent positions, each coordinate a zigzag varint of its IEEE-754
+/// bits minus those of the agent's trajectory point (positions
+/// accumulate incrementally in the move kernel, so they are state, not
+/// derivable, but they stay within a few ulps of it).
 pub const TAG_POSN: [u8; 4] = *b"POSN";
-/// Flood rosters and curve: the live uninformed agents ascending (derived
-/// from the flags, checked against them on restore), transmitter roster
-/// (in roster order — coin order and gossip visitation depend on it),
-/// spread.
+/// Flood curve and roster: the spread curve, then the transmitter roster
+/// (in roster order — coin order and gossip visitation depend on it).
 pub const TAG_FLOD: [u8; 4] = *b"FLOD";
 /// Turn-recorder timestamps (present iff turn recording is on).
 pub const TAG_TURN: [u8; 4] = *b"TURN";
@@ -89,7 +100,7 @@ const fn crc32_table() -> [u32; 256] {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -123,38 +134,144 @@ const fn crc32_slices() -> [[u32; 256]; 16] {
     t
 }
 
+/// Reflected CRC-32 polynomial (IEEE 802.3).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Inputs at least this long run on four lanes: one 16-byte block
+/// for each.
+const LANES_MIN: usize = 4 * 16;
+
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-section checksum.
 ///
-/// Slicing-by-16: sixteen bytes per step through sixteen lookup
-/// tables, then a bytewise tail. The value is the classic reflected
+/// Slicing-by-16 (sixteen bytes per step through sixteen lookup
+/// tables) on four lanes: the input splits into four quarters, the
+/// loop folds one block of each per step, so four independent register
+/// chains overlap where one would wait on its own lookups, and the
+/// quarters' registers are joined as zlib's `crc32_combine` joins two
+/// CRCs (a multiplication in GF(2)). The value is the classic reflected
 /// CRC-32 (`crc32(b"123456789") == 0xCBF4_3926`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_SLICES;
-    let mut c = 0xFFFF_FFFFu32;
+    if bytes.len() < LANES_MIN {
+        return !crc_update(!0, bytes);
+    }
+    // three whole-block quarters; the last lane also takes the tail
+    let q = bytes.len() / LANES_MIN * 16;
+    let (a, rest) = bytes.split_at(q);
+    let (b, rest) = rest.split_at(q);
+    let (c, d) = rest.split_at(q);
+    // lane 0 starts from the CRC's initial register, the others from
+    // zero: by linearity, the register after `x ‖ y` is that after `x`
+    // shifted over |y| zero bytes, xor the zero-started register of `y`
+    let mut r = [!0u32, 0, 0, 0];
+    let lanes = a
+        .chunks_exact(16)
+        .zip(b.chunks_exact(16))
+        .zip(c.chunks_exact(16));
+    for (((x0, x1), x2), x3) in lanes.zip(d.chunks_exact(16)) {
+        r[0] = fold16(r[0], x0);
+        r[1] = fold16(r[1], x1);
+        r[2] = fold16(r[2], x2);
+        r[3] = fold16(r[3], x3);
+    }
+    r[3] = crc_update(r[3], &d[q..]);
+    let shift_q = x8n_mod_p(q);
+    let mut joined = mul_mod_p(shift_q, r[0]) ^ r[1];
+    joined = mul_mod_p(shift_q, joined) ^ r[2];
+    !(mul_mod_p(x8n_mod_p(d.len()), joined) ^ r[3])
+}
+
+/// Feeds `bytes` to the raw (not pre- or post-inverted) CRC register
+/// `c`: whole 16-byte blocks by slicing, then a bytewise tail.
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
-        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        c = t[15][(lo & 0xFF) as usize]
-            ^ t[14][((lo >> 8) & 0xFF) as usize]
-            ^ t[13][((lo >> 16) & 0xFF) as usize]
-            ^ t[12][(lo >> 24) as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
+        c = fold16(c, b);
     }
     for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// Folds one 16-byte block into the raw register `c` with sixteen
+/// independent table lookups.
+#[inline(always)]
+fn fold16(c: u32, b: &[u8]) -> u32 {
+    let t = &CRC_SLICES;
+    let b: &[u8; 16] = b.try_into().expect("a 16-byte block");
+    let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    t[15][(lo & 0xFF) as usize]
+        ^ t[14][((lo >> 8) & 0xFF) as usize]
+        ^ t[13][((lo >> 16) & 0xFF) as usize]
+        ^ t[12][(lo >> 24) as usize]
+        ^ t[11][b[4] as usize]
+        ^ t[10][b[5] as usize]
+        ^ t[9][b[6] as usize]
+        ^ t[8][b[7] as usize]
+        ^ t[7][b[8] as usize]
+        ^ t[6][b[9] as usize]
+        ^ t[5][b[10] as usize]
+        ^ t[4][b[11] as usize]
+        ^ t[3][b[12] as usize]
+        ^ t[2][b[13] as usize]
+        ^ t[1][b[14] as usize]
+        ^ t[0][b[15] as usize]
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected bit order
+/// (bit 31 is x⁰).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    p
+}
+
+/// `X2N[k]` = x^(2^k) modulo the CRC polynomial, reflected. Squaring
+/// cycles with period 32 (x^(2^32) = x modulo this polynomial), so
+/// `X2N[k & 31]` serves every k, as in zlib.
+const X2N: [u32; 32] = x2n_table();
+
+const fn x2n_table() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    // x¹
+    let mut p = 1u32 << 30;
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+}
+
+/// x^(8·n) modulo the CRC polynomial, reflected. Multiplying a raw
+/// register by it feeds the register n zero bytes — zlib's
+/// `crc32_combine` step, in O(log n) instead of O(n).
+fn x8n_mod_p(n: usize) -> u32 {
+    // x⁰
+    let mut p = 1u32 << 31;
+    let mut n = n as u64;
+    // 8·n = n · 2³: start at x^(2^3)
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod_p(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 /// Renders a section tag for error messages (`META`, or `\x00\x01..`
@@ -612,7 +729,7 @@ mod tests {
         s
     }
 
-    /// The byte-at-a-time CRC-32 the sliced version must agree with.
+    /// The byte-at-a-time CRC-32 the four-lane version must agree with.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -660,6 +777,41 @@ mod tests {
                 crc32_bytewise(slice),
                 "start {start} len {len}"
             );
+        }
+    }
+
+    #[test]
+    fn four_lane_crc32_matches_bytewise_at_lane_boundaries() {
+        let buf = noise(1 << 16, 4);
+        // below, at and past the four-lane minimum, a page and one
+        for len in [0, 1, 15, 16, 63, 64, 65, 79, 127, 128, 4095, 4096, 4097] {
+            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len {len}");
+        }
+        // a seeded sweep of lengths and unaligned starts
+        let mut x = 0x5EEDu64;
+        for _ in 0..300 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let start = (x >> 60) as usize;
+            let len = (x >> 20) as usize % (buf.len() - 16);
+            let slice = &buf[start..start + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "start {start} len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn shifting_a_register_feeds_it_zero_bytes() {
+        // squaring x^(2^k) cycles with period 32, which X2N[k & 31] uses
+        assert_eq!(mul_mod_p(X2N[31], X2N[31]), X2N[0]);
+        let zeros = [0u8; 300];
+        for c in [0, 1, 0xDEAD_BEEF, !0] {
+            for len in [0, 1, 7, 16, 255, 300] {
+                let shifted = mul_mod_p(x8n_mod_p(len), c);
+                assert_eq!(shifted, crc_update(c, &zeros[..len]), "{c:#x} {len}");
+            }
         }
     }
 

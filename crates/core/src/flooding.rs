@@ -565,9 +565,11 @@ pub struct FloodingSim<M: Mobility> {
     stamp: Vec<u32>,
     /// Parsimonious: transmitters whose coin came up heads this step.
     /// Adaptive gossip: the live uninformed agents its grid indexes.
+    /// Unallocated for flooding.
     tx_scratch: Vec<u32>,
     /// Gossip: one transmitter's candidate neighbors (bounded by the
     /// population, so gossip keeps the zero-allocation budget).
+    /// Unallocated for every other protocol.
     cand: Vec<u32>,
     /// Whether [`FloodingSim::step`] accumulates per-phase wall-clock
     /// times into `phases` (off by default: two `Instant` reads per step
@@ -709,10 +711,11 @@ impl<M: Mobility> FloodingSim<M> {
         };
         let main_events = if chunks.is_some() { 0 } else { config.n };
 
+        let gossip = matches!(config.protocol, Protocol::Gossip { .. });
+        let parsimonious = matches!(config.protocol, Protocol::Parsimonious { .. });
         // only the Adaptive join of flooding and parsimonious sleeps;
         // every other sim keeps empty classification scratch
-        let sleeps = config.engine == EngineMode::Adaptive
-            && !matches!(config.protocol, Protocol::Gossip { .. });
+        let sleeps = config.engine == EngineMode::Adaptive && !gossip;
         let sleep = SleepEpoch::new(
             region,
             config.radius,
@@ -773,13 +776,15 @@ impl<M: Mobility> FloodingSim<M> {
             sleep,
             newly: Vec::with_capacity(config.n),
             // only gossip's sampling marks agents chosen
-            stamp: if matches!(config.protocol, Protocol::Gossip { .. }) {
+            stamp: if gossip {
                 vec![u32::MAX; config.n]
             } else {
                 Vec::new()
             },
-            tx_scratch: Vec::with_capacity(config.n),
-            cand: Vec::with_capacity(config.n),
+            // only parsimonious coins and gossip's grid fill it
+            tx_scratch: Vec::with_capacity(if gossip || parsimonious { config.n } else { 0 }),
+            // only gossip gathers candidates
+            cand: Vec::with_capacity(if gossip { config.n } else { 0 }),
             phase_timing: false,
             phases: StepPhases::default(),
             pool,
@@ -1712,16 +1717,22 @@ where
     /// serialized: the main RNG stream (mid-buffer, exact draw cursor),
     /// the per-chunk move streams in the chunked-parallelism class
     /// (inner generator plus block buffer and position), every agent's
-    /// trajectory state and position (positions accumulate
-    /// incrementally in the move kernel, so recomputing them from trip
-    /// geometry would differ in the last bits), the informed/crashed/
-    /// inform-time lanes, the flood rosters — `transmitters` verbatim,
-    /// because crash compaction (`swap_remove`) makes its order state
-    /// rather than something derivable from inform times — the spread
-    /// curve, zone completion times, and turn-recorder timestamps.
+    /// trajectory state and position, the informed/crashed/inform-time
+    /// lanes, the transmitter roster — verbatim, because crash
+    /// compaction (`swap_remove`) makes its order state rather than
+    /// something derivable from inform times — the spread curve, zone
+    /// completion times, and turn-recorder timestamps.
     ///
-    /// Derived caches are deliberately *not* serialized: the spatial
-    /// grids, the incremental-sync ledger, and all per-step scratch are re-derived or invalidated by
+    /// Positions accumulate incrementally in the move kernel, so
+    /// recomputing them from trip geometry would differ in the last
+    /// bits. POSN therefore stores each coordinate as the difference of
+    /// its IEEE-754 bits from those of `model.position(state)`, a pure
+    /// function of the restored state, as a zigzag varint: a few bytes
+    /// an agent instead of sixteen, and exact.
+    ///
+    /// Derived data is deliberately *not* serialized: the live
+    /// uninformed set (the flags give it), the spatial grids, the
+    /// incremental-sync ledger, and all per-step scratch are re-derived or invalidated by
     /// [`FloodingSim::restore`], and every transmit path rebuilds them
     /// from a cold cache without consuming random draws. See
     /// `docs/ARCHITECTURE.md` ("Checkpoint & recovery contract") for
@@ -1787,34 +1798,31 @@ where
         }
 
         let mut ag = ByteWriter::new();
+        // a delta is 1–3 bytes a coordinate on real runs
+        let mut po = ByteWriter::with_capacity(n * 4);
         for a in 0..n {
-            self.model.batch_state(&self.batch, a).write_state(&mut ag);
-            ag.put_u8(self.informed[a] as u8);
-            ag.put_u8(self.crashed[a] as u8);
+            let st = self.model.batch_state(&self.batch, a);
+            st.write_state(&mut ag);
+            ag.put_u8(self.informed[a] as u8 | (self.crashed[a] as u8) << 1);
             ag.put_u32(self.inform_time[a]);
             if a == 0 {
-                // per-agent records are model-sized (75 B for MRWP, 79
+                // per-agent records are model-sized (50 B for MRWP, 54
                 // for the mixture): size the buffer from the first one
                 // so it is allocated once rather than regrown
                 ag.reserve(ag.len() * (n - 1));
             }
+            put_position(&mut po, self.positions[a], self.model.position(&st));
         }
         snap.push(TAG_AGNT, ag.into_bytes());
-
-        let mut po = ByteWriter::with_capacity(n * 16);
-        for &p in &self.positions {
-            po.put_point(p);
-        }
         snap.push(TAG_POSN, po.into_bytes());
 
+        debug_assert_eq!(
+            live_uninformed(&self.informed, &self.crashed).count(),
+            self.uninformed_live
+        );
         let mut fl = ByteWriter::new();
-        // the live-uninformed list, derived from the flags (restore
-        // checks it against them)
-        let uninformed: Vec<u32> = live_uninformed(&self.informed, &self.crashed).collect();
-        debug_assert_eq!(uninformed.len(), self.uninformed_live);
-        fl.put_u32_list(&uninformed);
-        fl.put_u32_list(&self.transmitters);
         fl.put_u32_list(&self.spread);
+        fl.put_u32_list(&self.transmitters);
         snap.push(TAG_FLOD, fl.into_bytes());
 
         if let Some(turns) = &self.turns {
@@ -1842,9 +1850,11 @@ where
     /// *compatibility* (same `n`, seed, radius bits, protocol, model
     /// fingerprint, parallelism class, chunk layout, and turn-recording
     /// flag as this simulation — [`CheckpointError::Incompatible`]) and
-    /// *internal consistency* (RNG state bytes decode, rosters are
-    /// exactly the live informed/uninformed partition, indices are in
-    /// range, the spread curve matches the step count —
+    /// *internal consistency* (RNG state bytes decode, varints are
+    /// canonical, positions are finite and inside the region, the
+    /// transmitter roster is exactly the live informed agents, indices
+    /// are in range, the spread curve matches the step count, never
+    /// falls and ends at the informed count —
     /// [`CheckpointError::Corrupt`]). On any error the simulation is
     /// left untouched.
     ///
@@ -2018,23 +2028,30 @@ where
         let mut informed = Vec::with_capacity(n);
         let mut crashed = Vec::with_capacity(n);
         let mut inform_time = Vec::with_capacity(n);
+        // each state's trajectory point, the base POSN's deltas apply to
+        let mut positions = Vec::with_capacity(n);
         let mut agnt_err = None;
         // each record decodes straight into the new batch; the first
         // bad one ends the stream and is reported below
-        let batch = self.model.batch_from_states((0..n).map_while(|_| {
-            match read_agent::<M::State>(&mut r) {
+        let model = &self.model;
+        let batch =
+            model.batch_from_states((0..n).map_while(|_| match read_agent::<M::State>(&mut r) {
+                Ok((st, ..)) if !model.valid_state(&st) => {
+                    agnt_err = Some(corrupt(TAG_AGNT, "trajectory state outside the model"));
+                    None
+                }
                 Ok((st, inf, cra, t)) => {
                     informed.push(inf);
                     crashed.push(cra);
                     inform_time.push(t);
+                    positions.push(model.position(&st));
                     Some(st)
                 }
                 Err(e) => {
                     agnt_err = Some(e);
                     None
                 }
-            }
-        }));
+            }));
         if let Some(e) = agnt_err {
             return Err(e);
         }
@@ -2049,41 +2066,39 @@ where
         }
 
         let mut r = ByteReader::new(snap.require(TAG_POSN)?);
-        let mut positions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = r.get_point().ok_or(corrupt(TAG_POSN, "truncated"))?;
+        let region = self.model.region();
+        let slack = REGION_SLACK * (region.width() + region.height());
+        for p in &mut positions {
+            *p = get_position(&mut r, *p)
+                .ok_or(corrupt(TAG_POSN, "truncated or overlong varint"))?;
             if !(p.x.is_finite() && p.y.is_finite()) {
                 return Err(corrupt(TAG_POSN, "non-finite position"));
             }
-            positions.push(p);
+            if region.distance(*p) > slack {
+                return Err(corrupt(TAG_POSN, "position outside the region"));
+            }
         }
         if !r.is_empty() {
             return Err(corrupt(TAG_POSN, "trailing bytes"));
         }
 
-        // ---- FLOD: rosters and spread curve ----------------------------
+        // ---- FLOD: spread curve and roster -----------------------------
         let mut r = ByteReader::new(snap.require(TAG_FLOD)?);
         let flod_err = || corrupt(TAG_FLOD, "truncated roster");
-        let uninformed = r.get_u32_list().ok_or_else(flod_err)?;
-        let transmitters = r.get_u32_list().ok_or_else(flod_err)?;
         let spread = r.get_u32_list().ok_or_else(flod_err)?;
+        let transmitters = r.get_u32_list().ok_or_else(flod_err)?;
         if !r.is_empty() {
             return Err(corrupt(TAG_FLOD, "trailing bytes"));
         }
-        // the list must be exactly the live uninformed agents, ascending:
-        // only its length is kept, as the live-uninformed count
-        let mut expect = uninformed.iter();
-        for a in 0..n {
-            if !informed[a] && !crashed[a] && expect.next() != Some(&(a as u32)) {
-                return Err(corrupt(TAG_FLOD, "uninformed list mismatch"));
-            }
+        if spread.len() != time as usize + 1 {
+            return Err(corrupt(TAG_FLOD, "spread curve length disagrees with time"));
         }
-        if expect.next().is_some()
-            || uninformed
-                .iter()
-                .any(|&u| (u as usize) >= n || informed[u as usize] || crashed[u as usize])
+        // informed agents stay informed, and the newest sample is the
+        // current count
+        if spread.windows(2).any(|w| w[0] > w[1])
+            || spread.last().map(|&c| c as usize) != Some(informed_count)
         {
-            return Err(corrupt(TAG_FLOD, "uninformed list mismatch"));
+            return Err(corrupt(TAG_FLOD, "spread curve disagrees with the flags"));
         }
         // the transmitter roster is order-sensitive state (crash
         // compaction), so only set membership is checked
@@ -2097,9 +2112,6 @@ where
         }
         if transmitters.len() != (0..n).filter(|&a| informed[a] && !crashed[a]).count() {
             return Err(corrupt(TAG_FLOD, "transmitter roster mismatch"));
-        }
-        if spread.len() != time as usize + 1 {
-            return Err(corrupt(TAG_FLOD, "spread curve length disagrees with time"));
         }
 
         // ---- TURN: recorder timestamps ---------------------------------
@@ -2149,7 +2161,7 @@ where
         self.turns = turns;
         self.source = source;
         self.join_steps = join_steps;
-        self.uninformed_live = uninformed.len();
+        self.uninformed_live = live_uninformed(&self.informed, &self.crashed).count();
         // into the retained, population-sized roster, so that revivals
         // (and steps) after a restore grow it without allocating
         self.transmitters.clear();
@@ -2169,19 +2181,45 @@ where
     }
 }
 
-/// Decodes one AGNT record: the trajectory state, the informed and
-/// crashed flags, and the inform time.
+/// Decodes one AGNT record: the trajectory state, one flags byte
+/// (bit 0 informed, bit 1 crashed), and the inform time.
 fn read_agent<S: SnapshotState>(
     r: &mut ByteReader<'_>,
 ) -> Result<(S, bool, bool, u32), CheckpointError> {
     let st = S::read_state(r).ok_or(corrupt(TAG_AGNT, "invalid trajectory state"))?;
-    let inf = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
-    let cra = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
-    if inf > 1 || cra > 1 {
-        return Err(corrupt(TAG_AGNT, "malformed informed/crashed flag"));
+    let flags = r.get_u8().ok_or(corrupt(TAG_AGNT, "truncated"))?;
+    if flags > 0b11 {
+        return Err(corrupt(TAG_AGNT, "malformed informed/crashed flags"));
     }
     let t = r.get_u32().ok_or(corrupt(TAG_AGNT, "truncated"))?;
-    Ok((st, inf == 1, cra == 1, t))
+    Ok((st, flags & 1 != 0, flags & 2 != 0, t))
+}
+
+/// How far past the region a restored position may lie, relative to
+/// the region's width plus height. Positions drift from their
+/// trajectory point only by accumulated rounding, orders of magnitude
+/// below this.
+const REGION_SLACK: f64 = 1e-9;
+
+/// Writes POSN's record of `p`: per coordinate, the difference of its
+/// IEEE-754 bits from those of `base` as a zigzag varint (one byte when
+/// they are equal).
+fn put_position(w: &mut ByteWriter, p: Point, base: Point) {
+    let delta = |v: f64, b: f64| (v.to_bits() as i64).wrapping_sub(b.to_bits() as i64);
+    w.put_var_i64(delta(p.x, base.x));
+    w.put_var_i64(delta(p.y, base.y));
+}
+
+/// Reads a [`put_position`] record back against the same `base`;
+/// `None` on a truncated or overlong varint.
+fn get_position(r: &mut ByteReader<'_>, base: Point) -> Option<Point> {
+    let mut coord = |b: f64| {
+        let bits = (b.to_bits() as i64).wrapping_add(r.get_var_i64()?);
+        Some(f64::from_bits(bits as u64))
+    };
+    let x = coord(base.x)?;
+    let y = coord(base.y)?;
+    Some(Point::new(x, y))
 }
 
 /// Human name of a parallelism determinism class in error messages.
@@ -3396,6 +3434,149 @@ mod tests {
         assert!(fresh.awake_agent_steps() > 0);
         assert_eq!(stepped.awake_agent_steps(), fresh.awake_agent_steps());
         assert_eq!(stepped.sleep.epoch_end, fresh.sleep.epoch_end);
+    }
+
+    /// Format version 2 keeps an MRWP flood's checkpoint at about 55
+    /// B/agent (it was 95–107 in version 1): a 45-byte trajectory
+    /// record, a flags byte, the inform time, a few bytes of position
+    /// delta and four per transmitter.
+    #[test]
+    fn mrwp_flood_snapshots_stay_under_sixty_bytes_per_agent() {
+        let n = 20_000;
+        let mut sim = FloodingSim::new(
+            Mrwp::new((n as f64).sqrt(), 0.4).unwrap(),
+            SimConfig::new(n, 2.0)
+                .seed(3)
+                .source(SourcePlacement::Center),
+        )
+        .unwrap();
+        let mut checked = 0;
+        while !sim.all_informed() && sim.time() < 400 {
+            sim.step();
+            if sim.time().is_multiple_of(25) {
+                let bytes = sim.snapshot().encode().len();
+                let per_agent = bytes as f64 / n as f64;
+                assert!(per_agent <= 60.0, "t = {}: {per_agent} B/agent", sim.time());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 4, "only {checked} snapshots checked");
+    }
+
+    /// FLOD (spread curve, then transmitter roster) must agree with the
+    /// flags: restore names FLOD for any roster or curve that does not.
+    #[test]
+    fn restore_rejects_a_flood_section_that_disagrees_with_the_flags() {
+        let mut sim = mrwp_sim(300, 20.0, 2.0, 0.5, 8);
+        sim.run(6);
+        let snap = sim.snapshot();
+        let flod = snap.section(TAG_FLOD).unwrap();
+        let word = |at: usize| u32::from_le_bytes(flod[at..at + 4].try_into().unwrap());
+        let spread_len = u64::from_le_bytes(flod[..8].try_into().unwrap()) as usize;
+        let spread_at = |i: usize| 8 + 4 * i;
+        let last = spread_len - 1;
+        let roster_at = spread_at(spread_len);
+        let roster_len =
+            u64::from_le_bytes(flod[roster_at..roster_at + 8].try_into().unwrap()) as usize;
+        assert!(roster_len >= 2 && word(spread_at(last)) > word(spread_at(0)));
+        let first = roster_at + 8;
+        let edit = |at: usize, v: u32| {
+            let mut p = flod.to_vec();
+            p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            p
+        };
+        let dropped = {
+            let mut p = flod.to_vec();
+            p[roster_at..roster_at + 8].copy_from_slice(&(roster_len as u64 - 1).to_le_bytes());
+            p.truncate(p.len() - 4);
+            p
+        };
+        let cases = [
+            ("an out-of-range transmitter", edit(first, u32::MAX)),
+            ("a repeated transmitter", edit(first + 4, word(first))),
+            ("a missing transmitter", dropped),
+            // above every later sample, and below the real final count
+            (
+                "a falling spread curve",
+                edit(spread_at(0), word(spread_at(last)) + 1),
+            ),
+            ("a final count off the flags", edit(spread_at(last), 1)),
+        ];
+        for (what, payload) in cases {
+            let mut bad = Snapshot::new();
+            for t in snap.tags() {
+                let p = if t == TAG_FLOD {
+                    payload.clone()
+                } else {
+                    snap.section(t).unwrap().to_vec()
+                };
+                bad.push(t, p);
+            }
+            let mut fresh = mrwp_sim(300, 20.0, 2.0, 0.5, 8);
+            match fresh.restore(&bad) {
+                Err(CheckpointError::Corrupt { section, .. }) => {
+                    assert_eq!(section, TAG_FLOD, "{what}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
+
+    /// A mixture state whose class the model does not have is `Corrupt`
+    /// at restore, before anything indexes the model's classes with it.
+    #[test]
+    fn restore_rejects_a_mixture_class_out_of_range() {
+        let mix = || {
+            let models = vec![Mrwp::new(20.0, 0.2).unwrap(), Mrwp::new(20.0, 0.9).unwrap()];
+            fastflood_mobility::Mixture::new(models, vec![0.5, 0.5]).unwrap()
+        };
+        let mut sim = FloodingSim::new(mix(), SimConfig::new(200, 2.0).seed(4)).unwrap();
+        sim.run(3);
+        let snap = sim.snapshot();
+        let mut bad = Snapshot::new();
+        for t in snap.tags() {
+            let mut p = snap.section(t).unwrap().to_vec();
+            if t == TAG_AGNT {
+                // the record opens with the class, a u32
+                p[..4].copy_from_slice(&2u32.to_le_bytes());
+            }
+            bad.push(t, p);
+        }
+        let mut fresh = FloodingSim::new(mix(), SimConfig::new(200, 2.0).seed(4)).unwrap();
+        match fresh.restore(&bad) {
+            Err(CheckpointError::Corrupt { section, what }) => {
+                assert_eq!(
+                    (section, what),
+                    (TAG_AGNT, "trajectory state outside the model")
+                )
+            }
+            other => panic!("{other:?}"),
+        }
+        fresh.restore(&snap).unwrap();
+    }
+
+    /// `tx_scratch` holds parsimonious coins and gossip's indexed
+    /// agents, `cand` gossip's candidates: no other sim allocates them.
+    #[test]
+    fn only_the_protocols_that_read_them_allocate_the_scratch_lists() {
+        for protocol in [
+            Protocol::Flooding,
+            Protocol::Parsimonious { p: 0.5 },
+            Protocol::Gossip { k: 2 },
+        ] {
+            for engine in [EngineMode::Adaptive, EngineMode::Oracle] {
+                let model = Mrwp::new(100.0, 0.5).unwrap();
+                let config = SimConfig::new(500, 1.0).protocol(protocol).engine(engine);
+                let sim = FloodingSim::new(model, config).unwrap();
+                let gossip = matches!(protocol, Protocol::Gossip { .. });
+                let coins = matches!(protocol, Protocol::Parsimonious { .. });
+                let what = format!("{protocol:?} {engine:?}");
+                assert_eq!(sim.cand.capacity() >= 500, gossip, "{what}");
+                assert_eq!(sim.cand.capacity() == 0, !gossip, "{what}");
+                assert_eq!(sim.tx_scratch.capacity() >= 500, gossip || coins, "{what}");
+                assert_eq!(sim.tx_scratch.capacity() == 0, !(gossip || coins), "{what}");
+            }
+        }
     }
 
     #[test]

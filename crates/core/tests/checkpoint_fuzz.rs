@@ -12,7 +12,9 @@
 //!   step, or another run shape), added, or dropped;
 //! - **re-framed payload edits**: a section's payload is edited and the
 //!   snapshot re-encoded with a fresh CRC, so decode succeeds and
-//!   `restore`'s own validation has to catch what is wrong.
+//!   `restore`'s own validation has to catch what is wrong; POSN's
+//!   varints also get continuation-bit flips, inserted bytes and cut
+//!   tails.
 //!
 //! Every outcome must be a clean `Ok` or a precise [`CheckpointError`]
 //! naming what was wrong — never a panic. Where the damage pins the
@@ -31,7 +33,7 @@ use fastflood_core::checkpoint::{
 use fastflood_core::{
     CheckpointError, EngineMode, FloodingSim, Parallelism, Protocol, SimConfig, SourcePlacement,
 };
-use fastflood_mobility::Mrwp;
+use fastflood_mobility::{ByteReader, ByteWriter, Mrwp};
 
 const SIDE: f64 = 30.0;
 const SPEED: f64 = 0.5;
@@ -187,6 +189,32 @@ fn edit_payload(fz: &mut Fuzz, mut p: Vec<u8>) -> Vec<u8> {
     p
 }
 
+/// Damages POSN's varints: sets or clears a continuation bit, inserts a
+/// continuation byte (a non-minimal or overlong varint), or cuts the
+/// tail inside a varint.
+fn edit_varints(fz: &mut Fuzz, mut p: Vec<u8>) -> Vec<u8> {
+    if p.is_empty() {
+        return p;
+    }
+    match fz.below(3) {
+        0 => {
+            let i = fz.below(p.len());
+            p[i] ^= 0x80;
+        }
+        1 => {
+            for _ in 0..1 + fz.below(10) {
+                let i = fz.below(p.len() + 1);
+                p.insert(i, 0x80);
+            }
+        }
+        _ => {
+            let last = p.len() - 1;
+            p[last] |= 0x80;
+        }
+    }
+    p
+}
+
 /// Restores `snap` into `sim` and checks the outcome: a rejection must
 /// be a restore-class error naming a real section, and must leave `sim`
 /// exactly as it was. Returns whether the snapshot was accepted.
@@ -280,7 +308,12 @@ fn fuzz(cfg: &SimConfig, base: &Snapshot, donors: &[Snapshot], seed: u64) -> u32
             _ => {
                 let tags: Vec<_> = base.tags().collect();
                 let tag = tags[fz.below(tags.len())];
-                let edited = edit_payload(&mut fz, base.section(tag).expect("listed").to_vec());
+                let payload = base.section(tag).expect("listed").to_vec();
+                let edited = if tag == TAG_POSN && fz.below(2) == 0 {
+                    edit_varints(&mut fz, payload)
+                } else {
+                    edit_payload(&mut fz, payload)
+                };
                 let s = with_section(base, tag, Some(edited));
                 Snapshot::decode(&s.encode()).expect("a re-framed edit decodes")
             }
@@ -341,5 +374,84 @@ fn non_finite_trajectory_words_are_corrupt() {
             }
             other => panic!("expected a corrupt AGNT section, got {other:?}"),
         }
+    }
+}
+
+/// Restores `snap` with `tag`'s payload replaced, into a fresh sim, and
+/// requires exactly `Corrupt { tag, what }`.
+fn expect_corrupt(snap: &Snapshot, tag: [u8; 4], payload: Vec<u8>, what: &str) {
+    let reframed = Snapshot::decode(&with_section(snap, tag, Some(payload)).encode())
+        .expect("a fresh CRC frames the edit");
+    let mut sim = FloodingSim::new(model(), sequential()).expect("valid config");
+    assert!(!check_restore(&mut sim, &reframed, what));
+    match sim.restore(&reframed) {
+        Err(CheckpointError::Corrupt { section, what: got }) => {
+            assert_eq!((section, got), (tag, what));
+        }
+        other => panic!("expected a corrupt section for {what:?}, got {other:?}"),
+    }
+}
+
+/// Truncated or overlong POSN varints, decoded positions that are not
+/// finite or lie outside the region, and flags bytes with unknown bits
+/// are each a precise `Corrupt`.
+#[test]
+fn bad_varints_positions_and_flags_are_corrupt() {
+    let snap = donor(&sequential(), 6);
+    let posn = snap.section(TAG_POSN).expect("present").to_vec();
+    // agent 0's x delta, and where its varint ends
+    let mut r = ByteReader::new(&posn);
+    let dx = r.get_var_i64().expect("a valid varint");
+    let end = posn.len() - r.remaining();
+    let with_first = |bytes: &[u8]| [bytes, &posn[end..]].concat();
+    let varint = "truncated or overlong varint";
+
+    let mut cut = posn.clone();
+    cut.pop();
+    expect_corrupt(&snap, TAG_POSN, cut, varint);
+    let mut open = posn.clone();
+    *open.last_mut().unwrap() |= 0x80;
+    expect_corrupt(&snap, TAG_POSN, open, varint);
+    let mut eleven = vec![0x80; 10];
+    eleven.push(0x00);
+    expect_corrupt(&snap, TAG_POSN, with_first(&eleven), varint);
+    let mut padded = posn[..end].to_vec();
+    *padded.last_mut().unwrap() |= 0x80;
+    padded.push(0x00);
+    expect_corrupt(&snap, TAG_POSN, with_first(&padded), varint);
+
+    // agent 0's trajectory point: its real x minus the stored delta
+    let mut sim = FloodingSim::new(model(), sequential()).expect("valid config");
+    sim.restore(&snap).expect("clean snapshot restores");
+    let base = (sim.positions()[0].x.to_bits() as i64).wrapping_sub(dx);
+    let delta_to = |x: f64| {
+        let mut w = ByteWriter::new();
+        w.put_var_i64((x.to_bits() as i64).wrapping_sub(base));
+        with_first(w.as_slice())
+    };
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        expect_corrupt(&snap, TAG_POSN, delta_to(x), "non-finite position");
+    }
+    for x in [-1.0, SIDE + 1.0, 1e300] {
+        expect_corrupt(&snap, TAG_POSN, delta_to(x), "position outside the region");
+    }
+    // the unchanged delta restores: the edits above are what was wrong
+    let mut same = FloodingSim::new(model(), sequential()).expect("valid config");
+    let back = Snapshot::decode(&with_section(&snap, TAG_POSN, Some(posn.clone())).encode());
+    same.restore(&back.expect("decodes"))
+        .expect("the clean POSN restores");
+
+    // AGNT opens with agent 0's 45-byte MRWP record (its flags byte at
+    // 32), then the agent's informed/crashed flags byte
+    let agnt = snap.section(TAG_AGNT).expect("present");
+    for (at, bits, what) in [
+        (32, 0x04, "invalid trajectory state"),
+        (32, 0x80, "invalid trajectory state"),
+        (45, 0x04, "malformed informed/crashed flags"),
+        (45, 0x80, "malformed informed/crashed flags"),
+    ] {
+        let mut payload = agnt.to_vec();
+        payload[at] |= bits;
+        expect_corrupt(&snap, TAG_AGNT, payload, what);
     }
 }

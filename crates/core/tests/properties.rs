@@ -1,7 +1,6 @@
 //! Property tests for the simulation core, centered on the paper's
 //! combinatorial lemmas.
 
-use fastflood_core::checkpoint::TAG_FLOD;
 use fastflood_core::{
     EngineMode, FloodingSim, Protocol, SimConfig, SimParams, SourcePlacement, ZoneMap,
 };
@@ -208,22 +207,23 @@ fn source_in_suburb_vs_center_both_complete() {
 }
 
 /// Checks the sim's live-uninformed bookkeeping against a scan of the
-/// flags: `all_informed()` and the snapshot's `FLOD` list, which must be
-/// the live uninformed agents in ascending order.
-fn check_live_uninformed(sim: &FloodingSim<Mrwp>, after: &str) {
-    let live: Vec<u32> = (0..sim.n())
+/// flags: `all_informed()`, before and after a snapshot round trip into
+/// a fresh sim (restore derives the count from the flags, and a debug
+/// build's `snapshot` asserts the count against them).
+fn check_live_uninformed(sim: &FloodingSim<Mrwp>, cfg: &SimConfig, after: &str) {
+    let live = (0..sim.n())
         .filter(|&a| !sim.informed()[a] && !sim.is_crashed(a))
-        .map(|a| a as u32)
-        .collect();
-    assert_eq!(sim.all_informed(), live.is_empty(), "after {after}");
+        .count();
+    assert_eq!(sim.all_informed(), live == 0, "after {after}");
     let snap = sim.snapshot();
-    let flod = snap.section(TAG_FLOD).expect("FLOD is always written");
-    let len = u64::from_le_bytes(flod[..8].try_into().unwrap()) as usize;
-    let listed: Vec<u32> = flod[8..8 + 4 * len]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    assert_eq!(listed, live, "FLOD list after {after}");
+    let mut fresh = FloodingSim::new(sim.model().clone(), cfg.clone()).unwrap();
+    fresh.restore(&snap).unwrap();
+    assert_eq!(fresh.all_informed(), live == 0, "restored after {after}");
+    assert_eq!(
+        fresh.snapshot().encode(),
+        snap.encode(),
+        "restored after {after}"
+    );
 }
 
 proptest! {
@@ -247,9 +247,9 @@ proptest! {
             .engine(if oracle { EngineMode::Oracle } else { EngineMode::Adaptive });
         let mut sim = FloodingSim::new(model.clone(), cfg.clone()).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        check_live_uninformed(&sim, "new");
+        check_live_uninformed(&sim, &cfg, "new");
         sim.reset_source(SourcePlacement::Agent(rng.gen_range(0..n))).unwrap();
-        check_live_uninformed(&sim, "reset_source");
+        check_live_uninformed(&sim, &cfg, "reset_source");
         for _ in 0..150 {
             let a = rng.gen_range(0..n);
             let after = match rng.gen_range(0..6) {
@@ -278,7 +278,7 @@ proptest! {
                     "restore"
                 }
             };
-            check_live_uninformed(&sim, after);
+            check_live_uninformed(&sim, &cfg, after);
         }
     }
 }

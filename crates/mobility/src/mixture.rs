@@ -171,6 +171,12 @@ impl<M: Mobility + Sync> Mobility for Mixture<M> {
         self.models[state.class as usize].position(&state.inner)
     }
 
+    fn valid_state(&self, state: &Self::State) -> bool {
+        self.models
+            .get(state.class as usize)
+            .is_some_and(|m| m.valid_state(&state.inner))
+    }
+
     fn step<R: Rng + ?Sized>(&self, state: &mut Self::State, rng: &mut R) -> StepEvents {
         self.models[state.class as usize].step(&mut state.inner, rng)
     }
@@ -227,6 +233,15 @@ mod tests {
             vec![0.75, 0.25],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn only_states_of_a_listed_class_are_valid() {
+        let mix = two_class();
+        let mut st = mix.init_stationary(&mut rng(9));
+        assert!(mix.valid_state(&st));
+        st.class = 2;
+        assert!(!mix.valid_state(&st));
     }
 
     #[test]

@@ -307,6 +307,18 @@ pub trait Mobility {
     /// The agent's current position.
     fn position(&self, state: &Self::State) -> Point;
 
+    /// Whether `state` belongs to this model, so that [`position`] and
+    /// stepping cannot panic on it: the check a restore applies to each
+    /// decoded state before using it. Every state with finite fields
+    /// does, unless it indexes into the model, as a [`Mixture`] class
+    /// does.
+    ///
+    /// [`position`]: Mobility::position
+    /// [`Mixture`]: crate::Mixture
+    fn valid_state(&self, _state: &Self::State) -> bool {
+        true
+    }
+
     /// Advances the agent by one time unit, returning the step's events.
     fn step<R: Rng + ?Sized>(&self, state: &mut Self::State, rng: &mut R) -> StepEvents;
 

@@ -52,6 +52,10 @@ pub struct Mrwp {
 
 /// Trajectory state of one MRWP agent: the current L-path and the
 /// arc-length progress along it.
+///
+/// Its snapshot record is 45 bytes: the path's endpoints, one flags
+/// byte (first axis, and the `step_from` leg cache as one warm bit),
+/// the progress and the pause counter.
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MrwpState {
@@ -61,13 +65,16 @@ pub struct MrwpState {
     /// Remaining pause steps at the current way-point (0 = traveling).
     pause_left: u32,
     /// Leg cache for the fused [`Mobility::step_from`] fast path: while
-    /// `s + speed < leg_end` a step is `position += (vx, vy)`. Negative
-    /// when invalid (fresh state, pause, or leg boundary ahead), which
-    /// routes the next step through the full logic that refreshes it.
+    /// `s + speed < leg_end` a step is `position += DIR_STEPS[dir] ·
+    /// speed`. `-1.0` when cold (fresh state, pause, or after a direct
+    /// [`Mobility::step`]), which routes the next step through the full
+    /// logic that warms it. A warm `leg_end` is the end of the leg that
+    /// holds `s`, since a fast step never crosses it ([`leg_of`]).
     leg_end: f64,
-    /// Per-step displacement on the current leg (`±speed` on one axis).
-    vx: f64,
-    vy: f64,
+    /// Unit direction of the current leg, a [`DIR_STEPS`] index like the
+    /// batch's `dir` lane ([`COLD_DIR`] while the cache is cold): a
+    /// state carries no speed, so a snapshot can rebuild it.
+    dir: u32,
 }
 
 /// Equality over the observable trajectory only — the `step_from` leg
@@ -86,8 +93,7 @@ impl MrwpState {
             s,
             pause_left,
             leg_end: -1.0,
-            vx: 0.0,
-            vy: 0.0,
+            dir: COLD_DIR,
         }
     }
 }
@@ -128,38 +134,59 @@ impl MrwpState {
 impl SnapshotState for MrwpState {
     const STATE_TAG: u32 = u32::from_le_bytes(*b"MRWP");
 
-    /// Layout: path (start, dest, first_axis), `s`, `pause_left`, then
-    /// the `step_from` leg cache (`leg_end`, `vx`, `vy`). The cache is
-    /// serialized — not recomputed — because its warm/cold status
-    /// determines which stepping branch the next step takes, and a
-    /// bitwise resume must take the identical branch.
+    /// Layout (45 bytes): path start and dest, one flags byte, `s`,
+    /// `pause_left`. The flags byte holds the first axis (bit 0, set for
+    /// `Y`) and whether the `step_from` leg cache is warm (bit 1). Only
+    /// that bit of the cache is stored: its warm/cold status decides
+    /// which stepping branch the next step takes, and a bitwise resume
+    /// must take the identical branch, but a warm cache's leg end and
+    /// direction are those of the leg that holds `s` (an agent never
+    /// leaves its leg while the cache is warm), so read rebuilds them.
     fn write_state(&self, w: &mut ByteWriter) {
         w.put_point(self.path.start());
         w.put_point(self.path.dest());
-        w.put_axis(self.path.first_axis());
+        let axis = match self.path.first_axis() {
+            Axis::X => 0,
+            Axis::Y => FLAG_AXIS_Y,
+        };
+        let warm = if self.leg_end >= 0.0 { FLAG_WARM } else { 0 };
+        w.put_u8(axis | warm);
         w.put_f64(self.s);
         w.put_u32(self.pause_left);
-        w.put_f64(self.leg_end);
-        w.put_f64(self.vx);
-        w.put_f64(self.vy);
     }
 
+    /// `None` also for a flags byte with unknown bits, and for a warm
+    /// cache on a paused agent (a pause always leaves the cache cold).
     fn read_state(r: &mut ByteReader<'_>) -> Option<MrwpState> {
         let start = r.get_finite_point()?;
         let dest = r.get_finite_point()?;
-        let axis = r.get_axis()?;
+        let flags = r.get_u8()?;
+        if flags & !(FLAG_AXIS_Y | FLAG_WARM) != 0 {
+            return None;
+        }
+        let axis = if flags & FLAG_AXIS_Y != 0 {
+            Axis::Y
+        } else {
+            Axis::X
+        };
+        let s = r.get_finite_f64()?;
+        let pause_left = r.get_u32()?;
         // corner/leg lengths are a pure function of the endpoints: rebuilt
-        let path = LPath::new(start, dest, axis);
-        Some(MrwpState {
-            path,
-            s: r.get_finite_f64()?,
-            pause_left: r.get_u32()?,
-            leg_end: r.get_finite_f64()?,
-            vx: r.get_finite_f64()?,
-            vy: r.get_finite_f64()?,
-        })
+        let mut st = MrwpState::new(LPath::new(start, dest, axis), s, pause_left);
+        if flags & FLAG_WARM != 0 {
+            if st.pause_left > 0 {
+                return None;
+            }
+            (st.leg_end, st.dir) = leg_of(&st.path, st.s);
+        }
+        Some(st)
     }
 }
+
+/// [`MrwpState`] record flag: the path's first axis is `Y`.
+const FLAG_AXIS_Y: u8 = 1;
+/// [`MrwpState`] record flag: the `step_from` leg cache is warm.
+const FLAG_WARM: u8 = 2;
 
 /// Axis-aligned unit step directions of an L-path leg, indexed by the
 /// hot `dir` lane of [`MrwpBatch`]; entry 4 is the degenerate
@@ -167,20 +194,36 @@ impl SnapshotState for MrwpState {
 /// decode through this table.
 const DIR_STEPS: [(f64, f64); 5] = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)];
 
-/// Encodes a leg-cache step vector (each component `±speed` or `0.0`)
-/// as a [`DIR_STEPS`] index.
-fn dir_code(vx: f64, vy: f64) -> u32 {
-    if vx > 0.0 {
-        0
-    } else if vx < 0.0 {
-        1
-    } else if vy > 0.0 {
-        2
-    } else if vy < 0.0 {
-        3
+/// The [`DIR_STEPS`] index of a cold leg cache (the zero step; never
+/// read, since a cold cache always fails the fast-path guard).
+const COLD_DIR: u32 = 4;
+
+/// The leg of `path` that holds arc position `s`: its end (as an arc
+/// length) and its [`DIR_STEPS`] direction. This is the warm leg cache
+/// without speed, so a snapshot can rebuild it from the path and `s`.
+fn leg_of(path: &LPath, s: f64) -> (f64, u32) {
+    let (from, to, end) = if s < path.leg1_len() {
+        (path.start(), path.corner(), path.leg1_len())
+    } else {
+        (path.corner(), path.dest(), path.len())
+    };
+    // axis-aligned legs move along exactly one axis
+    let dir = if to.x != from.x {
+        if to.x > from.x {
+            0
+        } else {
+            1
+        }
+    } else if to.y != from.y {
+        if to.y > from.y {
+            2
+        } else {
+            3
+        }
     } else {
         4
-    }
+    };
+    (end, dir)
 }
 
 /// Cold per-agent state: the trip's defining data and the pause
@@ -224,7 +267,7 @@ impl MrwpCold {
 /// `dir` — progress, fused leg-cache guard, direction code) plus a
 /// per-step boundary-index scratch lane, and the cold side array read
 /// only when an agent hits a leg boundary. The common full-leg step
-/// therefore streams flat `f64`/`u32` lanes instead of the 120-byte
+/// therefore streams flat `f64`/`u32` lanes instead of the 104-byte
 /// [`MrwpState`], which is what makes the dense-regime move pass
 /// cache-bound rather than stride-bound — and, since PR 6, lets the
 /// advance kernel stream the hot lanes in one flat pass that compacts
@@ -425,6 +468,7 @@ impl Mobility for Mrwp {
         // a direct step() bypasses the fused fast path; invalidate its
         // cache so a later step_from cannot move along stale geometry
         state.leg_end = -1.0;
+        state.dir = COLD_DIR;
         self.step_core(&mut state.path, &mut state.s, &mut state.pause_left, rng)
     }
 
@@ -443,8 +487,10 @@ impl Mobility for Mrwp {
         let s_new = state.s + self.speed;
         if s_new < state.leg_end {
             state.s = s_new;
+            // the advance kernel's expression, so both paths agree bitwise
+            let (ux, uy) = DIR_STEPS[state.dir as usize];
             return (
-                Point::new(current.x + state.vx, current.y + state.vy),
+                Point::new(current.x + ux * self.speed, current.y + uy * self.speed),
                 StepEvents::default(),
             );
         }
@@ -476,7 +522,7 @@ impl Mobility for Mrwp {
         for st in states {
             batch.s.push(st.s);
             batch.leg_end.push(st.leg_end);
-            batch.dir.push(dir_code(st.vx, st.vy));
+            batch.dir.push(st.dir);
             batch.cold.push(MrwpCold::new(&st.path, st.pause_left));
         }
         batch.flagged = vec![0; batch.s.len()];
@@ -485,21 +531,19 @@ impl Mobility for Mrwp {
 
     fn batch_state(&self, batch: &MrwpBatch, agent: usize) -> MrwpState {
         let c = batch.cold[agent];
-        let (ux, uy) = DIR_STEPS[batch.dir[agent] as usize];
         MrwpState {
             path: c.path(),
             s: batch.s[agent],
             pause_left: c.pause_left,
             leg_end: batch.leg_end[agent],
-            vx: ux * self.speed,
-            vy: uy * self.speed,
+            dir: batch.dir[agent],
         }
     }
 
     fn batch_set_state(&self, batch: &mut MrwpBatch, agent: usize, state: MrwpState) {
         batch.s[agent] = state.s;
         batch.leg_end[agent] = state.leg_end;
-        batch.dir[agent] = dir_code(state.vx, state.vy);
+        batch.dir[agent] = state.dir;
         batch.cold[agent] = MrwpCold::new(&state.path, state.pause_left);
     }
 
@@ -683,10 +727,8 @@ impl Mrwp {
             let c = &mut cold[i];
             let mut path = c.path();
             let ev = self.step_core(&mut path, &mut s[i], &mut c.pause_left, rng);
-            let (le, vx, vy) = self.leg_cache(&path, s[i], c.pause_left);
+            (leg_end[i], dir[i]) = self.leg_cache(&path, s[i], c.pause_left);
             *c = MrwpCold::new(&path, c.pause_left);
-            leg_end[i] = le;
-            dir[i] = dir_code(vx, vy);
             let before = positions[i];
             let p = path.point_at(s[i]);
             positions[i] = p;
@@ -783,38 +825,22 @@ impl Mrwp {
         events
     }
 
-    /// Computes the fused fast-path cache `(leg_end, vx, vy)` from the
+    /// Computes the fused fast-path cache `(leg_end, dir)` from the
     /// authoritative `(path, s, pause_left)` parts: while
-    /// `s + speed < leg_end` a step is `position += (vx, vy)`. Shared by
-    /// the scalar cache refresh and the batched hot-array refill.
-    fn leg_cache(&self, path: &LPath, s: f64, pause_left: u32) -> (f64, f64, f64) {
+    /// `s + speed < leg_end` a step is `position += DIR_STEPS[dir] ·
+    /// speed`. Cold for a paused or motionless agent. Shared by the
+    /// scalar cache refresh and the batched hot-array refill.
+    fn leg_cache(&self, path: &LPath, s: f64, pause_left: u32) -> (f64, u32) {
         if pause_left > 0 || self.speed == 0.0 {
-            return (-1.0, 0.0, 0.0);
+            return (-1.0, COLD_DIR);
         }
-        let (from, to, end) = if s < path.leg1_len() {
-            (path.start(), path.corner(), path.leg1_len())
-        } else {
-            (path.corner(), path.dest(), path.len())
-        };
-        let mut vx = (to.x - from.x).signum() * self.speed;
-        let mut vy = (to.y - from.y).signum() * self.speed;
-        // axis-aligned legs move along exactly one axis
-        if to.x == from.x {
-            vx = 0.0;
-        }
-        if to.y == from.y {
-            vy = 0.0;
-        }
-        (end, vx, vy)
+        leg_of(path, s)
     }
 
     /// Recomputes the [`Mobility::step_from`] fast-path cache from the
     /// authoritative `(path, s, pause_left)` state.
     fn refresh_leg_cache(&self, state: &mut MrwpState) {
-        let (leg_end, vx, vy) = self.leg_cache(&state.path, state.s, state.pause_left);
-        state.leg_end = leg_end;
-        state.vx = vx;
-        state.vy = vy;
+        (state.leg_end, state.dir) = self.leg_cache(&state.path, state.s, state.pause_left);
     }
 }
 
@@ -1111,7 +1137,8 @@ mod tests {
             bits.extend([q.x.to_bits(), q.y.to_bits()]);
         }
         bits.extend([p.leg1_len(), p.leg2_len(), p.len()].map(f64::to_bits));
-        bits.extend([st.s, st.leg_end, st.vx, st.vy].map(f64::to_bits));
+        bits.extend([st.s, st.leg_end].map(f64::to_bits));
+        bits.push(st.dir as u64);
         bits.push((p.first_axis() == Axis::X) as u64);
         bits.push(st.pause_left as u64);
         bits
@@ -1176,6 +1203,103 @@ mod tests {
                 "agent {i}"
             );
         }
+    }
+
+    /// Writes `st` as a snapshot record and reads it back.
+    fn record_round_trip(st: &MrwpState) -> MrwpState {
+        let mut w = ByteWriter::new();
+        st.write_state(&mut w);
+        assert_eq!(w.len(), 45, "record layout changed");
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let back = MrwpState::read_state(&mut r).expect("a valid record");
+        assert!(r.is_empty());
+        back
+    }
+
+    #[test]
+    fn snapshot_record_rebuilds_the_leg_cache_bitwise() {
+        let model = Mrwp::new(L, 1.5).unwrap().with_pause(3);
+        let warm = |path: LPath, s: f64| {
+            let mut st = MrwpState::new(path, s, 0);
+            model.refresh_leg_cache(&mut st);
+            assert!(st.leg_end >= 0.0);
+            st
+        };
+        let (a, b) = (Point::new(10.0, 20.0), Point::new(70.0, 55.0));
+        let mut stepped = warm(LPath::new(a, b, Axis::X), 3.0);
+        model.step(&mut stepped, &mut rng(40));
+        let mut cases = vec![
+            ("warm, first leg", warm(LPath::new(a, b, Axis::Y), 12.0)),
+            ("warm, second leg", warm(LPath::new(a, b, Axis::X), 61.0)),
+            (
+                "warm, zero-length first leg",
+                warm(LPath::new(a, Point::new(a.x, b.y), Axis::X), 4.0),
+            ),
+            ("warm, start == dest", warm(LPath::new(a, a, Axis::Y), 0.0)),
+            (
+                "cold, fresh",
+                MrwpState::new(LPath::new(b, a, Axis::Y), 7.5, 0),
+            ),
+            ("cold, after a direct step", stepped),
+            ("paused", MrwpState::new(LPath::new(b, b, Axis::X), 0.0, 2)),
+        ];
+        // and states the model produced through the fused path
+        let mut r = rng(41);
+        for k in 0..300 {
+            let mut st = model.init_stationary(&mut r);
+            let mut p = model.position(&st);
+            for _ in 0..k % 40 {
+                p = model.step_from(&mut st, p, &mut r).0;
+            }
+            cases.push(("stepped", st));
+        }
+        for (what, st) in cases {
+            let back = record_round_trip(&st);
+            assert_eq!(state_bits(&back), state_bits(&st), "{what}");
+            // the restored state steps bit-equal to the original
+            let (mut orig, mut restored) = (st, back);
+            let (mut ra, mut rb) = (rng(42), rng(42));
+            let mut pa = model.position(&orig);
+            let mut pb = model.position(&restored);
+            for k in 0..60 {
+                pa = model.step_from(&mut orig, pa, &mut ra).0;
+                pb = model.step_from(&mut restored, pb, &mut rb).0;
+                assert_eq!(
+                    (pa.x.to_bits(), pa.y.to_bits()),
+                    (pb.x.to_bits(), pb.y.to_bits()),
+                    "{what}, step {k}"
+                );
+                assert_eq!(state_bits(&orig), state_bits(&restored), "{what}, step {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_record_rejects_bad_flags() {
+        let model = Mrwp::new(L, 1.5).unwrap();
+        let mut st = MrwpState::new(
+            LPath::new(Point::new(1.0, 2.0), Point::new(3.0, 4.0), Axis::Y),
+            0.5,
+            0,
+        );
+        model.refresh_leg_cache(&mut st);
+        let mut w = ByteWriter::new();
+        st.write_state(&mut w);
+        let good = w.into_bytes();
+        // the flags byte follows the two endpoints
+        assert_eq!(good[32], FLAG_AXIS_Y | FLAG_WARM);
+        for flags in [4, 0x80, 0xFF] {
+            let mut bad = good.clone();
+            bad[32] = flags;
+            assert!(MrwpState::read_state(&mut ByteReader::new(&bad)).is_none());
+        }
+        // a warm cache on a paused agent cannot come from a real run
+        let mut paused = good.clone();
+        paused[41..45].copy_from_slice(&1u32.to_le_bytes());
+        assert!(MrwpState::read_state(&mut ByteReader::new(&paused)).is_none());
+        paused[32] = FLAG_AXIS_Y;
+        assert!(MrwpState::read_state(&mut ByteReader::new(&paused)).is_some());
     }
 
     #[test]

@@ -12,13 +12,17 @@
 //! function of `(start, dest, first_axis)`, so rebuilding is exact.
 //!
 //! The encoding is deliberately primitive — fixed-width little-endian
-//! words with no self-description — because the snapshot container
+//! words with no self-description, plus LEB128 varints for values that
+//! are usually small (position deltas) — because the snapshot container
 //! (`fastflood-core`'s checkpoint format) owns versioning, checksums,
 //! and section framing. [`SnapshotState::STATE_TAG`] feeds the
 //! container's model fingerprint so a snapshot of one model is never
 //! silently decoded as another.
 
 use fastflood_geom::{Axis, Point};
+
+/// Longest varint [`ByteWriter::put_var_u64`] writes: ⌈64 / 7⌉ bytes.
+pub const MAX_VARINT_LEN: usize = 10;
 
 /// Little-endian byte sink for snapshot payloads.
 ///
@@ -99,6 +103,24 @@ impl ByteWriter {
     /// payloads and signed zeros included).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends a `u64` as an unsigned LEB128 varint: seven bits per
+    /// byte, low group first, the high bit set on every byte but the
+    /// last. 1 byte below 128, at most [`MAX_VARINT_LEN`] bytes.
+    pub fn put_var_u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends an `i64` zigzag-mapped (0, −1, 1, −2, … → 0, 1, 2, 3, …)
+    /// and then as a [`ByteWriter::put_var_u64`] varint, so a value near
+    /// zero of either sign takes one or two bytes.
+    pub fn put_var_i64(&mut self, v: i64) {
+        self.put_var_u64(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Appends a [`Point`] as two raw `f64`s.
@@ -191,6 +213,43 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` from raw IEEE-754 bits.
     pub fn get_f64(&mut self) -> Option<f64> {
         self.get_u64().map(f64::from_bits)
+    }
+
+    /// Reads a varint written by [`ByteWriter::put_var_u64`]. `None`
+    /// when it is truncated, or overlong: longer than
+    /// [`MAX_VARINT_LEN`] bytes, past 64 bits, or ending in a zero
+    /// group that a minimal encoding would not write. So every `u64`
+    /// has exactly one accepted encoding. A failed read consumes
+    /// nothing.
+    pub fn get_var_u64(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for (i, &b) in self.bytes[self.pos..]
+            .iter()
+            .take(MAX_VARINT_LEN)
+            .enumerate()
+        {
+            let group = u64::from(b & 0x7F);
+            // the tenth byte holds bit 63 only
+            if i == MAX_VARINT_LEN - 1 && b > 1 {
+                return None;
+            }
+            v |= group << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return None;
+                }
+                self.pos += i + 1;
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Reads an `i64` written by [`ByteWriter::put_var_i64`], with the
+    /// rejections of [`ByteReader::get_var_u64`].
+    pub fn get_var_i64(&mut self) -> Option<i64> {
+        let z = self.get_var_u64()?;
+        Some((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
     /// Reads a [`Point`] (two raw `f64`s).
@@ -344,6 +403,69 @@ mod tests {
     }
 
     #[test]
+    fn varints_roundtrip_at_the_edges() {
+        let unsigned = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+        let signed = [0, 1, -1, 63, -64, 64, -65, i64::MAX, i64::MIN];
+        let mut w = ByteWriter::new();
+        unsigned.iter().for_each(|&v| w.put_var_u64(v));
+        signed.iter().for_each(|&v| w.put_var_i64(v));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        for &v in &unsigned {
+            assert_eq!(r.get_var_u64(), Some(v));
+        }
+        for &v in &signed {
+            assert_eq!(r.get_var_i64(), Some(v));
+        }
+        assert!(r.is_empty());
+        // the lengths: zigzag keeps small values of either sign short
+        let len = |v: i64| {
+            let mut w = ByteWriter::new();
+            w.put_var_i64(v);
+            w.len()
+        };
+        assert_eq!([0, 1, -1, 63, -64].map(len), [1; 5]);
+        assert_eq!([64, -65].map(len), [2; 2]);
+        assert_eq!([i64::MAX, i64::MIN].map(len), [MAX_VARINT_LEN; 2]);
+        let mut w = ByteWriter::new();
+        w.put_var_u64(u64::MAX);
+        assert_eq!(
+            w.as_slice(),
+            [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]
+        );
+    }
+
+    #[test]
+    fn varints_reject_truncated_and_overlong_input() {
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let rejects: [&[u8]; 7] = [
+            // empty, and cut inside a varint
+            &[],
+            &[0x80],
+            &max[..9],
+            // an eleventh byte
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+            ],
+            // past 64 bits in the tenth byte
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            // non-minimal: a trailing zero group
+            &[0x80, 0x00],
+            &[0xFF, 0x80, 0x00],
+        ];
+        for bytes in rejects {
+            let mut r = ByteReader::new(bytes);
+            assert_eq!(r.get_var_u64(), None, "{bytes:02x?}");
+            // a failed read consumes nothing
+            assert_eq!(r.remaining(), bytes.len());
+            assert_eq!(ByteReader::new(bytes).get_var_i64(), None, "{bytes:02x?}");
+        }
+        // the one accepted encoding of zero, and the longest one
+        assert_eq!(ByteReader::new(&[0x00]).get_var_u64(), Some(0));
+        assert_eq!(ByteReader::new(&max).get_var_u64(), Some(u64::MAX));
+    }
+
+    #[test]
     fn nan_bits_survive_exactly() {
         let weird = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
         let mut w = ByteWriter::new();
@@ -393,6 +515,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Like [`roundtrip_continues`], but ages and continues the states
+    /// through the fused [`crate::Mobility::step_from`], whose leg cache
+    /// a record keeps only as a warm bit: the re-encoded record must be
+    /// byte-equal and the continuation bit-equal.
+    fn fused_roundtrip_continues<M>(model: M, steps: usize)
+    where
+        M: crate::Mobility,
+        M::State: SnapshotState + Clone,
+    {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(43);
+        for trial in 0..64 {
+            let mut st = model.init_stationary(&mut rng);
+            let mut p = model.position(&st);
+            for _ in 0..trial % steps {
+                p = model.step_from(&mut st, p, &mut rng).0;
+            }
+            let mut w = ByteWriter::new();
+            st.write_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored =
+                M::State::read_state(&mut ByteReader::new(&bytes)).expect("valid state bytes");
+            let mut again = ByteWriter::new();
+            restored.write_state(&mut again);
+            assert_eq!(again.as_slice(), &bytes[..], "trial {trial}");
+            let (mut ra, mut rb) = (rng.clone(), rng.clone());
+            let mut q = p;
+            for k in 0..steps {
+                p = model.step_from(&mut st, p, &mut ra).0;
+                q = model.step_from(&mut restored, q, &mut rb).0;
+                assert_eq!(
+                    (p.x.to_bits(), p.y.to_bits()),
+                    (q.x.to_bits(), q.y.to_bits()),
+                    "trial {trial}, step {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_mrwp_and_mixture_records_continue_bitwise() {
+        fused_roundtrip_continues(crate::Mrwp::new(50.0, 1.3).unwrap(), 40);
+        fused_roundtrip_continues(crate::Mrwp::new(50.0, 2.0).unwrap().with_pause(3), 40);
+        let mix = crate::Mixture::new(
+            vec![
+                crate::Mrwp::new(40.0, 0.3).unwrap(),
+                crate::Mrwp::new(40.0, 1.9).unwrap().with_pause(2),
+            ],
+            vec![0.6, 0.4],
+        )
+        .unwrap();
+        fused_roundtrip_continues(mix, 40);
     }
 
     #[test]
@@ -508,11 +684,11 @@ mod tests {
 
     #[test]
     fn non_finite_state_words_rejected() {
-        // start, dest, axis byte, s, pause u32, leg_end, vx, vy
+        // start, dest, flags byte, s, pause u32
         non_finite_words_rejected(
             crate::Mrwp::new(50.0, 1.0).unwrap(),
-            69,
-            &[0, 8, 16, 24, 33, 45, 53, 61],
+            45,
+            &[0, 8, 16, 24, 33],
         );
         // start, dest, s
         non_finite_words_rejected(crate::Rwp::new(50.0, 1.0).unwrap(), 40, &[0, 8, 16, 24, 32]);

@@ -41,6 +41,7 @@ use fastflood_bench::scenario::{
 };
 use fastflood_core::{CancelToken, EngineMode, Parallelism};
 use std::collections::VecDeque;
+use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -51,8 +52,9 @@ use std::time::{Duration, Instant};
 ///
 /// The model is the size of a full engine+scenario checkpoint, with
 /// the live sim state taken to be the same order. The scenario library
-/// writes up to 107 bytes/agent (`churn-spike` at n = 20 000) behind a
-/// small fixed header, so `64 KiB + 128·n` rounds that up; the
+/// writes up to 67 bytes/agent (`churn-spike` at n = 20 000; it was
+/// 107 before checkpoint format 2) behind a small fixed header, so
+/// `64 KiB + 128·n` rounds that up with room to spare; the
 /// `supervisor` test suite checks every library checkpoint against it.
 /// The budget is a backpressure lever, not an allocator accounting.
 pub fn estimate_snapshot_bytes(n: usize) -> u64 {
@@ -205,7 +207,8 @@ pub enum JobPhase {
     },
     /// Completed. The digest is the bitwise trace fingerprint
     /// (`trace_digest`), comparable across runs, resumes, and
-    /// processes.
+    /// processes. The job's checkpoint directory is removed once no
+    /// live job shares it.
     Done {
         /// `{:016x}` of the trace digest.
         digest: String,
@@ -663,7 +666,9 @@ impl Supervisor {
     /// the snapshots its previous incarnation wrote. The parallelism
     /// class is part of the key because it is part of the determinism
     /// class: resuming a `Sequential` checkpoint into a `Chunked` run
-    /// would splice two different random universes.
+    /// would splice two different random universes. A job that ends
+    /// `Done` removes the directory (unless a live job shares it), so
+    /// resubmitting it runs afresh; the other terminal phases keep it.
     pub fn job_dir(&self, spec: &JobSpec) -> PathBuf {
         job_dir(&self.shared.cfg, spec)
     }
@@ -879,9 +884,24 @@ fn run_job(shared: &Shared, idx: usize) {
                 }
             }
         };
+        let done = matches!(phase, JobPhase::Done { .. });
         let mut st = lock(shared);
         st.jobs[idx].phase = phase;
         shared.settled.notify_all();
+        // A finished job never resumes, so its snapshots would only
+        // hold disk; the other terminal phases keep theirs, resumable.
+        // A live job with the same identity shares the directory and
+        // may resume from it, so it stays until the last one is done.
+        // Removing under the lock keeps such a job from starting to
+        // write here meanwhile.
+        if done
+            && !st.jobs.iter().enumerate().any(|(i, r)| {
+                i != idx && !r.phase.is_terminal() && job_dir(&shared.cfg, &r.spec) == dir
+            })
+        {
+            // a directory left behind costs disk only, never a result
+            let _ = fs::remove_dir_all(&dir);
+        }
         return;
     }
 }

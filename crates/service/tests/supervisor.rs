@@ -187,8 +187,112 @@ fn panicked_job_restarts_from_checkpoint_and_matches_the_reference() {
         digest, &reference,
         "the restarted run must be bitwise-identical to the uninterrupted one"
     );
-    let ckpts = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert!(ckpts > 0, "the restart must have had checkpoints to resume");
+    assert!(!dir.exists(), "a done job removes its checkpoints");
+}
+
+/// A `Done` job's checkpoints are removed; those of a job that can
+/// still resume (failed, cancelled, past its deadline) stay, and so do
+/// those of a finished job while a queued job with the same identity
+/// may resume from them.
+#[test]
+fn done_jobs_remove_their_checkpoints_and_resumable_ones_keep_them() {
+    let sup = Supervisor::new(cfg(tmp_root("cleanup")));
+    let files = |dir: &PathBuf| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
+    let spec =
+        |sc: Scenario, seed| JobSpec::new(sc, EngineMode::Adaptive, Parallelism::Sequential, seed);
+    let running = |id| {
+        let t0 = Instant::now();
+        while !matches!(sup.status(id).unwrap().phase, JobPhase::Running { .. }) {
+            assert!(t0.elapsed() < WAIT, "job {id} never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    // failed after checkpointing steps 5 and 10
+    let mut failing = spec(slow("cleanup-fails"), 61);
+    failing.chaos = Chaos::PanicAlways { at: 12 };
+    let failing_dir = sup.job_dir(&failing);
+    let id = submit_ok(&sup, failing);
+    let status = sup.wait(id, WAIT).expect("settles");
+    assert!(
+        matches!(status.phase, JobPhase::Failed { .. }),
+        "{status:?}"
+    );
+    assert!(
+        files(&failing_dir) > 0,
+        "a failed job keeps its checkpoints"
+    );
+
+    // past its deadline, and cancelled
+    let mut late = spec(slow("cleanup-late"), 62);
+    late.deadline_ms = Some(200);
+    // about 8 steps before the deadline, of the 36 this flood needs
+    late.step_delay_ms = 25;
+    let late_dir = sup.job_dir(&late);
+    let id = submit_ok(&sup, late);
+    let status = sup.wait(id, WAIT).expect("settles");
+    assert!(
+        matches!(status.phase, JobPhase::DeadlineExceeded { at_step } if at_step > 0),
+        "{status:?}"
+    );
+    assert!(
+        files(&late_dir) > 0,
+        "a job past its deadline keeps its checkpoints"
+    );
+    let mut cancelled = spec(slow("cleanup-cancelled"), 63);
+    cancelled.step_delay_ms = 25;
+    let cancelled_dir = sup.job_dir(&cancelled);
+    let id = submit_ok(&sup, cancelled);
+    running(id);
+    while files(&cancelled_dir) == 0 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(sup.cancel(id));
+    let status = sup.wait(id, WAIT).expect("settles");
+    assert!(
+        matches!(
+            status.phase,
+            JobPhase::Cancelled {
+                resumable_step: Some(_)
+            }
+        ),
+        "{status:?}"
+    );
+    assert!(
+        files(&cancelled_dir) > 0,
+        "a cancelled job keeps its checkpoints"
+    );
+
+    // done: the one worker runs `first`, then a slow hog, while a
+    // second job with `first`'s identity waits in the queue
+    let sc = quick("cleanup-done");
+    let reference = {
+        let run = run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, 64).unwrap();
+        format!("{:016x}", trace_digest(&run.trace))
+    };
+    let first = spec(sc.clone(), 64);
+    let done_dir = sup.job_dir(&first);
+    let first = submit_ok(&sup, first);
+    let mut hog = spec(slow("cleanup-hog"), 65);
+    hog.step_delay_ms = 5;
+    let hog = submit_ok(&sup, hog);
+    let twin = submit_ok(&sup, spec(sc, 64));
+    let status = sup.wait(first, WAIT).expect("settles");
+    assert!(matches!(status.phase, JobPhase::Done { .. }), "{status:?}");
+    assert!(
+        files(&done_dir) > 0,
+        "a queued job with the same identity keeps the finished job's checkpoints"
+    );
+    assert!(sup.cancel(hog));
+    let status = sup.wait(twin, WAIT).expect("settles");
+    let JobPhase::Done { digest, .. } = &status.phase else {
+        panic!("the twin must complete: {:?}", status.phase);
+    };
+    assert_eq!(digest, &reference);
+    assert!(
+        !done_dir.exists(),
+        "the last done job removes the checkpoints"
+    );
 }
 
 #[test]

@@ -130,6 +130,14 @@ doc_expect fastflood_parallel/fn.shared_pool.html "process-shared"
 doc_expect fastflood_core/checkpoint/struct.Snapshot.html "parent directory"
 doc_expect fastflood_core/checkpoint/struct.Snapshot.html "frame and payload are streamed straight"
 doc_expect fastflood_core/checkpoint/fn.crc32.html "Slicing-by-16"
+doc_expect fastflood_core/checkpoint/fn.crc32.html "four quarters"
+doc_expect fastflood_core/checkpoint/fn.crc32.html crc32_combine
+doc_expect fastflood_core/checkpoint/index.html "Version 2"
+doc_expect fastflood_core/checkpoint/constant.TAG_POSN.html "zigzag varint"
+doc_expect fastflood_core/struct.FloodingSim.html "zigzag varint"
+doc_expect fastflood_mobility/snapshot/struct.ByteWriter.html LEB128
+doc_expect fastflood_mobility/snapshot/struct.ByteReader.html overlong
+doc_expect fastflood_mobility/struct.MrwpState.html "warm bit"
 doc_expect fastflood_core/checkpoint/fn.checkpoint_files_newest_first.html "newest first"
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html cancel
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html panic_at_step
@@ -139,6 +147,8 @@ doc_expect fastflood_service/supervisor/struct.SupervisorConfig.html memory_budg
 doc_expect fastflood_service/supervisor/enum.JobPhase.html watchdog
 doc_expect fastflood_service/supervisor/enum.Submission.html Degraded
 doc_expect fastflood_service/supervisor/fn.estimate_snapshot_bytes.html "library checkpoint"
+doc_expect fastflood_service/supervisor/fn.estimate_snapshot_bytes.html "up to 67 bytes/agent"
+doc_expect fastflood_service/supervisor/enum.JobPhase.html "checkpoint directory is removed"
 doc_expect fastflood_service/server/fn.serve.html drain
 doc_expect fastflood_service/json/enum.Json.html "key order"
 
