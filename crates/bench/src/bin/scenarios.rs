@@ -50,7 +50,8 @@
 
 use fastflood_bench::scenario::{
     bisect_divergence, library, parse_scenario, run_scenario_checkpointed, run_scenario_trials,
-    scenario_by_name, trace_digest, BisectSide, CheckpointOpts, Outcome, Scenario, ScenarioRun,
+    scenario_by_name, trace_digest, BisectSide, Cadence, CheckpointOpts, Outcome, Scenario,
+    ScenarioRun,
 };
 use fastflood_core::{EngineMode, Parallelism, SimParams, ZoneMap};
 use fastflood_stats::seeds::derive_seed;
@@ -260,7 +261,7 @@ fn run_checkpointed(args: &Args, sc: &Scenario, trials: usize, rows: &mut Vec<St
     for trial in 0..trials {
         let opts = CheckpointOpts {
             dir: base.join(&sc.name).join(format!("trial{trial:02}")),
-            every: args.checkpoint_every,
+            cadence: Cadence::Steps(args.checkpoint_every),
             resume: args.resume,
             label: "run".to_string(),
             step_delay_ms: args.step_delay_ms,

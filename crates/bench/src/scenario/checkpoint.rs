@@ -1,7 +1,8 @@
 //! Checkpointed scenario execution and divergence bisection.
 //!
-//! [`run_scenario_checkpointed`] wraps the [`Driver`] loop with periodic
-//! atomic snapshot writes and a **corruption fallback ladder** on
+//! [`run_scenario_checkpointed`] wraps the [`Driver`] loop with atomic
+//! snapshot writes — on a step stride or by measured cost
+//! ([`Cadence`]) — and a **corruption fallback ladder** on
 //! resume: checkpoint files are tried newest-first, every rejection
 //! (truncated, bit-flipped, wrong version, incompatible scenario) is
 //! recorded with its precise reason, and when nothing in the directory
@@ -24,16 +25,63 @@ use fastflood_mobility::{Mobility, SnapshotState};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The factor `K` of the cost cadence: under [`Cadence::Cost`] a run
+/// writes once the wall time since its last checkpoint ended is at
+/// least `K` times what that checkpoint cost. Checkpoints then take at
+/// most 1/(K + 1) = 1/11 of the loop's wall time, and a crash loses at
+/// most about `K` × the cost of one checkpoint, plus one step, of work.
+pub const COST_FACTOR: u32 = 10;
+
+/// When a checkpointed run writes a snapshot (at the top of the driver
+/// loop, never at step 0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cadence {
+    /// Every `n` steps, at the steps divisible by `n`: deterministic,
+    /// so tests and tools can count files. `Steps(0)` writes nothing
+    /// (resume-only runs).
+    Steps(u32),
+    /// By measured cost, the first-order rule of Young ("A first order
+    /// approximation to the optimum checkpoint interval", CACM 1974)
+    /// and Daly (FGCS 2006): write once the wall time since the last
+    /// checkpoint ended reaches [`COST_FACTOR`] times that checkpoint's
+    /// cost (snapshot, atomic write, stat and prune). Before the first
+    /// write the prior cost is the attempt's set-up time — building the
+    /// [`Driver`] plus the resume ladder, which like a snapshot is an
+    /// O(n) pass over the population. Wall time counts everything the
+    /// loop does, the `step_delay_ms` sleeps included, so a slowed run
+    /// still writes.
+    Cost,
+}
+
+impl Cadence {
+    /// Whether this cadence writes at all: every cadence but `Steps(0)`.
+    fn writes(self) -> bool {
+        self != Cadence::Steps(0)
+    }
+
+    /// Whether a checkpoint is due at the top of step `t`, `since_last`
+    /// after the previous checkpoint (or the set-up) ended, which took
+    /// `last_cost`.
+    fn due(self, t: u32, since_last: Duration, last_cost: Duration) -> bool {
+        t > 0
+            && match self {
+                // `Steps(0)`: no `t > 0` is a multiple of 0
+                Cadence::Steps(every) => t.is_multiple_of(every),
+                Cadence::Cost => since_last >= last_cost * COST_FACTOR,
+            }
+    }
+}
 
 /// How a checkpointed run writes and resumes snapshots.
 #[derive(Debug, Clone)]
 pub struct CheckpointOpts {
     /// Directory holding this run's `*.ckpt` files.
     pub dir: PathBuf,
-    /// Write a checkpoint every `every` steps; `0` disables writing
-    /// (resume-only runs).
-    pub every: u32,
+    /// When to write a checkpoint; `Cadence::Steps(0)` disables
+    /// writing (resume-only runs).
+    pub cadence: Cadence,
     /// Scan `dir` for the newest valid checkpoint before starting, and
     /// resume from it when one survives the fallback ladder.
     pub resume: bool,
@@ -46,7 +94,7 @@ pub struct CheckpointOpts {
     pub step_delay_ms: u64,
     /// Cooperative cancellation observed between steps (`None` = never
     /// cancelled). On cancellation the run writes one final checkpoint
-    /// (when `every > 0`) so the partial state is resumable, then
+    /// (when the cadence writes) so the partial state is resumable, then
     /// returns early with [`CheckpointSummary::interrupted`] set; by
     /// the bitwise-resume contract a later resumed run completes
     /// identically to one that was never interrupted.
@@ -60,12 +108,12 @@ pub struct CheckpointOpts {
 }
 
 impl CheckpointOpts {
-    /// Checkpoints under `dir` every `every` steps with a default label
-    /// and no resume.
+    /// Checkpoints under `dir` every `every` steps
+    /// ([`Cadence::Steps`]) with a default label and no resume.
     pub fn new(dir: impl Into<PathBuf>, every: u32) -> CheckpointOpts {
         CheckpointOpts {
             dir: dir.into(),
-            every,
+            cadence: Cadence::Steps(every),
             resume: false,
             label: "run".to_string(),
             step_delay_ms: 0,
@@ -92,8 +140,17 @@ pub struct CheckpointSummary {
     pub largest_bytes: u64,
     /// The run stopped early because its [`CheckpointOpts::cancel`]
     /// token was cancelled; the returned [`ScenarioRun`] is partial and
-    /// (with `every > 0`) the last entry of `written` restores it.
+    /// (when the cadence writes) the last entry of `written` restores it.
     pub interrupted: bool,
+}
+
+impl CheckpointSummary {
+    /// The step of the newest checkpoint this run wrote — for an
+    /// interrupted run, the step its final flush made resumable.
+    pub fn newest_written_step(&self) -> Option<u32> {
+        let name = self.written.last()?.file_stem()?.to_str()?;
+        name.rsplit_once("-step")?.1.parse().ok()
+    }
 }
 
 /// Checkpoint files a run keeps on disk: the newest, and one fallback
@@ -133,7 +190,7 @@ fn prune_checkpoints(dir: &Path, label: &str) -> Result<(), ScenarioError> {
 /// Runs one scenario trial like
 /// [`run_scenario`](super::run_scenario), but checkpointed: a snapshot
 /// of the whole run (engine + scenario layer) is written atomically
-/// every `opts.every` steps, and with `opts.resume` the run first walks
+/// whenever `opts.cadence` says so, and with `opts.resume` the run first walks
 /// the directory's fallback ladder and continues from the newest
 /// checkpoint that decodes *and* restores. By the bitwise-resume
 /// contract the result is identical to the uninterrupted run, whether
@@ -169,6 +226,7 @@ pub fn run_scenario_checkpointed(
             M: Mobility + Clone,
             M::State: SnapshotState,
         {
+            let set_up = Instant::now();
             let mut d = Driver::new(self.sc, model, self.engine, self.parallelism, self.seed)?;
             let mut summary = CheckpointSummary::default();
             if self.opts.resume {
@@ -186,7 +244,8 @@ pub fn run_scenario_checkpointed(
                     }
                 }
             }
-            if self.opts.every > 0 {
+            let cadence = self.opts.cadence;
+            if cadence.writes() {
                 fs::create_dir_all(&self.opts.dir).map_err(|e| {
                     ScenarioError::Invalid(format!(
                         "checkpoint dir {}: {e}",
@@ -194,6 +253,9 @@ pub fn run_scenario_checkpointed(
                     ))
                 })?;
             }
+            // the cost cadence's prior: this attempt's own set-up
+            let mut last_cost = set_up.elapsed();
+            let mut last_end = Instant::now();
             loop {
                 let t = d.time();
                 let cancelled = self
@@ -201,9 +263,13 @@ pub fn run_scenario_checkpointed(
                     .cancel
                     .as_ref()
                     .is_some_and(CancelToken::is_cancelled);
-                // a cancelled run flushes one final (off-stride)
+                // a cancelled run flushes one final (off-cadence)
                 // checkpoint so its partial progress is resumable
-                if self.opts.every > 0 && t > 0 && (cancelled || t % self.opts.every == 0) {
+                if cadence.writes()
+                    && t > 0
+                    && (cancelled || cadence.due(t, last_end.elapsed(), last_cost))
+                {
+                    let started = Instant::now();
                     let path = self.opts.dir.join(format!(
                         "{}-step{:08}.{}",
                         self.opts.label, t, CKPT_EXTENSION
@@ -215,6 +281,8 @@ pub fn run_scenario_checkpointed(
                     summary.largest_bytes = summary.largest_bytes.max(bytes);
                     summary.written.push(path);
                     prune_checkpoints(&self.opts.dir, &self.opts.label)?;
+                    last_end = Instant::now();
+                    last_cost = last_end - started;
                 }
                 if cancelled {
                     summary.interrupted = true;
@@ -581,6 +649,79 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The due-rule as a pure function: a stride counts steps, the cost
+    /// cadence compares the time since the last write with `K` times
+    /// that write's cost (the set-up time before the first write), and
+    /// no cadence writes at step 0.
+    #[test]
+    fn cadence_due_rule() {
+        let ms = Duration::from_millis;
+        // Steps(0) never writes, whatever the clock says
+        assert!(!Cadence::Steps(0).writes());
+        assert!(!Cadence::Steps(0).due(25, ms(1_000), ms(0)));
+        // a stride is due at its multiples only, and never at step 0
+        assert!(Cadence::Steps(25).writes());
+        assert!(Cadence::Steps(25).due(50, ms(0), ms(1_000)));
+        assert!(!Cadence::Steps(25).due(51, ms(1_000), ms(0)));
+        assert!(!Cadence::Steps(25).due(0, ms(0), ms(0)));
+        // the K boundary: due at exactly K times the cost, not before
+        let cost = ms(3);
+        assert!(Cadence::Cost.writes());
+        assert!(Cadence::Cost.due(7, cost * COST_FACTOR, cost));
+        let just_short = cost * COST_FACTOR - Duration::from_nanos(1);
+        assert!(!Cadence::Cost.due(7, just_short, cost));
+        assert!(!Cadence::Cost.due(0, cost * COST_FACTOR * 100, cost));
+        // the prior: a 5 ms set-up puts the first write at 50 ms
+        let set_up = ms(5);
+        assert!(!Cadence::Cost.due(1, ms(49), set_up));
+        assert!(Cadence::Cost.due(1, ms(50), set_up));
+        // a measured cost replaces the prior; the step count is moot
+        assert!(Cadence::Cost.due(9, ms(20), ms(2)));
+        assert!(!Cadence::Cost.due(u32::MAX, ms(19), ms(2)));
+    }
+
+    /// The cost cadence never perturbs a run; a slowed run writes
+    /// checkpoints by it, and its newest one resumes bitwise.
+    #[test]
+    fn cost_cadence_writes_for_a_slowed_run_and_resumes_identically() {
+        // 60 steps of 5 ms: the set-up of 80 agents is far below the
+        // 30 ms that would defer the first write past the end
+        let mut sc = slow(80);
+        sc.steps = 60;
+        let dir = tmp_dir("cost");
+        let reference =
+            run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, 19).unwrap();
+        let mut opts = CheckpointOpts::new(&dir, 0);
+        opts.cadence = Cadence::Cost;
+        opts.step_delay_ms = 5;
+        let (run, summary) = run_scenario_checkpointed(
+            &sc,
+            EngineMode::Adaptive,
+            Parallelism::Sequential,
+            19,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(run, reference, "checkpoint writes must not perturb the run");
+        assert!(!summary.written.is_empty(), "the delays count as work");
+        let newest = summary.newest_written_step().expect("a step in the name");
+        assert!(newest > 0 && newest <= run.report.steps_run);
+
+        let mut opts = CheckpointOpts::new(&dir, 0);
+        opts.resume = true;
+        let (resumed, summary) = run_scenario_checkpointed(
+            &sc,
+            EngineMode::Adaptive,
+            Parallelism::Sequential,
+            19,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(summary.resumed_from.as_ref().map(|r| r.1), Some(newest));
+        assert_same_run(&resumed, &reference);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn resume_ladder_falls_past_bitflip_and_truncation() {
         let sc = faulted(80);
@@ -611,7 +752,7 @@ mod tests {
         fs::write(&files[1], &bytes[..bytes.len() / 3]).unwrap();
 
         opts.resume = true;
-        opts.every = 0; // resume-only: don't overwrite the corrupted files
+        opts.cadence = Cadence::Steps(0); // resume-only: don't overwrite the corrupted files
         let (resumed, summary) =
             run_scenario_checkpointed(&sc, EngineMode::Adaptive, Parallelism::Sequential, 9, &opts)
                 .unwrap();

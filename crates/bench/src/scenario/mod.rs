@@ -55,8 +55,8 @@ mod library;
 mod run;
 
 pub use checkpoint::{
-    bisect_divergence, run_scenario_checkpointed, BisectReport, BisectSide, CheckpointOpts,
-    CheckpointSummary, KEEP_CHECKPOINTS,
+    bisect_divergence, run_scenario_checkpointed, BisectReport, BisectSide, Cadence,
+    CheckpointOpts, CheckpointSummary, COST_FACTOR, KEEP_CHECKPOINTS,
 };
 pub use config::parse_scenario;
 pub use library::{library, scenario_by_name, SCENARIO_SOURCES};

@@ -1676,8 +1676,8 @@ const _: () = assert!(STALENESS_BUDGET_FACTOR > 0.0 && STALENESS_BUDGET_FACTOR <
 /// bisector deliberately restores one engine's checkpoints into runs of
 /// another engine, which is sound because every mode draws the same
 /// random stream. Codes 1, 3 and 4 belonged to three retired engine
-/// modes that shared this state and stream, so restore still accepts
-/// them.
+/// modes; only version-1 files, which no longer decode, carry them, so
+/// restore rejects them as `Corrupt` like any other unknown code.
 fn engine_code(e: EngineMode) -> u8 {
     match e {
         EngineMode::Adaptive => 0,
@@ -1921,7 +1921,10 @@ where
             )));
         }
         let snap_engine = r.get_u8().ok_or_else(meta_err)?;
-        if snap_engine > 4 {
+        if ![EngineMode::Adaptive, EngineMode::Oracle]
+            .into_iter()
+            .any(|e| engine_code(e) == snap_engine)
+        {
             return Err(corrupt(TAG_META, "unknown engine code"));
         }
         // engine deliberately not enforced (see `engine_code`)

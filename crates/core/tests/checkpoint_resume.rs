@@ -409,12 +409,12 @@ fn with_section(snap: &Snapshot, tag: [u8; 4], payload: Vec<u8>) -> Snapshot {
     out
 }
 
-/// Engine codes 1, 3 and 4 name three retired engine modes. The engine
-/// byte is provenance only and every mode shared the same state and
-/// random stream, so snapshots carrying any of these codes still resume
-/// bitwise.
+/// Engine codes 1, 3 and 4 named three retired engine modes. Only
+/// version-1 files carried them, and those no longer decode, so restore
+/// rejects them as `Corrupt`, like any other unknown code, and leaves
+/// the sim as it was. The two live codes still restore either way.
 #[test]
-fn retired_engine_codes_still_restore() {
+fn retired_engine_codes_are_corrupt() {
     // META opens with n, seed, radius (8 bytes each), time (4), source
     // and informed count (8 each), join steps (4), protocol tag (1) and
     // parameter (8); the engine byte follows
@@ -440,41 +440,34 @@ fn retired_engine_codes_still_restore() {
         patched[ENGINE_BYTE] = code;
         with_section(&snap, TAG_META, patched)
     };
-    let mut resumed: Vec<_> = [1u8, 3, 4]
-        .into_iter()
-        .map(|code| {
-            let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");
-            sim.restore(&patch(code))
-                .unwrap_or_else(|e| panic!("engine code {code} must restore: {e}"));
-            sim
-        })
-        .collect();
-    let mut fresh = FloodingSim::new(model(), cfg.clone()).expect("valid config");
-    assert!(matches!(
-        fresh.restore(&patch(5)),
-        Err(CheckpointError::Corrupt { .. })
-    ));
-
-    for step in 0..15 {
-        reference.step();
-        let want: Vec<_> = reference
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect();
-        for sim in &mut resumed {
-            sim.step();
-            let got: Vec<_> = sim
-                .positions()
-                .iter()
-                .map(|p| (p.x.to_bits(), p.y.to_bits()))
-                .collect();
-            assert_eq!(got, want, "patched resume diverged at +{step}");
+    // Adaptive (0) and Oracle (2)
+    for code in [0u8, 2] {
+        let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+        sim.restore(&patch(code))
+            .unwrap_or_else(|e| panic!("engine code {code} must restore: {e}"));
+    }
+    for code in [1u8, 3, 4, 5, u8::MAX] {
+        match interrupted.restore(&patch(code)) {
+            Err(CheckpointError::Corrupt { section, what }) => {
+                assert_eq!((section, what), (TAG_META, "unknown engine code"));
+            }
+            other => panic!("engine code {code} must be corrupt: {other:?}"),
         }
     }
-    for sim in &resumed {
-        assert_eq!(sim.report(), reference.report());
+
+    // the rejected restores left the sim untouched
+    for step in 0..15 {
+        reference.step();
+        interrupted.step();
+        let bits = |sim: &FloodingSim<Mrwp>| -> Vec<_> {
+            sim.positions()
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&interrupted), bits(&reference), "diverged at +{step}");
     }
+    assert_eq!(interrupted.report(), reference.report());
 }
 
 #[test]

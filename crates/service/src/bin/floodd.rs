@@ -18,7 +18,16 @@
 //! The first stdout line is `{"listening":"ADDR"}` (the resolved
 //! address — bind port 0 to let the OS pick), which is how scripts and
 //! tests find the port.
+//!
+//! Without `--checkpoint-every`, jobs checkpoint by measured cost
+//! (`Cadence::Cost`): a job writes once the time since its last
+//! checkpoint is at least `K` = 10 times what that checkpoint cost (its
+//! set-up time before the first), so checkpoints take at most 1/11 of
+//! a job and a crash loses at most about ten checkpoints' cost of work.
+//! A short job may write none. `--checkpoint-every N` writes every `N`
+//! steps instead, and `0` turns checkpoints off.
 
+use fastflood_bench::scenario::Cadence;
 use fastflood_service::server::serve;
 use fastflood_service::{Json, Supervisor, SupervisorConfig};
 use std::net::TcpListener;
@@ -73,9 +82,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> (String, SupervisorConfig
             }
             "--checkpoint-root" => cfg.checkpoint_root = val("--checkpoint-root").into(),
             "--checkpoint-every" => {
-                cfg.checkpoint_every = val("--checkpoint-every")
+                let every = val("--checkpoint-every")
                     .parse()
-                    .expect("--checkpoint-every STEPS")
+                    .expect("--checkpoint-every STEPS");
+                cfg.checkpoint_cadence = Cadence::Steps(every);
             }
             "--retries" => cfg.max_retries = val("--retries").parse().expect("--retries N"),
             "--backoff-base-ms" => {

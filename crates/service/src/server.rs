@@ -363,11 +363,11 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         (None, Some(text)) => parse_scenario(text).map_err(|e| format!("scenario_toml: {e}"))?,
         (None, None) => return Err("missing scenario or scenario_toml".to_string()),
     };
-    if let Some(n) = req.get("n").and_then(Json::as_u64) {
+    if let Some(n) = uint_field(req, "n", 1, u32::MAX.into())? {
         // density-preserving rescale, same as the CLI's --quick
         sc = sc.scaled(n as usize);
     }
-    if let Some(steps) = req.get("steps").and_then(Json::as_u64) {
+    if let Some(steps) = uint_field(req, "steps", 0, u32::MAX.into())? {
         sc.steps = steps as u32;
     }
     let engine = match req.get("engine").and_then(Json::as_str) {
@@ -378,7 +378,7 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         None => Parallelism::Sequential,
         Some(name) => name.parse()?,
     };
-    let chaos = match req.get("chaos_panic_at").and_then(Json::as_u64) {
+    let chaos = match uint_field(req, "chaos_panic_at", 0, u32::MAX.into())? {
         None => Chaos::None,
         Some(at) => {
             let every = req
@@ -396,9 +396,113 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         scenario: sc,
         engine,
         parallelism,
-        seed: req.get("seed").and_then(Json::as_u64).unwrap_or(0),
-        deadline_ms: req.get("deadline_ms").and_then(Json::as_u64),
+        seed: uint_field(req, "seed", 0, MAX_EXACT)?.unwrap_or(0),
+        deadline_ms: uint_field(req, "deadline_ms", 0, MAX_EXACT)?,
         chaos,
-        step_delay_ms: req.get("step_delay_ms").and_then(Json::as_u64).unwrap_or(0),
+        step_delay_ms: uint_field(req, "step_delay_ms", 0, MAX_EXACT)?.unwrap_or(0),
     })
+}
+
+/// The largest integer a JSON number (an `f64`) holds exactly, 2^53.
+const MAX_EXACT: u64 = 1 << 53;
+
+/// The integer field `key` of a request: `None` when it is absent or
+/// `null`, and an error naming the field when it is anything but an
+/// integer in `min..=max`.
+fn uint_field(req: &Json, key: &str, min: u64, max: u64) -> Result<Option<u64>, String> {
+    match req.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => match v.as_u64() {
+            Some(x) if (min..=max).contains(&x) => Ok(Some(x)),
+            _ => Err(format!(
+                "{key} must be an integer in {min}..={max}, got {v}"
+            )),
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(fields: &str) -> Result<JobSpec, String> {
+        let req = format!(r#"{{"op":"submit","scenario":"uniform-baseline"{fields}}}"#);
+        build_spec(&Json::parse(&req).unwrap())
+    }
+
+    fn rejected(fields: &str, field: &str) {
+        let e = spec(fields).expect_err(fields);
+        assert!(e.starts_with(&format!("{field} must be an integer")), "{e}");
+    }
+
+    #[test]
+    fn in_range_integers_are_taken_and_absent_ones_default() {
+        let s = spec(
+            r#","n":60,"steps":4294967295,"seed":9007199254740992,"deadline_ms":250,"step_delay_ms":3,"chaos_panic_at":4294967295"#,
+        )
+        .unwrap();
+        assert_eq!(s.scenario.n, 60);
+        assert_eq!(s.scenario.steps, u32::MAX);
+        assert_eq!(s.seed, 1 << 53);
+        assert_eq!(s.deadline_ms, Some(250));
+        assert_eq!(s.step_delay_ms, 3);
+        assert_eq!(s.chaos, Chaos::PanicOnce { at: u32::MAX });
+
+        let library = scenario_by_name("uniform-baseline").unwrap();
+        for fields in ["", r#","seed":null,"deadline_ms":null,"steps":null"#] {
+            let s = spec(fields).unwrap();
+            assert_eq!((s.scenario.n, s.scenario.steps), (library.n, library.steps));
+            assert_eq!((s.seed, s.deadline_ms, s.step_delay_ms), (0, None, 0));
+            assert_eq!(s.chaos, Chaos::None);
+        }
+    }
+
+    #[test]
+    fn steps_past_u32_are_rejected_not_narrowed() {
+        // 2^32 + 5 once ran a 5-step job
+        rejected(r#","steps":4294967301"#, "steps");
+        rejected(r#","steps":4294967296"#, "steps");
+    }
+
+    #[test]
+    fn chaos_step_past_u32_is_rejected_not_narrowed() {
+        rejected(r#","chaos_panic_at":4294967298"#, "chaos_panic_at");
+    }
+
+    #[test]
+    fn negative_numbers_are_rejected() {
+        for field in ["n", "steps", "seed", "deadline_ms", "step_delay_ms"] {
+            rejected(&format!(r#","{field}":-1"#), field);
+        }
+    }
+
+    #[test]
+    fn fractional_numbers_are_rejected() {
+        for field in ["n", "steps", "seed", "deadline_ms", "step_delay_ms"] {
+            rejected(&format!(r#","{field}":2.5"#), field);
+        }
+    }
+
+    #[test]
+    fn non_numbers_are_rejected() {
+        for field in ["n", "steps", "seed", "deadline_ms", "step_delay_ms"] {
+            for value in [r#""10""#, "true", "[1]", "{}"] {
+                rejected(&format!(r#","{field}":{value}"#), field);
+            }
+        }
+    }
+
+    #[test]
+    fn integers_past_two_to_the_53_are_rejected() {
+        // an f64 cannot tell 2^53 + 1 from 2^53
+        for field in ["seed", "deadline_ms", "step_delay_ms"] {
+            rejected(&format!(r#","{field}":9007199254740994"#), field);
+        }
+    }
+
+    #[test]
+    fn an_empty_population_is_rejected() {
+        rejected(r#","n":0"#, "n");
+        rejected(r#","n":4294967296"#, "n");
+    }
 }

@@ -37,10 +37,10 @@
 
 use crate::json::Json;
 use fastflood_bench::scenario::{
-    run_scenario, run_scenario_checkpointed, trace_digest, CheckpointOpts, Scenario,
+    run_scenario, run_scenario_checkpointed, trace_digest, Cadence, CheckpointOpts, Scenario,
 };
 use fastflood_core::{CancelToken, EngineMode, Parallelism};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -73,9 +73,13 @@ pub struct SupervisorConfig {
     pub memory_budget_bytes: u64,
     /// Root directory for per-job checkpoint subdirectories.
     pub checkpoint_root: PathBuf,
-    /// Checkpoint stride in steps (`0` disables checkpointing, which
-    /// also disables restart-from-checkpoint: retries start fresh).
-    pub checkpoint_every: u32,
+    /// When a job writes checkpoints. The default, [`Cadence::Cost`],
+    /// keeps their share of a job at or below 1/11 (`K` =
+    /// [`COST_FACTOR`](fastflood_bench::scenario::COST_FACTOR) = 10), so
+    /// a short job may write none; `Cadence::Steps(n)` writes every `n`
+    /// steps, and `Steps(0)` disables checkpointing, which also disables
+    /// restart-from-checkpoint: retries start fresh.
+    pub checkpoint_cadence: Cadence,
     /// Retry budget: a job may panic this many times *after* its first
     /// attempt before it is failed (so `max_retries = 2` allows three
     /// attempts total).
@@ -99,7 +103,7 @@ impl Default for SupervisorConfig {
             queue_limit: 16,
             memory_budget_bytes: 512 * 1024 * 1024,
             checkpoint_root: std::env::temp_dir().join("floodd-checkpoints"),
-            checkpoint_every: 25,
+            checkpoint_cadence: Cadence::Cost,
             max_retries: 3,
             backoff_base_ms: 50,
             backoff_cap_ms: 2_000,
@@ -124,7 +128,7 @@ pub enum Chaos {
         at: u32,
     },
     /// Panic at the step on **every** attempt that reaches it; with a
-    /// checkpoint stride that can't pass the step this exhausts the
+    /// checkpoint cadence that can't pass the step this exhausts the
     /// retry budget (the supervisor's failure path).
     PanicAlways {
         /// Step at which every attempt panics.
@@ -409,6 +413,9 @@ struct State {
     draining: bool,
     shutdown: bool,
     mem_in_use: u64,
+    /// Unsettled jobs per checkpoint directory: a `Done` job removes
+    /// its directory only when it was the last of them.
+    live_per_dir: HashMap<PathBuf, usize>,
     accepted: u64,
     degraded: u64,
     rejected: u64,
@@ -455,6 +462,7 @@ impl Supervisor {
                 draining: false,
                 shutdown: false,
                 mem_in_use: 0,
+                live_per_dir: HashMap::new(),
                 accepted: 0,
                 degraded: 0,
                 rejected: 0,
@@ -519,6 +527,9 @@ impl Supervisor {
                 let deadline = spec
                     .deadline_ms
                     .map(|ms| Instant::now() + Duration::from_millis(ms));
+                *st.live_per_dir
+                    .entry(job_dir(&self.shared.cfg, &spec))
+                    .or_default() += 1;
                 st.jobs.push(JobRecord {
                     token: CancelToken::new(),
                     phase: JobPhase::Queued,
@@ -798,7 +809,7 @@ fn run_job(shared: &Shared, idx: usize) {
         };
         let opts = CheckpointOpts {
             dir: dir.clone(),
-            every: shared.cfg.checkpoint_every,
+            cadence: shared.cfg.checkpoint_cadence,
             resume: true,
             label: "job".to_string(),
             step_delay_ms: spec.step_delay_ms,
@@ -825,11 +836,11 @@ fn run_job(shared: &Shared, idx: usize) {
                     let cause = lock(shared).jobs[idx].cause;
                     match cause {
                         Some(CancelCause::Deadline) => JobPhase::DeadlineExceeded { at_step },
+                        // the interrupted run flushed a checkpoint at
+                        // its stop step, unless it writes none or
+                        // stopped at step 0
                         _ => JobPhase::Cancelled {
-                            // the interrupted run flushed a checkpoint
-                            // at exactly this step (when enabled)
-                            resumable_step: (shared.cfg.checkpoint_every > 0 && at_step > 0)
-                                .then_some(at_step),
+                            resumable_step: summary.newest_written_step(),
                         },
                     }
                 } else {
@@ -888,17 +899,22 @@ fn run_job(shared: &Shared, idx: usize) {
         let mut st = lock(shared);
         st.jobs[idx].phase = phase;
         shared.settled.notify_all();
+        let live = st
+            .live_per_dir
+            .get_mut(&dir)
+            .expect("admission counted the job");
+        *live -= 1;
+        let last = *live == 0;
+        if last {
+            st.live_per_dir.remove(&dir);
+        }
         // A finished job never resumes, so its snapshots would only
         // hold disk; the other terminal phases keep theirs, resumable.
         // A live job with the same identity shares the directory and
         // may resume from it, so it stays until the last one is done.
         // Removing under the lock keeps such a job from starting to
         // write here meanwhile.
-        if done
-            && !st.jobs.iter().enumerate().any(|(i, r)| {
-                i != idx && !r.phase.is_terminal() && job_dir(&shared.cfg, &r.spec) == dir
-            })
-        {
+        if done && last {
             // a directory left behind costs disk only, never a result
             let _ = fs::remove_dir_all(&dir);
         }

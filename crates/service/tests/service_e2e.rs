@@ -281,6 +281,41 @@ fn sigkilled_daemon_job_resumes_in_a_fresh_daemon_with_equal_digest() {
     );
 }
 
+/// The same kill and resume on daemons started without
+/// `--checkpoint-every`, so jobs checkpoint by measured cost: a slowed
+/// job still writes checkpoints, and a fresh daemon resumes it bitwise.
+#[test]
+fn sigkilled_default_cadence_job_resumes_in_a_fresh_daemon_with_equal_digest() {
+    let root = tmp_root("sigkill-cost");
+    let reference = reference_digest(SLOW_TOML, 98);
+    {
+        let daemon = Daemon::spawn(&root, &[]);
+        job_of(&daemon.submit(vec![
+            ("scenario_toml", Json::str(SLOW_TOML)),
+            ("seed", Json::num(98)),
+            ("step_delay_ms", Json::num(20)),
+        ]));
+        let deadline = Instant::now() + WAIT;
+        while ckpt_count(&root) < 2 {
+            assert!(Instant::now() < deadline, "no checkpoints written");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    let daemon = Daemon::spawn(&root, &[]);
+    let id = job_of(&daemon.submit(vec![
+        ("scenario_toml", Json::str(SLOW_TOML)),
+        ("seed", Json::num(98)),
+    ]));
+    let done = daemon.wait_done(id);
+    assert_eq!(state_of(&done), "done", "{done}");
+    assert_eq!(
+        done.get("digest").and_then(Json::as_str),
+        Some(reference.as_str()),
+        "resume after SIGKILL must be bitwise-identical to the uninterrupted run"
+    );
+}
+
 #[test]
 fn sigterm_drains_gracefully_and_reports_resumable_state() {
     let root = tmp_root("sigterm");

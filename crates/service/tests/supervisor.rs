@@ -9,8 +9,8 @@
 //! size.
 
 use fastflood_bench::scenario::{
-    library, run_scenario, run_scenario_checkpointed, trace_digest, CheckpointOpts, InitSpec,
-    MetricSpec, ModelSpec, ProtocolSpec, Scenario, SourceSpec,
+    library, run_scenario, run_scenario_checkpointed, trace_digest, Cadence, CheckpointOpts,
+    InitSpec, MetricSpec, ModelSpec, ProtocolSpec, Scenario, SourceSpec,
 };
 use fastflood_core::{EngineMode, Parallelism};
 use fastflood_service::{
@@ -65,7 +65,7 @@ fn cfg(root: PathBuf) -> SupervisorConfig {
         queue_limit: 16,
         memory_budget_bytes: 512 * 1024 * 1024,
         checkpoint_root: root,
-        checkpoint_every: 5,
+        checkpoint_cadence: Cadence::Steps(5),
         max_retries: 3,
         backoff_base_ms: 1,
         backoff_cap_ms: 10,
@@ -133,7 +133,7 @@ fn retry_budget_exhaustion_surfaces_the_last_error() {
     let root = tmp_root("budget");
     let mut c = cfg(root);
     c.max_retries = 2;
-    c.checkpoint_every = 0; // fresh attempts: the chaos step is always reached
+    c.checkpoint_cadence = Cadence::Steps(0); // fresh attempts: the chaos step is always reached
     let sup = Supervisor::new(c);
 
     let mut spec = JobSpec::new(
@@ -160,7 +160,7 @@ fn retry_budget_exhaustion_surfaces_the_last_error() {
 fn panicked_job_restarts_from_checkpoint_and_matches_the_reference() {
     let root = tmp_root("restart");
     let mut c = cfg(root);
-    c.checkpoint_every = 1;
+    c.checkpoint_cadence = Cadence::Steps(1);
     let sup = Supervisor::new(c);
     let sc = quick("crashes-once");
     let reference = {
@@ -187,6 +187,75 @@ fn panicked_job_restarts_from_checkpoint_and_matches_the_reference() {
         digest, &reference,
         "the restarted run must be bitwise-identical to the uninterrupted one"
     );
+    assert!(!dir.exists(), "a done job removes its checkpoints");
+}
+
+/// The default cadence is by cost: a slowed job that panics once, past
+/// its first checkpoint, restarts from a checkpoint and still matches
+/// the uninterrupted reference.
+#[test]
+fn default_cost_cadence_restarts_a_panicked_job_from_a_checkpoint() {
+    // the default config, with a backoff long enough for the test to
+    // see what the first attempt left on disk before the restart
+    let sup = Supervisor::new(SupervisorConfig {
+        checkpoint_root: tmp_root("cost-restart"),
+        backoff_base_ms: 300,
+        ..SupervisorConfig::default()
+    });
+    assert_eq!(
+        SupervisorConfig::default().checkpoint_cadence,
+        Cadence::Cost
+    );
+    let mut sc = slow("cost-crashes-once");
+    sc.steps = 60;
+    let reference = {
+        let run = run_scenario(&sc, EngineMode::Adaptive, Parallelism::Sequential, 71).unwrap();
+        format!("{:016x}", trace_digest(&run.trace))
+    };
+    let mut spec = JobSpec::new(sc, EngineMode::Adaptive, Parallelism::Sequential, 71);
+    // 30 steps of 5 ms before the panic: setting up 70 agents takes far
+    // less than the 15 ms that would put the first write past them
+    spec.step_delay_ms = 5;
+    spec.chaos = Chaos::PanicOnce { at: 30 };
+    let dir = sup.job_dir(&spec);
+    let id = submit_ok(&sup, spec);
+
+    let t0 = Instant::now();
+    loop {
+        let phase = sup.status(id).unwrap().phase;
+        if matches!(phase, JobPhase::Backoff { .. }) {
+            break;
+        }
+        assert!(
+            !phase.is_terminal(),
+            "the first attempt must panic: {phase:?}"
+        );
+        assert!(t0.elapsed() < WAIT, "the job never backed off");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // the first attempt's checkpoints, which the restart resumes from
+    let steps: Vec<u32> = std::fs::read_dir(&dir)
+        .expect("the first attempt wrote checkpoints")
+        .map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            let stem = name.strip_suffix(".ckpt").expect("only checkpoint files");
+            stem.rsplit_once("-step").unwrap().1.parse().unwrap()
+        })
+        .collect();
+    assert!(
+        !steps.is_empty() && steps.iter().all(|&t| t > 0 && t <= 30),
+        "{steps:?}"
+    );
+
+    let status = sup.wait(id, WAIT).expect("restarted job settles");
+    let JobPhase::Done {
+        digest, attempts, ..
+    } = &status.phase
+    else {
+        panic!("expected completion, got {:?}", status.phase);
+    };
+    assert_eq!(*attempts, 2, "one crash, one successful restart");
+    assert_eq!(digest, &reference);
     assert!(!dir.exists(), "a done job removes its checkpoints");
 }
 
@@ -400,7 +469,7 @@ fn drain_reports_resumable_state_and_a_fresh_supervisor_resumes_it() {
 
     let resumable_step = {
         let mut c = cfg(root.clone());
-        c.checkpoint_every = 3;
+        c.checkpoint_cadence = Cadence::Steps(3);
         let sup = Supervisor::new(c);
         let mut spec = JobSpec::new(
             sc.clone(),
@@ -442,7 +511,7 @@ fn drain_reports_resumable_state_and_a_fresh_supervisor_resumes_it() {
     // a fresh supervisor on the same checkpoint root picks the job
     // back up from the drained state and converges to the reference
     let mut c = cfg(root);
-    c.checkpoint_every = 50;
+    c.checkpoint_cadence = Cadence::Steps(50);
     let sup = Supervisor::new(c);
     let spec = JobSpec::new(sc, EngineMode::Adaptive, Parallelism::Sequential, 51);
     let id = submit_ok(&sup, spec);

@@ -142,6 +142,11 @@ doc_expect fastflood_core/checkpoint/fn.checkpoint_files_newest_first.html "newe
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html cancel
 doc_expect fastflood_bench/scenario/struct.CheckpointOpts.html panic_at_step
 doc_expect fastflood_bench/scenario/struct.CheckpointSummary.html interrupted
+doc_expect fastflood_bench/scenario/enum.Cadence.html "first-order rule of Young"
+doc_expect fastflood_bench/scenario/enum.Cadence.html "prior cost is the attempt"
+doc_expect fastflood_bench/scenario/constant.COST_FACTOR.html "1/(K + 1) = 1/11"
+doc_expect fastflood_bench/scenario/struct.CheckpointSummary.html newest_written_step
+doc_expect fastflood_service/supervisor/struct.SupervisorConfig.html checkpoint_cadence
 doc_expect fastflood_service/supervisor/struct.Supervisor.html drain
 doc_expect fastflood_service/supervisor/struct.SupervisorConfig.html memory_budget_bytes
 doc_expect fastflood_service/supervisor/enum.JobPhase.html watchdog
